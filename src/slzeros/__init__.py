@@ -30,8 +30,8 @@ from .kernels import (ProcessSecondOrder, StationaryKernel, covariance_X,
 from .weights import (Grid, Potential, WeightFunction, builtin_weights,
                       default_grid, normal_form_potential, normalize_weight,
                       omega_cumulative, omega_inverse, weight_to_potential)
-from .zeros import (ZeroCountResult, count_zeros, count_zeros_changed_variable,
-                    standardize_count)
+from .zeros import (ZeroCountResult, count_hermite_zeros, count_zeros,
+                    count_zeros_changed_variable, standardize_count)
 
 __version__ = "0.1.0"
 

@@ -4,9 +4,10 @@ Subcommands: eigen, simulate, kac, compare, diagnose, robustness.
 Options resolve in three layers — built-in defaults, then a config
 file (INI with one section per subcommand, or a previously emitted
 manifest.json), then command-line flags.  Unknown config keys are
-rejected by name.  Every run writes manifest.json echoing the fully
-resolved configuration, and re-running from that manifest reproduces
-the run byte for byte.
+rejected by name.  Every run that finishes writes manifest.json
+echoing the fully resolved configuration, and re-running from that
+manifest reproduces the run byte for byte; a refused or failed run
+writes none.
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 numerical
 failures.
@@ -42,7 +43,6 @@ KEY_TYPES = {
     "replicates": _INT,
     "seed": _INT,
     "kinds": _STR_LIST,
-    "grid_factor": _INT,
     "k_max": _INT,
     "timing": _BOOL,
     "x_ref": _FLOAT,
@@ -54,14 +54,14 @@ KEY_TYPES = {
 SUBCOMMAND_KEYS = {
     "eigen": ("weight", "k_max", "out"),
     "simulate": ("weight", "n_list", "replicates", "seed", "kinds",
-                 "grid_factor", "k_max", "timing", "out"),
+                 "k_max", "timing", "out"),
     "kac": ("weight", "n_list", "out"),
-    "compare": ("weight", "n_list", "replicates", "seed", "grid_factor",
-                "k_max", "timing", "out"),
+    "compare": ("weight", "n_list", "replicates", "seed", "k_max",
+                "timing", "out"),
     "diagnose": ("weight", "n_list", "replicates", "seed", "k_max",
                  "x_ref", "out"),
-    "robustness": ("weight", "n_list", "replicates", "seed", "grid_factor",
-                   "timing", "pert_c0", "pert_c1", "out"),
+    "robustness": ("weight", "n_list", "replicates", "seed", "timing",
+                   "pert_c0", "pert_c1", "out"),
 }
 
 DEFAULTS = {
@@ -70,7 +70,6 @@ DEFAULTS = {
     "replicates": 2000,
     "seed": 20260819,
     "kinds": ("f_n", "X_n"),
-    "grid_factor": 16,
     "k_max": None,
     "timing": False,
     "x_ref": math.pi / 3.0,
@@ -152,7 +151,6 @@ def _resolve(subcommand, args):
 
 
 def _write_manifest(out_dir, subcommand, cfg):
-    os.makedirs(out_dir, exist_ok=True)
     body = {}
     for key, val in cfg.items():
         body[key] = list(val) if isinstance(val, tuple) else val
@@ -169,6 +167,7 @@ def _cell(value):
 
 
 def _write_table(path, header, rows):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -180,8 +179,7 @@ def _experiment_config(cfg, kinds, output_path):
         weight_name=cfg["weight"], n_list=tuple(cfg["n_list"]),
         replicates=cfg["replicates"], master_seed=cfg["seed"],
         process_kinds=kinds, output_path=output_path,
-        grid_factor=cfg.get("grid_factor", 16), k_max=cfg.get("k_max"),
-        timing=cfg.get("timing", False),
+        k_max=cfg.get("k_max"), timing=cfg.get("timing", False),
         pert_c0=cfg.get("pert_c0", 0.5), pert_c1=cfg.get("pert_c1", 1.0))
 
 
@@ -332,8 +330,6 @@ def build_parser():
             p.add_argument("--replicates", default=None)
         if "seed" in keys:
             p.add_argument("--seed", default=None)
-        if "grid_factor" in keys:
-            p.add_argument("--grid-factor", dest="grid_factor", default=None)
         if "k_max" in keys:
             p.add_argument("--k-max", dest="k_max", default=None)
         if "kinds" in keys:
@@ -357,8 +353,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args.subcommand, args)
-        _write_manifest(cfg["out"], args.subcommand, cfg)
         _DISPATCH[args.subcommand](cfg)
+        # only a run that finished leaves a manifest: one refused on its
+        # inputs or stopped by a numerical failure leaves none
+        _write_manifest(cfg["out"], args.subcommand, cfg)
     except (UsageError, DomainError, PreconditionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -2,10 +2,14 @@
 
 run_experiment() draws coefficient vectors replicate by replicate,
 evaluates the configured process kinds on the storage grid, counts
-zeros of the cubic-Hermite interpolants, and streams one record per
-(n, replicate) to CSV.  Replicates are processed in fixed-size chunks
-whose composition depends only on the replicate ids, so results are
-bit-identical no matter how many workers run them (SLZEROS_THREADS).
+zeros of the cubic-Hermite interpolants exactly, cell by cell, with
+zeros.count_hermite_zeros over a whole chunk of replicates at once,
+and streams one record per (n, replicate) to CSV.  A replicate whose
+count holds an unresolved tangency is logged at WARNING and, for f_n
+and X_n, recorded with stable_* = 0.  Replicates are processed in
+fixed-size chunks whose composition depends only on the replicate
+ids, so results are bit-identical no matter how many workers run them
+(SLZEROS_THREADS, default 1).
 
 summarize() reduces persisted records to per-n statistics: mean count,
 var/n with a log-scale normal-theory confidence interval, skewness and
@@ -33,12 +37,14 @@ import numpy as np
 from scipy.special import erfc
 
 from .eigen import BoundaryCondition, eigen_solve
-from .ensembles import (_hermite_weights, default_perturbation, hermite_rows,
-                        sample_coefficients, verify_perturbation)
+from .ensembles import (default_perturbation, hermite_rows, sample_coefficients,
+                        verify_perturbation)
 from .errors import DomainError, PreconditionError
 from .kernels import r_n_closed
 from .weights import TWO_PI, builtin_weights, default_grid, omega_map
-from .zeros import count_zeros
+# count_zeros is not used here; it stays importable from this module
+# because the benchmark's traced run (perfbench/tracing.py) wraps it here
+from .zeros import count_hermite_zeros, count_zeros  # noqa: F401
 
 SIMULATED_KINDS = ("f_n", "X_n", "T_n", "perturbed")
 RECORD_COLUMNS = ("n", "replicate_id", "seed", "N_fn", "N_Xn", "N_Tn",
@@ -47,6 +53,7 @@ CHUNK = 64  # replicates per batch; fixed so results never depend on workers
 
 _COUNT_FIELD = {"f_n": "n_fn", "X_n": "n_xn", "T_n": "n_tn",
                 "perturbed": "n_pert"}
+_STABLE_FIELD = {"f_n": "stable_fn", "X_n": "stable_xn"}
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,6 @@ class ExperimentConfig:
     master_seed: int
     process_kinds: tuple = ("f_n", "X_n")
     output_path: str = None
-    grid_factor: int = 16
     k_max: int = None
     timing: bool = False
     pert_c0: float = 0.5
@@ -85,8 +91,6 @@ class ExperimentConfig:
             raise PreconditionError(
                 "k_max=%d is smaller than max(n_list)=%d"
                 % (self.k_max, max(self.n_list)))
-        if self.grid_factor < 4:
-            raise PreconditionError("grid_factor must be at least 4")
         if "perturbed" in self.process_kinds:
             # fail at construction, before any replicate runs
             verify_perturbation(default_perturbation(self.pert_c0, self.pert_c1),
@@ -181,7 +185,6 @@ class _NContext:
         self.kinds = tuple(k for k in SIMULATED_KINDS
                            if k in config.process_kinds)
         self.master_seed = config.master_seed
-        self.scan_constant = config.grid_factor
         self.timing = config.timing
         self.h = grid.h
         x = grid.points
@@ -238,51 +241,41 @@ class _NContext:
         raise DomainError("unknown kind %r" % (kind,))
 
 
-def _row_evaluator(vals, ders, h):
-    n_cells = vals.size - 1
-
-    def P(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        idx, wv, _ = _hermite_weights(xs, h, n_cells)
-        out = (wv[0] * vals[idx] + wv[1] * ders[idx]
-               + wv[2] * vals[idx + 1] + wv[3] * ders[idx + 1])
-        return out if np.ndim(x) else float(out[0])
-
-    return P
-
-
 _WORKER_CTX = None  # set in the parent before forking a pool
 
 
 def _process_chunk(replicate_ids):
     ctx = _WORKER_CTX
     n = ctx.n
+    t0 = time.perf_counter() if ctx.timing else 0.0
     draws = [sample_coefficients(ctx.master_seed, n, rid)
              for rid in replicate_ids]
     A = np.stack([d.a for d in draws]) * ctx.root
     B = np.stack([d.b for d in draws]) * ctx.root
-    batches = {kind: ctx.samples(A, B, kind) for kind in ctx.kinds}
-    out = []
-    for i, rid in enumerate(replicate_ids):
-        t0 = time.perf_counter() if ctx.timing else 0.0
-        fields = {}
-        for kind in ctx.kinds:
-            vals, ders = batches[kind]
-            res = count_zeros(_row_evaluator(vals[i], ders[i], ctx.h),
-                              (0.0, TWO_PI), n_hint=n,
-                              scan_constant=ctx.scan_constant)
-            fields[_COUNT_FIELD[kind]] = res.count
-            if kind == "f_n":
-                fields["stable_fn"] = res.stable
-            elif kind == "X_n":
-                fields["stable_xn"] = res.stable
-        if "f_n" in ctx.kinds and "X_n" in ctx.kinds:
-            gap = batches["f_n"][0][i] - batches["X_n"][0][i]
-            fields["sup_eps"] = float(np.max(np.abs(gap)))
-        millis = (time.perf_counter() - t0) * 1e3 if ctx.timing else 0.0
-        out.append(ReplicateRecord(n=n, replicate_id=rid, seed=draws[i].seed,
-                                   millis=millis, **fields))
-    return out
+    fields = [{} for _ in replicate_ids]
+    values = {}
+    for kind in ctx.kinds:
+        vals, ders = ctx.samples(A, B, kind)
+        counts, certified = count_hermite_zeros(
+            vals, ders, ctx.h, label="%s at n=%d, replicate" % (kind, n),
+            row_ids=replicate_ids)
+        del ders  # before the next kind's samples: keeps the peak down
+        if kind in ("f_n", "X_n"):
+            values[kind] = vals  # for sup_eps
+        stable_field = _STABLE_FIELD.get(kind)
+        for i, count in enumerate(counts.tolist()):
+            fields[i][_COUNT_FIELD[kind]] = count
+            if stable_field is not None:
+                fields[i][stable_field] = bool(certified[i])
+    if "f_n" in values and "X_n" in values:
+        sups = np.max(np.abs(values["f_n"] - values["X_n"]), axis=1)
+        for f, sup in zip(fields, sups.tolist()):
+            f["sup_eps"] = sup
+    millis = ((time.perf_counter() - t0) * 1e3 / len(replicate_ids)
+              if ctx.timing else 0.0)
+    return [ReplicateRecord(n=n, replicate_id=rid, seed=d.seed, millis=millis,
+                            **f)
+            for rid, d, f in zip(replicate_ids, draws, fields)]
 
 
 def _worker_count(n_chunks):
@@ -643,9 +636,14 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
     xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)
-    draws = [sample_coefficients(master_seed, n, rid) for rid in range(m)]
-    A = np.stack([d.a for d in draws]) / math.sqrt(n)
-    B = np.stack([d.b for d in draws]) / math.sqrt(n)
+    A = np.empty((m, n))
+    B = np.empty((m, n))
+    for rid in range(m):
+        draw = sample_coefficients(master_seed, n, rid)
+        A[rid] = draw.a
+        B[rid] = draw.b
+    A /= math.sqrt(n)
+    B /= math.sqrt(n)
 
     omap = omega_map(weight, grid)
     mu = 0.5 * np.arange(1, n + 1)

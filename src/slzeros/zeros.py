@@ -1,18 +1,31 @@
 """Zero counting for sampled oscillatory processes.
 
-The counter scans a uniform grid sized by an oversampling constant
-times the expected frequency, refines every strict sign change by
-bisection, and doubles the scan grid until two consecutive counts
-agree.  A zero pair that falls strictly between two scan nodes leaves
-no sign change at any grid the doubling rule happens to stop at, so
-the final grid also gets a dip audit: every same-sign node triple with
-a local minimum of |P| is fitted with the exact parabola through its
-three points, and when the vertex lies inside the triple and undercuts
-half the center value the two-cell window is rescanned densely.
-Near-tangencies (a predicted or tiny dip without a resolvable sign
-change) are logged and reported, never silently counted; a zero
-landing exactly on a scan node triggers a half-spacing grid
-perturbation and a recount.
+Two counters live here.
+
+count_hermite_zeros counts exactly the zeros of piecewise cubic
+Hermite interpolants given by their grid values and slopes, for a whole
+batch of rows at once; the harness counts every replicate with it.  On
+each grid cell the cubic is written in Bernstein form, and Descartes'
+rule of signs in that basis settles the cell when its control polygon
+has 0 or 1 sign variations (no zero, or exactly one).  The rare cells
+with more are halved by de Casteljau subdivision until every piece is
+settled (Lane & Riesenfeld 1981; Mourrain & Pavone 2009); a piece that
+is still ambiguous at the depth limit is an unresolved tangency, which
+the row's `certified` flag reports instead of counting it silently.
+
+count_zeros counts the zeros of an arbitrary vectorized callable.  It
+scans a uniform grid sized by an oversampling constant times the
+expected frequency, refines every strict sign change by bisection, and
+doubles the scan grid until two consecutive counts agree.  A zero pair
+that falls strictly between two scan nodes leaves no sign change at any
+grid the doubling rule happens to stop at, so the final grid also gets
+a dip audit: every same-sign node triple with a local minimum of |P| is
+fitted with the exact parabola through its three points, and when the
+vertex lies inside the triple and undercuts half the center value the
+two-cell window is rescanned densely.  Near-tangencies (a predicted or
+tiny dip without a resolvable sign change) are logged and reported,
+never silently counted; a zero landing exactly on a scan node triggers
+a half-spacing grid perturbation and a recount.
 """
 
 import logging
@@ -32,6 +45,12 @@ _NODE_ZERO_REL = 1e-13
 _TANGENCY_REL = 1e-9
 _DIP_VERTEX_FRACTION = 0.5  # audit valleys whose fitted vertex undercuts this
 _DIP_SUBCELLS = 512
+# Halvings of a cell before an ambiguous piece counts as an unresolved
+# tangency.  Around a double root the control points of a piece of width
+# 2**-20 cells are about 1e-12 of the cell's scale: deeper, the rounding
+# of the subdivision itself could decide their signs.
+_SUBDIVISION_DEPTH = 20
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -228,6 +247,161 @@ def count_zeros(P, interval=(0.0, TWO_PI), n_hint=1,
         count=count, locations=locations,
         grid_factor=int(round(cells / max(n_hint, 1))),
         stable=stable, near_tangencies=tangencies, scale=scale)
+
+
+def _bernstein_signs(P):
+    """Sign variations along each row of Bernstein coefficients P
+    (pieces, 4), skipping zeros, with the sign of the first and of the
+    last nonzero coefficient: the signs of the cubic just inside the
+    left and the right end of its piece (0 for a piece of zeros)."""
+    s = np.sign(P)
+    variations = np.zeros(len(P), dtype=np.int64)
+    last = s[:, 0]
+    for j in range(1, 4):
+        sj = s[:, j]
+        variations += (sj != 0.0) & (last != 0.0) & (sj != last)
+        last = np.where(sj != 0.0, sj, last)
+    first = s[:, 3]
+    for j in (2, 1, 0):
+        first = np.where(s[:, j] != 0.0, s[:, j], first)
+    return variations, first, last
+
+
+def _halve(P):
+    """de Casteljau split of every piece at its midpoint."""
+    b0, b1, b2, b3 = P.T
+    c01, c12, c23 = 0.5 * (b0 + b1), 0.5 * (b1 + b2), 0.5 * (b2 + b3)
+    d0, d1 = 0.5 * (c01 + c12), 0.5 * (c12 + c23)
+    mid = 0.5 * (d0 + d1)
+    return (np.stack((b0, c01, d0, mid), axis=1),
+            np.stack((mid, d1, c23, b3), axis=1))
+
+
+def _resolve_cells(P):
+    """Zeros of odd multiplicity strictly inside each cell of P
+    (cells, 4), by Descartes' rule on the Bernstein coefficients and
+    de Casteljau halving of every piece with two or more variations.
+
+    Returns (counts, unresolved, first, last); first/last are the cell's
+    end signs from _bernstein_signs.  A piece still ambiguous after
+    _SUBDIVISION_DEPTH halvings, or identically zero, leaves its cell
+    unresolved and adds its variations mod 2, which keeps the parity of
+    the count exact.
+    """
+    cells = len(P)
+    counts = np.zeros(cells, dtype=np.int64)
+    unresolved = np.zeros(cells, dtype=bool)
+    variations, first, last = _bernstein_signs(P)
+    owner = np.arange(cells)
+    flat = first == 0.0
+    for depth in range(_SUBDIVISION_DEPTH + 1):
+        unresolved[owner[flat]] = True
+        settled = (variations <= 1) & ~flat
+        np.add.at(counts, owner[settled], variations[settled])
+        ambiguous = (variations >= 2) & ~flat
+        if not np.any(ambiguous):
+            break
+        owner, P = owner[ambiguous], P[ambiguous]
+        if depth == _SUBDIVISION_DEPTH:
+            unresolved[owner] = True
+            np.add.at(counts, owner, variations[ambiguous] % 2)
+            break
+        left, right = _halve(P)
+        v_left, first_left, last_left = _bernstein_signs(left)
+        v_right, first_right, last_right = _bernstein_signs(right)
+        # a zero exactly at the midpoint is a sign change when the
+        # halves' signs next to it differ; elsewhere both equal sign(mid)
+        np.add.at(counts, owner, last_left != first_right)
+        owner = np.concatenate((owner, owner))
+        P = np.concatenate((left, right))
+        variations = np.concatenate((v_left, v_right))
+        flat = np.concatenate((first_left, first_right)) == 0.0
+    return counts, unresolved, first, last
+
+
+def count_hermite_zeros(vals, ders, h, label="row", row_ids=None):
+    """Exact zero counts of piecewise cubic Hermite interpolants.
+
+    vals and ders hold grid values and slopes of shape (rows, points)
+    on a uniform grid of spacing h.  Each row is counted as the number
+    of sign changes of its interpolant, i.e. its zeros of odd
+    multiplicity; a grid value that is exactly zero is a zero when the
+    signs on its two sides differ, and a zero at either end of the
+    interval is not counted.
+
+    Every cell is written in Bernstein form with control points
+    v0, v0 + h*d0/3, v1 - h*d1/3, v1.  By Descartes' rule in the
+    Bernstein basis, 0 sign variations mean no zero inside the cell and
+    1 means exactly one.  Cells with more variations are halved by de
+    Casteljau subdivision until every piece has at most one; a piece
+    still ambiguous after _SUBDIVISION_DEPTH halvings is an unresolved
+    tangency.  Returns (counts, certified): int64 counts and a boolean
+    flag per row, False when the row holds an unresolved tangency.  Such
+    a row is counted as if every unresolved piece held as many zeros as
+    its sign variations mod 2, so the parity stays exact, and is logged
+    at WARNING as "<label> <row id>", with row_ids[i] (default i) as the
+    id of row i.
+    """
+    vals = np.atleast_2d(np.asarray(vals, dtype=float))
+    ders = np.atleast_2d(np.asarray(ders, dtype=float))
+    if vals.shape != ders.shape or vals.shape[1] < 2:
+        raise DomainError("values and slopes need one shape (rows, points >= 2), "
+                          "got %r and %r" % (vals.shape, ders.shape))
+    if not h > 0.0:
+        raise DomainError("grid spacing must be positive, got %r" % (h,))
+    rows = vals.shape[0]
+    third = h / 3.0
+    counts = np.zeros(rows, dtype=np.int64)
+    found_rows, found_cells, found = [], [], []
+    # row blocks keep the temporaries to a few MB on long grids
+    for lo in range(0, rows, _ROW_BLOCK):
+        v = vals[lo:lo + _ROW_BLOCK]
+        d = ders[lo:lo + _ROW_BLOCK]
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
+            raise DomainError("non-finite value or slope in row block at %d" % lo)
+        b0, b3 = v[:, :-1], v[:, 1:]
+        b1 = d[:, :-1] * third
+        b1 += b0
+        b2 = d[:, 1:] * -third
+        b2 += b3
+        p01, p12, p23 = b0 * b1, b1 * b2, b2 * b3
+        changes = (p01 < 0.0).view(np.int8) + (p12 < 0.0).view(np.int8)
+        changes += (p23 < 0.0).view(np.int8)
+        # cells with a zero control point or 2-3 variations are resolved
+        # below; every other cell holds exactly `changes` simple zeros
+        special = (p01 == 0.0) | (p12 == 0.0) | (p23 == 0.0) | (changes >= 2)
+        counts[lo:lo + len(v)] = np.sum(changes, axis=1, dtype=np.int64)
+        r, c = np.nonzero(special)
+        if r.size:
+            np.subtract.at(counts, lo + r, changes[r, c])
+            found_rows.append(lo + r)
+            found_cells.append(c)
+            found.append(np.stack((b0[r, c], b1[r, c], b2[r, c], b3[r, c]), axis=1))
+    certified = np.ones(rows, dtype=bool)
+    if found:
+        r = np.concatenate(found_rows)
+        c = np.concatenate(found_cells)
+        P = np.concatenate(found)
+        inside, unresolved, first, last = _resolve_cells(P)
+        np.add.at(counts, r, inside)
+        certified[r[unresolved]] = False
+        # a zero node is special in both cells that share it, and the
+        # cells are listed in (row, cell) order, so its left cell is the
+        # entry just before it
+        node = np.nonzero((c > 0) & (P[:, 0] == 0.0))[0]
+        np.add.at(counts, r[node], last[node - 1] != first[node])
+        for i in np.nonzero(~certified)[0]:
+            log.warning("zero count did not stabilize: %s %d holds an "
+                        "unresolved tangency; %d zeros counted", label,
+                        i if row_ids is None else row_ids[i], counts[i])
+    ends = vals[:, 0] * vals[:, -1]
+    bad = certified & (ends != 0.0) & ((ends > 0.0) != (counts % 2 == 0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise InvariantViolation(
+            "zero-count parity violated in row %d: %d zeros but endpoint "
+            "values %r, %r" % (i, counts[i], vals[i, 0], vals[i, -1]))
+    return counts, certified
 
 
 def standardize_count(count, expected_mean, n):

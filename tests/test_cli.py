@@ -192,6 +192,20 @@ def test_violated_perturbation_bounds(tmp_path, capsys):
     assert "violates its bound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--weight", "nope"],
+    ["simulate", "--weight", "unit", "--n-list", "5,20", "--k-max", "10",
+     "--replicates", "2", "--kinds", "T_n"],
+    ["robustness", "--weight", "unit", "--n-list", "5", "--replicates", "2",
+     "--pert-c0", "0.1"],
+])
+def test_refused_run_leaves_no_manifest(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "manifest.json").exists()
+
+
 def test_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):
     def boom(cfg):
         raise NumericError("synthetic blowup")

@@ -1,13 +1,17 @@
-"""Zero counter: pinned counts, refinement, stability, change of variables."""
+"""Zero counters: pinned counts, refinement, stability, exact Hermite
+counts, change of variables."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from slzeros import (DomainError, NumericError, build_process, count_zeros,
-                     count_zeros_changed_variable, sample_coefficients,
-                     standardize_count)
+from slzeros import (DomainError, NumericError, build_process,
+                     count_hermite_zeros, count_zeros,
+                     count_zeros_changed_variable, default_grid,
+                     sample_coefficients, standardize_count)
+from slzeros.ensembles import hermite_rows
 from slzeros.weights import TWO_PI, builtin_weights
 
 
@@ -137,6 +141,112 @@ def test_standardize_count():
     assert standardize_count(10, 10.0, 7) == 0.0
     with pytest.raises(DomainError):
         standardize_count(3, 2.0, 0)
+
+
+# ----------------------------------------------------------------------
+# exact counts of cubic Hermite interpolants
+
+
+def _cubic_cell(p, dp):
+    """Values and slopes at both ends of the one-cell grid [0, 1] of the
+    cubic p: its Hermite interpolant is p itself."""
+    return np.array([[p(0.0), p(1.0)]]), np.array([[dp(0.0), dp(1.0)]])
+
+
+def _variations(vals, ders):
+    """Sign variations of the one cell's Bernstein control points."""
+    b = [vals[0, 0], vals[0, 0] + ders[0, 0] / 3.0,
+         vals[0, 1] - ders[0, 1] / 3.0, vals[0, 1]]
+    return int(np.count_nonzero(np.diff(np.sign(b)) != 0))
+
+
+@pytest.mark.parametrize("kind", ["f_n", "X_n", "T_n", "perturbed"])
+def test_hermite_counts_agree_with_callable_counter(kind, sine2_basis):
+    grid = default_grid()
+    x = grid.points
+    n = 50
+    procs = [build_process(kind, n, sample_coefficients(2024, n, rid),
+                           weight=builtin_weights("sine2"),
+                           basis_pair=sine2_basis)
+             for rid in range(6)]
+    vals = np.stack([p.value(x) for p in procs])
+    ders = np.stack([p.deriv(x) for p in procs])
+    counts, certified = count_hermite_zeros(vals, ders, grid.h)
+    assert certified.all()
+    for i in range(len(procs)):
+        def hermite(pts, i=i):
+            return hermite_rows(vals[i:i + 1], ders[i:i + 1], grid.h,
+                                np.atleast_1d(pts))[0][0]
+        res = count_zeros(hermite, n_hint=n)
+        assert res.stable
+        assert counts[i] == res.count
+
+
+def test_hermite_close_roots_resolved_by_subdivision():
+    # two roots 0.01 apart inside one cell: 2 variations, then halving
+    vals, ders = _cubic_cell(lambda s: (s - 0.40) * (s - 0.41) * (s + 1.0),
+                             lambda s: 3 * s * s + 0.38 * s - 0.646)
+    assert _variations(vals, ders) == 2
+    counts, certified = count_hermite_zeros(vals, ders, 1.0)
+    assert counts.tolist() == [2] and certified.all()
+    # the same valley lifted clear of zero: 2 variations, no root
+    vals, ders = _cubic_cell(lambda s: (s - 0.4) ** 2 + 1e-6,
+                             lambda s: 2.0 * (s - 0.4))
+    assert _variations(vals, ders) == 2
+    counts, certified = count_hermite_zeros(vals, ders, 1.0)
+    assert counts.tolist() == [0] and certified.all()
+
+
+def test_hermite_three_variation_cell():
+    vals, ders = _cubic_cell(lambda s: (s - 0.2) * (s - 0.5) * (s - 0.8),
+                             lambda s: 3 * s * s - 3.0 * s + 0.66)
+    assert _variations(vals, ders) == 3
+    counts, certified = count_hermite_zeros(vals, ders, 1.0)
+    assert counts.tolist() == [3] and certified.all()
+
+
+def test_hermite_zero_on_a_node():
+    # a crossing exactly at the middle node counts once; a touch does not
+    h = 0.5
+    counts, certified = count_hermite_zeros(
+        [[1.0, 0.0, -1.0], [1.0, 0.0, 1.0]],
+        [[-2.0, -2.0, -2.0], [-4.0, 0.0, 4.0]], h)
+    assert counts.tolist() == [1, 0] and certified.all()
+    # a zero at an end of the interval is not counted
+    counts, _ = count_hermite_zeros([[0.0, 1.0, -1.0]], [[2.0, 0.0, -2.0]], h)
+    assert counts.tolist() == [1]
+    # control points (2, -1, -1, 4): one zero inside the left half and a
+    # crossing exactly at the midpoint where the cell is halved
+    vals, ders = np.array([[2.0, 4.0]]), np.array([[-9.0, 15.0]])
+    assert _variations(vals, ders) == 2
+    counts, certified = count_hermite_zeros(vals, ders, 1.0)
+    assert counts.tolist() == [2] and certified.all()
+
+
+def test_hermite_double_root_is_unresolved(caplog):
+    # (s - 0.3)**2 touches zero: every halving around 0.3 keeps two
+    # variations, so the depth limit leaves it unresolved, counted 0
+    c = 0.3
+    vals, ders = _cubic_cell(lambda s: (s - c) ** 2, lambda s: 2.0 * (s - c))
+    with caplog.at_level(logging.WARNING, logger="slzeros.zeros"):
+        counts, certified = count_hermite_zeros(
+            np.vstack([vals, -vals]), np.vstack([ders, -ders]), 1.0,
+            label="T_n at n=1, replicate", row_ids=[7, 8])
+    assert counts.tolist() == [0, 0]
+    assert not certified.any()
+    warned = [r.getMessage() for r in caplog.records
+              if "zero count did not stabilize" in r.getMessage()]
+    assert len(warned) == 2
+    assert "T_n at n=1, replicate 7" in warned[0]
+
+
+def test_hermite_validation():
+    with pytest.raises(DomainError):
+        count_hermite_zeros([[1.0, 2.0]], [[1.0]], 0.1)
+    with pytest.raises(DomainError):
+        count_hermite_zeros([[1.0, math.nan]], [[1.0, 1.0]], 0.1)
+    with pytest.raises(DomainError):
+        count_hermite_zeros([[1.0, -1.0]], [[1.0, 1.0]], 0.0)
 
 
 # ----------------------------------------------------------------------
