@@ -12,9 +12,8 @@ from .eigen import (BoundaryCondition, EigenBasis, Eigenpair,
                     eigen_solve, normalize_eigenfunction, ode_residual,
                     orthogonality_defect, prufer_phase)
 from .ensembles import (CoefficientDraw, PerturbationFamily, RandomProcess,
-                        build_process, default_perturbation, eval_C,
-                        eval_epsilon, eval_epsilon_sup, eval_F, eval_f,
-                        eval_perturbed, eval_T, eval_X, sample_coefficients,
+                        build_process, default_perturbation, eval_epsilon,
+                        eval_epsilon_sup, sample_coefficients,
                         verify_perturbation)
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, SlzerosError, UsageError)

@@ -12,15 +12,20 @@ pair of standard Gaussian coefficient vectors (a, b):
 
 Coefficients come from a counter-based generator keyed by
 (master_seed, n, replicate_id, stream), so draws are reproducible and
-independent of evaluation or scheduling order.  Eigenfunction sums
-interpolate their stored (psi, psi') samples with a cubic Hermite
-rule between grid points; the trigonometric kinds evaluate in closed
-form.  All evaluators are deterministic and vectorized, and every
-kind has an analytic derivative.
+independent of evaluation or scheduling order.
+
+Each kind is defined once, in process_rows(): the kind at points x as
+row matrices (ProcessRows), which combine() turns into values and
+slopes for one draw or a whole matrix of draws.  Eigenfunction sums
+take their stored (psi, psi') samples as rows on the storage grid and
+interpolate them with a cubic Hermite rule elsewhere; the trigonometric
+kinds are cosine/sine rows in closed form, whose slopes follow from the
+same rows.  RandomProcess, the harness's grid samples and the
+second-order diagnostics all read this one table.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,35 +152,154 @@ def hermite_rows(funcs, dfuncs, h, x, want_deriv=False):
     return vals, ders
 
 
-class _HalfFreqPoly:
+@dataclass(frozen=True, eq=False)
+class ProcessRows:
+    """One process kind at points x as row matrices, row k-1 for a_k/b_k.
+
+    The value is factor * (a @ ra + b @ rb).  The slope of that sum
+    comes from stored slope rows, a @ da + b @ db, or, for the
+    trigonometric kinds (da is None), from the trig rule
+    dphase * ((b*freq) @ ra - (a*freq) @ rb): ra/rb are then the cosine
+    and sine rows of freq * phase(x), and dphase = phase'(x) (None for
+    1).  A pointwise factor g (None for 1) enters by the product rule
+    with its derivative dfactor.  Kinds with uses_b False read a only.
+    """
+
+    ra: np.ndarray
+    rb: np.ndarray
+    da: np.ndarray = None
+    db: np.ndarray = None
+    freq: np.ndarray = None
+    dphase: np.ndarray = None
+    factor: np.ndarray = None
+    dfactor: np.ndarray = None
+    uses_b: bool = True
+
+
+def _trig_rows(freq, phase, **fields):
+    ph = freq[:, None] * phase[None, :]
+    return ProcessRows(np.cos(ph), np.sin(ph), freq=freq, **fields)
+
+
+def process_rows(kind, n, x=None, weight=None, basis_pair=None,
+                 perturbation=None, grid=None, deriv=True):
+    """The table of process kinds: `kind` at the points x as rows.
+
+    x=None means the points of `grid`; there the eigenfunction kinds
+    take their stored samples as rows, elsewhere they interpolate them
+    with the cubic Hermite rule.  Without deriv the slope rows and the
+    factor's derivative are left out.  Preconditions are build_process's.
+    """
+    on_grid = x is None
+    if on_grid:
+        x = grid.points
+    k = np.arange(1, n + 1, dtype=float)
+    if kind in ("F_n", "f_n"):
+        bc_c, bc_d = basis_pair
+        if on_grid:
+            rows = ProcessRows(bc_c.funcs[:n], bc_d.funcs[:n],
+                               bc_c.dfuncs[:n], bc_d.dfuncs[:n])
+        else:
+            h = bc_c.grid.h
+            ra, da = hermite_rows(bc_c.funcs[:n], bc_c.dfuncs[:n], h, x, deriv)
+            rb, db = hermite_rows(bc_d.funcs[:n], bc_d.dfuncs[:n], h, x, deriv)
+            rows = ProcessRows(ra, rb, da, db)
+        if kind == "F_n":
+            return rows
+        root = np.sqrt(np.asarray(weight.eval(x), dtype=float))
+        dfactor = (0.5 * np.asarray(weight.deriv1(x), dtype=float) / root
+                   if deriv else None)
+        return replace(rows, factor=root, dfactor=dfactor)
+    if kind in ("X_n", "X_n_raw"):
+        om = np.asarray(weight.eval(x), dtype=float)
+        rows = _trig_rows(0.5 * k, omega_map(weight, grid).forward(x),
+                          dphase=om)
+        if kind == "X_n":
+            return rows
+        root = np.sqrt(om)
+        dfactor = (-0.5 * np.asarray(weight.deriv1(x), dtype=float)
+                   / (om * root) if deriv else None)
+        return replace(rows, factor=1.0 / root, dfactor=dfactor)
+    if kind == "T_n":
+        return _trig_rows(k, x)
+    if kind == "C_n":
+        return _trig_rows(k, x, uses_b=False)
+    if kind == "perturbed":
+        # cos(kx) + eps_k(x) and sin(kx) + eta_k(x), with stored slopes
+        # built in place, so that fewer n x len(x) temporaries are live
+        fam = perturbation
+        kc, xr = k[:, None], x[None, :]
+        ph = kc * xr
+        c, s = np.cos(ph), np.sin(ph)
+        del ph
+        da = db = None
+        if deriv:
+            db = kc * c
+            db += fam.deta(kc, xr)
+            da = (-kc) * s
+            da += fam.deps(kc, xr)
+        c += fam.eps(kc, xr)
+        s += fam.eta(kc, xr)
+        return ProcessRows(c, s, da, db)
+    raise DomainError("unknown process kind %r (choose from %s)"
+                      % (kind, ", ".join(KINDS)))
+
+
+def combine(rows, A, B, deriv=True):
+    """(values, slopes or None) at the rows' points of the draws whose
+    scaled coefficients are A and B: one draw per row of A and B, or
+    one draw as two vectors."""
+    if not rows.uses_b:
+        B = np.zeros_like(B)
+    vals = A @ rows.ra + B @ rows.rb
+    ders = None
+    if deriv:
+        if rows.da is not None:
+            ders = A @ rows.da + B @ rows.db
+        else:
+            ders = (B * rows.freq) @ rows.ra - (A * rows.freq) @ rows.rb
+            if rows.dphase is not None:
+                ders *= rows.dphase
+    if rows.factor is not None:
+        if deriv:
+            ders = rows.dfactor * vals + rows.factor * ders
+        vals = rows.factor * vals
+    return vals, ders
+
+
+class _RowsProcess:
+    """value/deriv of one draw, scaled by 1/sqrt(n) into (_a, _b), from
+    the rows that self.rows(x, deriv) gives."""
+
+    def __init__(self, draw, n):
+        self.draw = draw
+        self.n = n
+        root = 1.0 / math.sqrt(n)
+        self._a = draw.a * root
+        self._b = draw.b * root
+
+    def value(self, x):
+        return self._eval(x, False)
+
+    def deriv(self, x):
+        return self._eval(x, True)
+
+    def _eval(self, x, deriv):
+        xs = np.asarray(x, dtype=float)
+        vals, ders = combine(self.rows(np.atleast_1d(xs), deriv),
+                             self._a, self._b, deriv)
+        out = ders if deriv else vals
+        return float(out[0]) if xs.ndim == 0 else out
+
+
+class _HalfFreqPoly(_RowsProcess):
     """Stationary pullback: (1/sqrt n) sum a_k cos(k y/2) + b_k sin(k y/2)."""
 
-    def __init__(self, draw):
-        self.draw = draw
-        self.n = draw.n
-        self._freq = 0.5 * np.arange(1, draw.n + 1)
-        self._root = 1.0 / math.sqrt(draw.n)
-
-    def _eval(self, y, deriv):
-        ys = np.asarray(y, dtype=float)
-        scalar = ys.ndim == 0
-        ph = np.atleast_1d(ys)[:, None] * self._freq
-        c, s = np.cos(ph), np.sin(ph)
-        if deriv:
-            out = (c @ (self.draw.b * self._freq) - s @ (self.draw.a * self._freq))
-        else:
-            out = c @ self.draw.a + s @ self.draw.b
-        out *= self._root
-        return float(out[0]) if scalar else out
-
-    def value(self, y):
-        return self._eval(y, False)
-
-    def deriv(self, y):
-        return self._eval(y, True)
+    def rows(self, y, deriv=True):
+        return _trig_rows(0.5 * np.arange(1, self.n + 1), y)
 
 
-class RandomProcess:
+class RandomProcess(_RowsProcess):
     """One evaluable Gaussian random function bound to a draw.
 
     Use build_process() to construct; value(x) and deriv(x) are
@@ -184,32 +308,23 @@ class RandomProcess:
 
     def __init__(self, kind, n, draw, weight=None, basis=None,
                  perturbation=None, grid=None):
+        super().__init__(draw, n)
         self.kind = kind
-        self.n = n
-        self.draw = draw
         self.weight = weight
         self.basis = basis
         self.perturbation = perturbation
         self.grid = grid if grid is not None else default_grid()
-        self._root = 1.0 / math.sqrt(n)
-        if kind in ("X_n", "X_n_raw"):
-            self._omap = omega_map(weight, self.grid)
-        if kind in ("T_n", "C_n", "perturbed"):
-            self._freq = np.arange(1, n + 1, dtype=float)
-        elif kind in ("X_n", "X_n_raw"):
-            self._freq = 0.5 * np.arange(1, n + 1)
 
-    # -- evaluation ----------------------------------------------------
-
-    def value(self, x):
-        return self._dispatch(x, False)
-
-    def deriv(self, x):
-        return self._dispatch(x, True)
+    def rows(self, x, deriv=True):
+        """This process at the points x as rows (see process_rows)."""
+        return process_rows(self.kind, self.n, x, weight=self.weight,
+                            basis_pair=self.basis,
+                            perturbation=self.perturbation, grid=self.grid,
+                            deriv=deriv)
 
     def omega(self, x):
         """Omega(x) for the kinds built on the change of variables."""
-        return self._omap.forward(x)
+        return omega_map(self.weight, self.grid).forward(x)
 
     def stationary_pullback(self):
         """The half-frequency polynomial this process reduces to in
@@ -217,95 +332,7 @@ class RandomProcess:
         if self.kind not in ("X_n", "X_n_raw"):
             raise DomainError("stationary_pullback needs an X-kind process, "
                               "got %r" % (self.kind,))
-        return _HalfFreqPoly(self.draw)
-
-    def _dispatch(self, x, deriv):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        out = getattr(self, "_eval_" + self.kind)(xs, deriv)
-        return float(out[0]) if scalar else out
-
-    def _basis_sum(self, xs, deriv):
-        bc_c, bc_d = self.basis
-        h = bc_c.grid.h
-        u, du = hermite_rows(bc_c.funcs[:self.n], bc_c.dfuncs[:self.n], h, xs, deriv)
-        v, dv = hermite_rows(bc_d.funcs[:self.n], bc_d.dfuncs[:self.n], h, xs, deriv)
-        val = (self.draw.a @ u + self.draw.b @ v) * self._root
-        if not deriv:
-            return val, None
-        der = (self.draw.a @ du + self.draw.b @ dv) * self._root
-        return val, der
-
-    def _eval_F_n(self, xs, deriv):
-        val, der = self._basis_sum(xs, deriv)
-        return der if deriv else val
-
-    def _eval_f_n(self, xs, deriv):
-        val, der = self._basis_sum(xs, deriv)
-        om = np.asarray(self.weight.eval(xs), dtype=float)
-        root = np.sqrt(om)
-        if not deriv:
-            return root * val
-        om1 = np.asarray(self.weight.deriv1(xs), dtype=float)
-        # need the value too for the product rule
-        plain, _ = self._basis_sum(xs, False)
-        return 0.5 * om1 / root * plain + root * der
-
-    def _x_parts(self, xs, deriv):
-        ph = self._omap.forward(xs)[:, None] * self._freq
-        c, s = np.cos(ph), np.sin(ph)
-        val = (c @ self.draw.a + s @ self.draw.b) * self._root
-        if not deriv:
-            return val, None
-        om = np.asarray(self.weight.eval(xs), dtype=float)
-        der = om * (c @ (self.draw.b * self._freq)
-                    - s @ (self.draw.a * self._freq)) * self._root
-        return val, der
-
-    def _eval_X_n(self, xs, deriv):
-        val, der = self._x_parts(xs, deriv)
-        return der if deriv else val
-
-    def _eval_X_n_raw(self, xs, deriv):
-        om = np.asarray(self.weight.eval(xs), dtype=float)
-        root = np.sqrt(om)
-        if not deriv:
-            val, _ = self._x_parts(xs, False)
-            return val / root
-        val, der = self._x_parts(xs, True)
-        om1 = np.asarray(self.weight.deriv1(xs), dtype=float)
-        return der / root - 0.5 * val * om1 / (om * root)
-
-    def _trig_parts(self, xs, deriv):
-        ph = xs[:, None] * self._freq
-        c, s = np.cos(ph), np.sin(ph)
-        if deriv:
-            return (c @ (self.draw.b * self._freq)
-                    - s @ (self.draw.a * self._freq)) * self._root, c, s
-        return (c @ self.draw.a + s @ self.draw.b) * self._root, c, s
-
-    def _eval_T_n(self, xs, deriv):
-        out, _, _ = self._trig_parts(xs, deriv)
-        return out
-
-    def _eval_C_n(self, xs, deriv):
-        ph = xs[:, None] * self._freq
-        if deriv:
-            return -(np.sin(ph) @ (self.draw.a * self._freq)) * self._root
-        return (np.cos(ph) @ self.draw.a) * self._root
-
-    def _eval_perturbed(self, xs, deriv):
-        out, _, _ = self._trig_parts(xs, deriv)
-        fam = self.perturbation
-        k = np.arange(1, self.n + 1, dtype=float)[None, :]
-        if deriv:
-            extra = (fam.deps(k, xs[:, None]) @ self.draw.a
-                     + fam.deta(k, xs[:, None]) @ self.draw.b)
-        else:
-            extra = (fam.eps(k, xs[:, None]) @ self.draw.a
-                     + fam.eta(k, xs[:, None]) @ self.draw.b)
-        return out + extra * self._root
+        return _HalfFreqPoly(self.draw, self.n)
 
 
 def build_process(kind, n, draw, weight=None, basis_pair=None,
@@ -344,42 +371,9 @@ def build_process(kind, n, draw, weight=None, basis_pair=None,
                          perturbation=pert, grid=grid)
 
 
-# -- thin wrappers matching the operation vocabulary -------------------
-
 def _expect_kind(proc, kind):
     if proc.kind != kind:
         raise PreconditionError("expected a %s process, got %r" % (kind, proc.kind))
-
-
-def eval_F(proc, x, deriv=False):
-    _expect_kind(proc, "F_n")
-    return proc.deriv(x) if deriv else proc.value(x)
-
-
-def eval_f(proc, x, deriv=False):
-    _expect_kind(proc, "f_n")
-    return proc.deriv(x) if deriv else proc.value(x)
-
-
-def eval_X(proc, x, deriv=False):
-    if proc.kind not in ("X_n", "X_n_raw"):
-        raise PreconditionError("expected an X-kind process, got %r" % (proc.kind,))
-    return proc.deriv(x) if deriv else proc.value(x)
-
-
-def eval_T(proc, x, deriv=False):
-    _expect_kind(proc, "T_n")
-    return proc.deriv(x) if deriv else proc.value(x)
-
-
-def eval_C(proc, x, deriv=False):
-    _expect_kind(proc, "C_n")
-    return proc.deriv(x) if deriv else proc.value(x)
-
-
-def eval_perturbed(proc, x, deriv=False):
-    _expect_kind(proc, "perturbed")
-    return proc.deriv(x) if deriv else proc.value(x)
 
 
 def eval_epsilon(proc_f, proc_X, x):

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .eigen import BoundaryCondition, eigen_solve
-from .ensembles import (default_perturbation, hermite_rows, sample_coefficients,
-                        verify_perturbation)
+from .ensembles import (combine, default_perturbation, process_rows,
+                        sample_coefficients, verify_perturbation)
 from .errors import DomainError, PreconditionError
 from .kernels import r_n_closed
 from .weights import TWO_PI, builtin_weights, default_grid, omega_map
@@ -178,7 +178,8 @@ def read_records(path):
 # per-n evaluation context (shared read-only with forked workers)
 
 class _NContext:
-    """Everything a worker needs to turn draws for one n into records."""
+    """Everything a worker needs to turn draws for one n into records:
+    each simulated kind's rows on the storage grid."""
 
     def __init__(self, config, n, weight, basis_pair, grid):
         self.n = n
@@ -187,58 +188,17 @@ class _NContext:
         self.master_seed = config.master_seed
         self.timing = config.timing
         self.h = grid.h
-        x = grid.points
         self.root = 1.0 / math.sqrt(n)
-        if "f_n" in self.kinds:
-            bc_c, bc_d = basis_pair
-            self.U = bc_c.funcs[:n]
-            self.V = bc_d.funcs[:n]
-            self.dU = bc_c.dfuncs[:n]
-            self.dV = bc_d.dfuncs[:n]
-            om = np.asarray(weight.eval(x), dtype=float)
-            self.rtw = np.sqrt(om)
-            self.wfac = 0.5 * np.asarray(weight.deriv1(x), dtype=float) / self.rtw
-        if "X_n" in self.kinds:
-            self.khalf = 0.5 * np.arange(1, n + 1)
-            ph = self.khalf[:, None] * omega_map(weight, grid).forward(x)[None, :]
-            self.CX = np.cos(ph)
-            self.SX = np.sin(ph)
-            self.omega_x = np.asarray(weight.eval(x), dtype=float)
-        if "T_n" in self.kinds or "perturbed" in self.kinds:
-            self.kfull = np.arange(1, n + 1, dtype=float)
-            ph = self.kfull[:, None] * x[None, :]
-            self.CT = np.cos(ph)
-            self.ST = np.sin(ph)
-        if "perturbed" in self.kinds:
-            fam = default_perturbation(config.pert_c0, config.pert_c1)
-            verify_perturbation(fam, n)
-            kcol = self.kfull[:, None]
-            self.E = fam.eps(kcol, x[None, :])
-            self.H = fam.eta(kcol, x[None, :])
-            self.dE = fam.deps(kcol, x[None, :])
-            self.dH = fam.deta(kcol, x[None, :])
+        # the config verified this family's bounds for max(n_list)
+        fam = default_perturbation(config.pert_c0, config.pert_c1)
+        self.rows = {kind: process_rows(kind, n, weight=weight,
+                                        basis_pair=basis_pair,
+                                        perturbation=fam, grid=grid)
+                     for kind in self.kinds}
 
     def samples(self, A, B, kind):
         """Grid values and derivatives for a chunk of draws (rows)."""
-        if kind == "f_n":
-            F = A @ self.U + B @ self.V
-            dF = A @ self.dU + B @ self.dV
-            return self.rtw * F, self.wfac * F + self.rtw * dF
-        if kind == "X_n":
-            vals = A @ self.CX + B @ self.SX
-            ders = ((B * self.khalf) @ self.CX
-                    - (A * self.khalf) @ self.SX) * self.omega_x
-            return vals, ders
-        if kind == "T_n":
-            vals = A @ self.CT + B @ self.ST
-            ders = (B * self.kfull) @ self.CT - (A * self.kfull) @ self.ST
-            return vals, ders
-        if kind == "perturbed":
-            vals = A @ (self.CT + self.E) + B @ (self.ST + self.H)
-            ders = ((B * self.kfull) @ self.CT - (A * self.kfull) @ self.ST
-                    + A @ self.dE + B @ self.dH)
-            return vals, ders
-        raise DomainError("unknown kind %r" % (kind,))
+        return combine(self.rows[kind], A, B)
 
 
 _WORKER_CTX = None  # set in the parent before forking a pool
@@ -288,10 +248,6 @@ def _worker_count(n_chunks):
     return max(1, min(workers, n_chunks))
 
 
-def resolve_weight(name):
-    return builtin_weights(name)
-
-
 def build_basis_pair(weight, k_max, grid=None):
     """Solve both boundary families once; shared by every n."""
     return (eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid),
@@ -303,7 +259,7 @@ def run_experiment(config, basis_pair=None):
     them to <output_path>/records.csv as chunks complete when an output
     path is set (timing.csv beside it when timing is enabled)."""
     global _WORKER_CTX
-    weight = resolve_weight(config.weight_name)
+    weight = builtin_weights(config.weight_name)
     grid = default_grid()
     if config.needs_basis:
         if basis_pair is None:
@@ -327,10 +283,9 @@ def run_experiment(config, basis_pair=None):
     records = []
     try:
         for n in config.n_list:
-            ctx = _NContext(config, n, weight, basis_pair, grid)
+            _WORKER_CTX = _NContext(config, n, weight, basis_pair, grid)
             chunks = [list(range(lo, min(lo + CHUNK, config.replicates)))
                       for lo in range(0, config.replicates, CHUNK)]
-            _WORKER_CTX = ctx
             workers = _worker_count(len(chunks))
             if workers > 1 and hasattr(os, "fork"):
                 with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -489,12 +444,9 @@ def summarize(records):
             sd = math.sqrt(var) if var > 0 else 0.0
             ks = ks_statistic(counts, mean, sd) if sd > 0 else 1.0
             stable = None
-            if kind == "f_n":
-                flags = [r.stable_fn for r in recs]
-            elif kind == "X_n":
-                flags = [r.stable_xn for r in recs]
-            else:
-                flags = []
+            flag_field = _STABLE_FIELD.get(kind)
+            flags = ([getattr(r, flag_field) for r in recs]
+                     if flag_field is not None else [])
             if flags and all(f is not None for f in flags):
                 stable = float(np.mean([1.0 if f else 0.0 for f in flags]))
             kinds[kind] = KindSummary(
@@ -502,21 +454,11 @@ def summarize(records):
                 var_over_n_ci=ci, skewness=skew, excess_kurtosis=kurt,
                 ks_fitted=ks, stable_fraction=stable,
                 unreliable=(stable == 0.0))
-        contiguity = None
-        paired = [(r.n_fn, r.n_xn) for r in recs
-                  if r.n_fn is not None and r.n_xn is not None]
-        if paired:
-            diffs = np.array([abs(a - b) for a, b in paired], dtype=float)
-            contiguity = float(np.mean(diffs)) / math.sqrt(n)
-        med = p99 = None
-        sups = [r.sup_eps for r in recs if r.sup_eps is not None]
-        if sups and n > 1:
-            scaled = np.array(sups) * math.sqrt(n) / math.log(n)
-            med = float(np.median(scaled))
-            p99 = float(np.percentile(scaled, 99))
-        per_n[n] = PerNSummary(n=n, kinds=kinds, contiguity=contiguity,
-                               sup_eps_median_scaled=med,
-                               sup_eps_p99_scaled=p99)
+        sup_q = (_sup_eps_quantiles(n, recs) if n > 1 else None) or {}
+        per_n[n] = PerNSummary(
+            n=n, kinds=kinds, contiguity=_contiguity(n, recs),
+            sup_eps_median_scaled=sup_q.get("median"),
+            sup_eps_p99_scaled=sup_q.get("p99"))
     n_max = max(groups)
     for kind, ks in per_n[n_max].kinds.items():
         v_estimate[kind] = ks.var_over_n
@@ -524,16 +466,32 @@ def summarize(records):
                          v_estimate=v_estimate)
 
 
+def _contiguity(n, recs):
+    """E|N_f - N_X| / sqrt(n) over the paired counts, or None."""
+    diffs = [abs(r.n_fn - r.n_xn) for r in recs
+             if r.n_fn is not None and r.n_xn is not None]
+    if not diffs:
+        return None
+    return float(np.mean(np.array(diffs, dtype=float))) / math.sqrt(n)
+
+
+def _sup_eps_quantiles(n, recs):
+    """Median and 99th percentile of sup|eps_n| * sqrt(n)/log(n), or None."""
+    sups = [r.sup_eps for r in recs if r.sup_eps is not None]
+    if not sups:
+        return None
+    scaled = np.array(sups, dtype=float) * math.sqrt(n) / math.log(n)
+    return {"median": float(np.median(scaled)),
+            "p99": float(np.percentile(scaled, 99))}
+
+
 def contiguity_diagnostic(records):
     """Per-n E|N_f - N_X| / sqrt(n) from paired counts."""
     out = {}
     for n, recs in _group_by_n(records).items():
-        pairs = [(r.n_fn, r.n_xn) for r in recs
-                 if r.n_fn is not None and r.n_xn is not None]
-        if not pairs:
+        out[n] = _contiguity(n, recs)
+        if out[n] is None:
             raise PreconditionError("no paired counts recorded for n=%d" % n)
-        diffs = np.array([abs(a - b) for a, b in pairs], dtype=float)
-        out[n] = float(np.mean(diffs)) / math.sqrt(n)
     return out
 
 
@@ -542,12 +500,9 @@ def sup_eps_diagnostic(records):
     slope of the median across n (boundedness check)."""
     quantiles = {}
     for n, recs in _group_by_n(records).items():
-        sups = [r.sup_eps for r in recs if r.sup_eps is not None]
-        if not sups:
+        quantiles[n] = _sup_eps_quantiles(n, recs)
+        if quantiles[n] is None:
             raise PreconditionError("no sup_eps recorded for n=%d" % n)
-        scaled = np.array(sups, dtype=float) * math.sqrt(n) / math.log(n)
-        quantiles[n] = {"median": float(np.median(scaled)),
-                        "p99": float(np.percentile(scaled, 99))}
     slope = None
     ns = sorted(quantiles)
     if len(ns) >= 2 and all(quantiles[n]["median"] > 0 for n in ns):
@@ -590,14 +545,13 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
     if x_grid is None:
         x_grid = np.linspace(0.0, TWO_PI, 257)
     x = np.asarray(x_grid, dtype=float)
-    h = bc_c.grid.h
-    u, _ = hermite_rows(bc_c.funcs[:n], bc_c.dfuncs[:n], h, x)
-    v, _ = hermite_rows(bc_d.funcs[:n], bc_d.dfuncs[:n], h, x)
+    f_rows = process_rows("F_n", n, x, basis_pair=basis_pair, deriv=False)
+    x_rows = process_rows("X_n", n, x, weight=weight, grid=bc_c.grid,
+                          deriv=False)
+    u, v = f_rows.ra, f_rows.rb
+    C, S, mu = x_rows.ra, x_rows.rb, x_rows.freq
+    om = x_rows.dphase  # Omega' = omega
     omap = omega_map(weight, bc_c.grid)
-    om = np.asarray(weight.eval(x), dtype=float)
-    mu = 0.5 * np.arange(1, n + 1)
-    ph = mu[:, None] * omap.forward(x)[None, :]
-    C, S = np.cos(ph), np.sin(ph)
 
     var_f = om * np.sum(u * u + v * v, axis=0) / n
     cov_xp_f = om * np.sqrt(om) * np.sum(mu[:, None] * (C * v - S * u), axis=0) / n
@@ -646,9 +600,8 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     B /= math.sqrt(n)
 
     omap = omega_map(weight, grid)
-    mu = 0.5 * np.arange(1, n + 1)
-    ph = omap.forward(xs)[None, :] * mu[:, None]
-    vals_x = A @ np.cos(ph) + B @ np.sin(ph)  # (m, 2*n_pairs)
+    vals_x, _ = combine(process_rows("X_n", n, xs, weight=weight, grid=grid,
+                                     deriv=False), A, B, deriv=False)
 
     cov_emp = np.empty(n_pairs)
     cov_exact = np.empty(n_pairs)
@@ -665,13 +618,10 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
         "draws": m,
     }
     if basis_pair is not None:
-        bc_c, bc_d = basis_pair
-        h = bc_c.grid.h
         pts = xs[:n_pairs]
-        u, _ = hermite_rows(bc_c.funcs[:n], bc_c.dfuncs[:n], h, pts)
-        v, _ = hermite_rows(bc_d.funcs[:n], bc_d.dfuncs[:n], h, pts)
-        om = np.asarray(weight.eval(pts), dtype=float)
-        f_vals = np.sqrt(om) * (A @ u + B @ v)
+        f_vals, _ = combine(process_rows("f_n", n, pts, weight=weight,
+                                         basis_pair=basis_pair, deriv=False),
+                            A, B, deriv=False)
         var_emp = np.var(f_vals, axis=0, ddof=1)
         out["var_f_points"] = pts
         out["var_f_empirical"] = var_emp

@@ -84,11 +84,6 @@ class Grid:
     def midpoints(self):
         return 0.5 * (self.points[:-1] + self.points[1:])
 
-    def refine(self, factor):
-        if factor < 1 or int(factor) != factor:
-            raise UsageError("grid factor must be a positive integer, got %r" % (factor,))
-        return Grid.uniform(self.n_cells * int(factor) + 1)
-
 
 @dataclass(frozen=True)
 class WeightFunction:

@@ -7,8 +7,7 @@ import pytest
 
 from slzeros import (BoundaryCondition, DomainError, PerturbationFamily,
                      PreconditionError, build_process, default_perturbation,
-                     eigen_solve, eval_C, eval_epsilon, eval_epsilon_sup,
-                     eval_f, eval_F, eval_perturbed, eval_T, eval_X,
+                     eigen_solve, eval_epsilon, eval_epsilon_sup,
                      sample_coefficients, verify_perturbation)
 from slzeros.ensembles import hermite_rows
 from slzeros.weights import TWO_PI, Grid, builtin_weights, omega_cumulative
@@ -177,10 +176,10 @@ def test_trig_processes_match_direct_sums():
     want_c = (np.cos(ph) @ draw.a) / math.sqrt(n)
     t_proc = build_process("T_n", n, draw)
     c_proc = build_process("C_n", n, draw)
-    np.testing.assert_allclose(eval_T(t_proc, x), want_t, atol=1e-12)
-    np.testing.assert_allclose(eval_C(c_proc, x), want_c, atol=1e-12)
+    np.testing.assert_allclose(t_proc.value(x), want_t, atol=1e-12)
+    np.testing.assert_allclose(c_proc.value(x), want_c, atol=1e-12)
     want_dt = (np.cos(ph) @ (draw.b * k) - np.sin(ph) @ (draw.a * k)) / math.sqrt(n)
-    np.testing.assert_allclose(eval_T(t_proc, x, deriv=True), want_dt,
+    np.testing.assert_allclose(t_proc.deriv(x), want_dt,
                                atol=1e-11)
 
 
@@ -194,8 +193,8 @@ def test_perturbed_process_is_trig_plus_perturbation():
     k = np.arange(1, n + 1, dtype=float)[None, :]
     extra = (fam.eps(k, x[:, None]) @ draw.a
              + fam.eta(k, x[:, None]) @ draw.b) / math.sqrt(n)
-    np.testing.assert_allclose(eval_perturbed(pert, x),
-                               eval_T(plain, x) + extra, atol=1e-12)
+    np.testing.assert_allclose(pert.value(x),
+                               plain.value(x) + extra, atol=1e-12)
 
 
 def test_X_process_agrees_with_stationary_pullback(sine2_weight):
@@ -205,10 +204,10 @@ def test_X_process_agrees_with_stationary_pullback(sine2_weight):
     y = omega_cumulative(sine2_weight, x)
     xn = build_process("X_n", n, draw, weight=sine2_weight)
     pull = xn.stationary_pullback()
-    np.testing.assert_allclose(eval_X(xn, x), pull.value(y), atol=1e-12)
+    np.testing.assert_allclose(xn.value(x), pull.value(y), atol=1e-12)
     raw = build_process("X_n_raw", n, draw, weight=sine2_weight)
     om = np.asarray(sine2_weight.eval(x), dtype=float)
-    np.testing.assert_allclose(eval_X(raw, x), pull.value(y) / np.sqrt(om),
+    np.testing.assert_allclose(raw.value(x), pull.value(y) / np.sqrt(om),
                                atol=1e-12)
     np.testing.assert_allclose(raw.omega(x), y, atol=1e-12)
 
@@ -227,12 +226,12 @@ def test_f_process_is_weighted_eigen_sum(sine2_basis):
     F_proc = build_process("F_n", n, draw, basis_pair=sine2_basis)
     x = np.linspace(0.2, 6.0, 31)
     om = np.asarray(f_proc.weight.eval(x), dtype=float)
-    np.testing.assert_allclose(eval_f(f_proc, x),
-                               np.sqrt(om) * eval_F(F_proc, x), atol=1e-12)
+    np.testing.assert_allclose(f_proc.value(x),
+                               np.sqrt(om) * F_proc.value(x), atol=1e-12)
     om1 = np.asarray(f_proc.weight.deriv1(x), dtype=float)
-    want = (0.5 * om1 / np.sqrt(om) * eval_F(F_proc, x)
-            + np.sqrt(om) * eval_F(F_proc, x, deriv=True))
-    np.testing.assert_allclose(eval_f(f_proc, x, deriv=True), want, atol=1e-10)
+    want = (0.5 * om1 / np.sqrt(om) * F_proc.value(x)
+            + np.sqrt(om) * F_proc.deriv(x))
+    np.testing.assert_allclose(f_proc.deriv(x), want, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["T_n", "C_n", "perturbed", "X_n", "X_n_raw",
@@ -260,21 +259,7 @@ def test_value_scalar_and_vector_agree(sine2_weight):
 
 
 # ----------------------------------------------------------------------
-# wrapper kind guards and the coupling residual
-
-
-def test_eval_wrappers_enforce_kinds():
-    draw = sample_coefficients(SEED, 4, 0)
-    t_proc = build_process("T_n", 4, draw)
-    c_proc = build_process("C_n", 4, draw)
-    with pytest.raises(PreconditionError):
-        eval_T(c_proc, 0.5)
-    with pytest.raises(PreconditionError):
-        eval_C(t_proc, 0.5)
-    with pytest.raises(PreconditionError):
-        eval_X(t_proc, 0.5)
-    with pytest.raises(PreconditionError):
-        eval_perturbed(t_proc, 0.5)
+# the coupling residual
 
 
 def test_epsilon_vanishes_for_unit_weight(unit_weight, unit_basis):

@@ -13,7 +13,9 @@ from slzeros import (DomainError, ExperimentConfig, PreconditionError,
                      contiguity_diagnostic, covariance_check, gap_diagnostics,
                      ks_statistic, read_records, run_experiment, summarize,
                      sup_eps_diagnostic, write_records, write_summary)
-from slzeros.harness import RECORD_COLUMNS, _worker_count, record_row, resolve_weight
+from slzeros.ensembles import build_process, sample_coefficients
+from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _NContext,
+                             _worker_count, record_row)
 from slzeros.weights import Grid
 
 SEED = 20260819
@@ -179,6 +181,31 @@ def test_close_root_pair_is_counted_and_certified(caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+@pytest.mark.parametrize("kind", SIMULATED_KINDS)
+def test_grid_samples_match_process_definitions(kind, sine2_weight,
+                                                sine2_basis):
+    # the records path evaluates every replicate of a chunk at once on the
+    # storage grid; it must give each process's own value and slope there
+    n, replicates = 50, 4
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(n,),
+                           replicates=replicates, master_seed=SEED,
+                           process_kinds=(kind,))
+    grid = sine2_basis[0].grid
+    ctx = _NContext(cfg, n, sine2_weight, sine2_basis, grid)
+    draws = [sample_coefficients(SEED, n, rid) for rid in range(replicates)]
+    A = np.stack([d.a for d in draws]) * ctx.root
+    B = np.stack([d.b for d in draws]) * ctx.root
+    vals, ders = ctx.samples(A, B, kind)
+    for i, draw in enumerate(draws):
+        proc = build_process(kind, n, draw, weight=sine2_weight,
+                             basis_pair=sine2_basis, grid=grid)
+        for got, want in ((vals[i], proc.value(grid.points)),
+                          (ders[i], proc.deriv(grid.points))):
+            scale = np.max(np.abs(got))
+            assert scale > 0.0
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
 def test_run_experiment_worker_invariance(monkeypatch):
     cfg = ExperimentConfig(
         weight_name="unit", n_list=(10,), replicates=130, master_seed=SEED,
@@ -202,9 +229,11 @@ def test_worker_count_env(monkeypatch):
         _worker_count(3)
 
 
-def test_resolve_weight_unknown():
+def test_run_experiment_unknown_weight():
+    cfg = ExperimentConfig(weight_name="nope", n_list=(10,), replicates=4,
+                           master_seed=SEED, process_kinds=("T_n",))
     with pytest.raises(UsageError):
-        resolve_weight("nope")
+        run_experiment(cfg)
 
 
 def test_build_basis_pair_is_ordered(unit_weight):

@@ -27,14 +27,6 @@ def test_grid_uniform_basics():
     np.testing.assert_allclose(g.midpoints, 0.5 * (g.points[:-1] + g.points[1:]))
 
 
-def test_grid_refine():
-    g = Grid.uniform(65)
-    r = g.refine(4)
-    assert r.n_cells == 4 * g.n_cells
-    # refined grid contains the original nodes
-    np.testing.assert_allclose(r.points[::4], g.points, atol=1e-12)
-
-
 def test_grid_rejects_bad_input():
     with pytest.raises(DomainError):
         Grid(np.linspace(0.0, 3.0, 64))  # wrong span
@@ -43,8 +35,6 @@ def test_grid_rejects_bad_input():
                              np.linspace(3.1, TWO_PI, 34)]))  # nonuniform
     with pytest.raises(DomainError):
         Grid.uniform(8)  # too coarse
-    with pytest.raises(UsageError):
-        Grid.uniform(64).refine(0)
 
 
 # ----------------------------------------------------------------------
