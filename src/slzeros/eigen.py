@@ -48,7 +48,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError, InvariantViolation, NumericError, PreconditionError
-from .weights import TWO_PI, Grid, default_grid, omega_map, weight_to_potential
+from .weights import (TWO_PI, Grid, check_resolution, default_grid, omega_map,
+                      weight_to_potential)
 
 
 class BoundaryCondition(Enum):
@@ -265,6 +266,7 @@ def eigen_solve(weight, bc, k_max, grid=None):
     Scans lambda upward from below the spectrum, brackets each root of
     the boundary residual, refines it to |dlambda| <= 1e-10*max(1,lambda),
     and verifies the Sturm oscillation count of every eigenfunction.
+    A k_max that the grid cannot resolve is refused (check_resolution).
     """
     if k_max < 1 or int(k_max) != k_max:
         raise PreconditionError("k_max must be a positive integer, got %r" % (k_max,))
@@ -272,6 +274,7 @@ def eigen_solve(weight, bc, k_max, grid=None):
     if not isinstance(bc, BoundaryCondition):
         raise PreconditionError("bc must be a BoundaryCondition, got %r" % (bc,))
     grid = grid if grid is not None else default_grid()
+    check_resolution(grid, "k_max", k_max, weight=weight)
     prop = _Propagator(weight, grid)
     q_shift = float(np.sum(prop.qbar * prop.hy) / TWO_PI)
 

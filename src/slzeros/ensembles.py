@@ -284,6 +284,11 @@ class _RowsProcess:
     def deriv(self, x):
         return self._eval(x, True)
 
+    def samples(self, x):
+        """(values, slopes) at the points x, from one combine call."""
+        return combine(self.rows(np.atleast_1d(np.asarray(x, dtype=float))),
+                       self._a, self._b)
+
     def _eval(self, x, deriv):
         xs = np.asarray(x, dtype=float)
         vals, ders = combine(self.rows(np.atleast_1d(xs), deriv),

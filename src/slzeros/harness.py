@@ -26,6 +26,8 @@ eigenbasis sums, and empirical covariance spot checks against the
 closed-form kernel.
 """
 
+import ctypes
+import glob
 import json
 import math
 import multiprocessing
@@ -41,9 +43,11 @@ from .ensembles import (combine, default_perturbation, process_rows,
                         sample_coefficients, verify_perturbation)
 from .errors import DomainError, PreconditionError
 from .kernels import r_n_closed
-from .weights import TWO_PI, builtin_weights, default_grid, omega_map
-# count_zeros is not used here; it stays importable from this module
-# because the benchmark's traced run (perfbench/tracing.py) wraps it here
+from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
+                      omega_map)
+# count_zeros, the one-process front of count_hermite_zeros, is not
+# called here; the benchmark's traced run (perfbench/tracing.py) looks
+# it up in this module by name
 from .zeros import count_hermite_zeros, count_zeros  # noqa: F401
 
 SIMULATED_KINDS = ("f_n", "X_n", "T_n", "perturbed")
@@ -91,10 +95,19 @@ class ExperimentConfig:
             raise PreconditionError(
                 "k_max=%d is smaller than max(n_list)=%d"
                 % (self.k_max, max(self.n_list)))
+        # refuse frequencies the storage grid cannot resolve
+        grid, top = default_grid(), max(self.n_list)
+        if self.needs_basis or "X_n" in self.process_kinds:
+            k = self.basis_k_max if self.needs_basis else top
+            check_resolution(grid, "n" if k == top else "k_max", k,
+                             weight=builtin_weights(self.weight_name))
         if "perturbed" in self.process_kinds:
+            check_resolution(grid, "n", top, shift=1)
             # fail at construction, before any replicate runs
             verify_perturbation(default_perturbation(self.pert_c0, self.pert_c1),
-                                max(self.n_list))
+                                top)
+        elif "T_n" in self.process_kinds:
+            check_resolution(grid, "n", top)
 
     @property
     def needs_basis(self):
@@ -248,6 +261,19 @@ def _worker_count(n_chunks):
     return max(1, min(workers, n_chunks))
 
 
+def _one_blas_thread():
+    """Pool initializer: a forked worker keeps numpy's bundled OpenBLAS
+    at one thread, so the workers do not oversubscribe the cores.  Does
+    nothing when that library or its setter is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                        "numpy.libs", "libscipy_openblas*")
+    for path in glob.glob(libs):
+        setter = getattr(ctypes.CDLL(path),
+                         "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+
+
 def build_basis_pair(weight, k_max, grid=None):
     """Solve both boundary families once; shared by every n."""
     return (eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid),
@@ -288,7 +314,8 @@ def run_experiment(config, basis_pair=None):
                       for lo in range(0, config.replicates, CHUNK)]
             workers = _worker_count(len(chunks))
             if workers > 1 and hasattr(os, "fork"):
-                with multiprocessing.get_context("fork").Pool(workers) as pool:
+                with multiprocessing.get_context("fork").Pool(
+                        workers, initializer=_one_blas_thread) as pool:
                     produced = pool.imap(_process_chunk, chunks)
                     for batch in produced:
                         records.extend(batch)

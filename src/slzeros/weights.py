@@ -14,7 +14,8 @@ built on two derived objects:
 Omega is tabulated once per (weight, grid) pair with per-cell
 Gauss-Legendre quadrature and then evaluated anywhere by adding a
 partial-cell integral; the inverse map is bracketed Newton on that
-table.
+table.  check_resolution refuses a frequency that a grid samples with
+fewer than 16 points per wavelength.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, PreconditionError, UsageError
 
 TWO_PI = 2.0 * math.pi
 
@@ -210,6 +211,29 @@ def default_grid():
     if _DEFAULT_GRID is None:
         _DEFAULT_GRID = Grid.uniform()
     return _DEFAULT_GRID
+
+
+MIN_POINTS_PER_WAVELENGTH = 16
+
+
+def check_resolution(grid, name, value, weight=None, shift=0):
+    """Refuse `name`=value when the grid samples the highest frequency
+    it asks for with fewer than MIN_POINTS_PER_WAVELENGTH points: the
+    Hermite interpolant of the samples would no longer resemble the
+    process.  That frequency is value + shift cycles on [0, 2*pi], or,
+    with a weight, value modes oscillating locally at value*omega/2,
+    which leaves 2*cells/(value*max omega) points per wavelength.
+    """
+    rate = (0.5 * float(np.max(weight.eval(grid.points)))
+            if weight is not None else 1.0)
+    per_wave = grid.n_cells / (rate * (value + shift))
+    if per_wave < MIN_POINTS_PER_WAVELENGTH:
+        top = int(grid.n_cells / (rate * MIN_POINTS_PER_WAVELENGTH)) - shift
+        raise PreconditionError(
+            "%s=%d leaves %.4g points per wavelength on the %d-cell storage "
+            "grid, fewer than %d: %s must be at most %d"
+            % (name, value, per_wave, grid.n_cells, MIN_POINTS_PER_WAVELENGTH,
+               name, top))
 
 
 def omega_map(weight, grid=None):

@@ -212,6 +212,14 @@ def test_eigen_solve_validates_input():
         eigen_solve(unscaled, D, 3)
 
 
+def test_eigen_solve_refuses_unresolved_k_max():
+    # sine2 peaks at 1.5: k = 683 leaves 2*8191/(683*1.5) < 16 points
+    # per wavelength; refused before any eigenvalue is solved
+    with pytest.raises(PreconditionError,
+                       match="k_max=683 leaves .* k_max must be at most 682"):
+        eigen_solve(builtin_weights("sine2"), D, 683)
+
+
 def test_eigen_solve_prefix_stable():
     w = builtin_weights("sine2")
     g = Grid.uniform(2049)

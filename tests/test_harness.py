@@ -57,6 +57,27 @@ def test_config_perturbation_bounds_checked_up_front():
         ExperimentConfig(**{**ok, "pert_c1": 0.5})
 
 
+@pytest.mark.parametrize("kinds, n, k_max, bound", [
+    (("f_n", "X_n"), 400, 700, "k_max must be at most 682"),
+    (("X_n",), 700, None, "n must be at most 682"),
+    (("T_n",), 512, None, "n must be at most 511"),
+    (("perturbed",), 511, None, "n must be at most 510"),
+])
+def test_config_refuses_unresolved_frequencies(kinds, n, k_max, bound):
+    # 8191 cells: 2*cells/(k*1.5) points per wavelength for sine2's
+    # modes, cells/n for T_n and cells/(n+1) for the perturbation
+    with pytest.raises(PreconditionError, match=bound) as err:
+        ExperimentConfig(weight_name="sine2", n_list=(n,), replicates=4,
+                         master_seed=SEED, process_kinds=kinds, k_max=k_max)
+    assert "points per wavelength" in str(err.value)
+
+
+def test_config_accepts_k_max_400():
+    for kinds in (("f_n", "X_n"), ("T_n", "perturbed")):
+        ExperimentConfig(weight_name="sine2", n_list=(50, 400), replicates=4,
+                         master_seed=SEED, process_kinds=kinds, k_max=400)
+
+
 def test_config_properties():
     cfg = ExperimentConfig(weight_name="unit", n_list=(10, 20), replicates=4,
                            master_seed=SEED, process_kinds=("f_n", "X_n"))

@@ -1,5 +1,5 @@
-"""Zero counters: pinned counts, refinement, stability, exact Hermite
-counts, change of variables."""
+"""Zero counting: count_zeros on processes, exact Hermite counts
+against an independent oracle, change of variables."""
 
 import logging
 import math
@@ -7,133 +7,65 @@ import math
 import numpy as np
 import pytest
 
-from slzeros import (DomainError, NumericError, build_process,
+from slzeros import (CoefficientDraw, DomainError, build_process,
                      count_hermite_zeros, count_zeros,
                      count_zeros_changed_variable, default_grid,
                      sample_coefficients, standardize_count)
-from slzeros.ensembles import hermite_rows
 from slzeros.weights import TWO_PI, builtin_weights
 
 
+def _single_mode(kind, n, weight=None):
+    """The kind with a_n = sqrt(n) and every other coefficient 0: cos(n x)
+    for T_n, cos(n Omega(x)/2) / sqrt(omega(x)) for X_n_raw."""
+    a = np.zeros(n)
+    a[-1] = math.sqrt(n)
+    draw = CoefficientDraw(master_seed=0, n=n, replicate_id=0, a=a,
+                           b=np.zeros(n), seed=0)
+    return build_process(kind, n, draw, weight=weight)
+
+
 def test_count_cosine_pinned():
-    k = 5
-    res = count_zeros(lambda x: np.cos(k * np.asarray(x, dtype=float)),
-                      n_hint=k)
-    assert res.count == 2 * k
-    assert res.stable
-    want = (0.5 + np.arange(2 * k)) * math.pi / k
-    np.testing.assert_allclose(np.sort(res.locations), want, atol=1e-10)
-    # refined locations are actual roots
-    assert np.max(np.abs(np.cos(k * res.locations))) < 1e-10
-    assert res.grid_factor >= 16
-    assert res.near_tangencies == ()
-    assert res.scale > 0.9
+    # cos(5x) has 10 zeros, each on a node of the 80-cell grid
+    res = count_zeros(_single_mode("T_n", 5))
+    assert (res.count, res.stable) == (10, True)
+    # Omega maps [0, 2*pi] onto itself, so cos(7 Omega/2) has 7 zeros
+    raw = _single_mode("X_n_raw", 7, builtin_weights("sine2"))
+    assert count_zeros(raw).count == 7
+    assert count_zeros(raw.stationary_pullback()).count == 7
 
 
 def test_count_subinterval():
-    res = count_zeros(np.cos, interval=(0.0, math.pi), n_hint=1)
-    assert res.count == 1
-    np.testing.assert_allclose(res.locations, [math.pi / 2.0], atol=1e-10)
+    proc = _single_mode("T_n", 5)
+    assert count_zeros(proc, interval=(0.0, math.pi)).count == 5
+    # zeros of cos(5x) at 0.1*pi and 0.3*pi
+    assert count_zeros(proc, interval=(0.2, 1.0)).count == 2
 
 
-def test_node_zero_triggers_shift():
-    # cos has zeros exactly on the default 16-cell scan nodes
-    res = count_zeros(np.cos, n_hint=1)
-    assert res.count == 2
-    assert res.stable
-    np.testing.assert_allclose(np.sort(res.locations),
-                               [0.5 * math.pi, 1.5 * math.pi], atol=1e-10)
-
-
-def test_endpoint_zero_is_refused():
-    # a process vanishing at the interval ends defeats the node shift
-    with pytest.raises(NumericError):
-        count_zeros(lambda x: np.sin(2.0 * np.asarray(x, dtype=float)),
-                    n_hint=2)
-
-
-def test_unstable_count_is_flagged():
-    # 74 zeros scanned with 1 cell and 3 doublings: counts 0, 2, 4, 8
-    # never repeat, so the result must carry stable=False
-    res = count_zeros(lambda x: np.cos(37.0 * np.asarray(x, dtype=float)),
-                      n_hint=1, scan_constant=1, max_doublings=3)
-    assert not res.stable
-    assert res.count != 74
-
-
-def test_zero_doublings_never_stabilizes():
-    res = count_zeros(np.cos, n_hint=1, max_doublings=0)
-    assert not res.stable
-    assert res.count == 2
-
-
-def test_near_tangency_reported_not_counted():
-    # strictly positive with a 1e-10 dip at x = pi (a scan node)
-    res = count_zeros(lambda x: (np.asarray(x, dtype=float) - math.pi) ** 2
-                      + 1e-10, n_hint=1)
-    assert res.count == 0
-    assert res.locations.size == 0
-    assert len(res.near_tangencies) >= 1
-    assert any(abs(t - math.pi) < 1e-6 for t in res.near_tangencies)
-
-
-def test_dip_audit_recovers_pair_between_nodes():
-    # two zeros strictly inside one scan cell at both grid sizes the
-    # doubling rule visits: the sign scan alone sees nothing there, so
-    # the dip audit must recover the pair
-    h = TWO_PI / 16
-    center = math.pi + 0.3 * h
-    half_gap = 0.05 * h
-
-    def dip(x):
-        x = np.asarray(x, dtype=float)
-        return (x - center) ** 2 - half_gap ** 2
-
-    res = count_zeros(dip, n_hint=1)
-    assert res.count == 2
-    assert res.stable
-    np.testing.assert_allclose(
-        res.locations, [center - half_gap, center + half_gap], atol=1e-9)
-    assert res.near_tangencies == ()
-
-
-def test_dip_audit_reports_unresolved_flat_dip():
-    # a flat quartic valley between nodes: the fitted parabola
-    # undershoots and predicts a crossing, the dense rescan finds none,
-    # so the dip is reported as a near-tangency and never counted
-    h = TWO_PI / 16
-    center = math.pi + 0.3 * h
-    floor = 1e-4 * h ** 4
-
-    def quartic(x):
-        x = np.asarray(x, dtype=float)
-        return (x - center) ** 4 + floor
-
-    res = count_zeros(quartic, n_hint=1)
-    assert res.count == 0
-    assert res.stable
-    assert len(res.near_tangencies) == 1
-    assert abs(res.near_tangencies[0] - center) < h
+@pytest.mark.parametrize("kind", ["f_n", "X_n_raw", "T_n", "perturbed"])
+def test_count_zeros_counts_its_grid_samples(kind, sine2_basis):
+    n = 50
+    proc = build_process(kind, n, sample_coefficients(2024, n, 7),
+                         weight=builtin_weights("sine2"),
+                         basis_pair=sine2_basis)
+    a, b = 0.5, 5.0
+    x = np.linspace(a, b, 16 * n + 1)
+    counts, certified = count_hermite_zeros(proc.value(x), proc.deriv(x),
+                                            (b - a) / (16 * n))
+    res = count_zeros(proc, interval=(a, b))
+    assert counts[0] > 0
+    assert (res.count, res.stable) == (counts[0], certified[0])
 
 
 def test_count_zeros_validation():
-    with pytest.raises(DomainError):
-        count_zeros(np.cos, interval=(2.0, 1.0))
-    with pytest.raises(DomainError):
-        count_zeros(np.cos, interval=(0.0, math.inf))
-    with pytest.raises(DomainError):
-        count_zeros(np.cos, n_hint=0)
-    with pytest.raises(DomainError):
-        count_zeros(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    with pytest.raises(DomainError):
-        count_zeros(lambda x: np.full_like(np.asarray(x, dtype=float),
-                                           math.nan))
+    proc = _single_mode("T_n", 5)
+    for interval in ((2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            count_zeros(proc, interval=interval)
 
 
 def test_empty_interval():
-    res = count_zeros(np.cos, interval=(1.0, 1.0))
-    assert res.count == 0
-    assert res.stable
+    res = count_zeros(_single_mode("T_n", 5), interval=(1.0, 1.0))
+    assert (res.count, res.stable) == (0, True)
 
 
 def test_standardize_count():
@@ -160,8 +92,38 @@ def _variations(vals, ders):
     return int(np.count_nonzero(np.diff(np.sign(b)) != 0))
 
 
+def _sign_change_oracle(vals, ders, h):
+    """Zeros of odd multiplicity of each row's cubic Hermite interpolant,
+    counted without Bernstein forms: between the real roots of its
+    derivative a cell's cubic is monotone, so every such zero is one sign
+    change along the values at the nodes and at the critical points
+    inside the cells."""
+    v0, v1 = vals[:, :-1], vals[:, 1:]
+    g0, g1 = h * ders[:, :-1], h * ders[:, 1:]
+    # p(s) = v0 + g0 s + c2 s^2 + c3 s^3 for s in [0, 1]
+    c2 = 3.0 * (v1 - v0) - 2.0 * g0 - g1
+    c3 = 2.0 * (v0 - v1) + g0 + g1
+    # roots of p'(s) = g0 + 2 c2 s + 3 c3 s^2, without cancellation
+    disc = c2 * c2 - 3.0 * c3 * g0
+    q = -(c2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c2))
+    seq = np.full(v0.shape + (3,), np.nan)
+    seq[:, :, 0] = v0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = np.sort(np.stack((q / (3.0 * c3), g0 / q)), axis=0)
+        for j, s in enumerate(roots):
+            inside = (disc >= 0.0) & (s > 0.0) & (s < 1.0)
+            p = ((c3 * s + c2) * s + g0) * s + v0
+            seq[:, :, 1 + j] = np.where(inside, p, np.nan)
+    counts = []
+    for row, end in zip(seq.reshape(len(vals), -1), vals[:, -1]):
+        signs = np.sign(np.append(row[~np.isnan(row)], end))
+        signs = signs[signs != 0.0]
+        counts.append(int(np.count_nonzero(signs[1:] != signs[:-1])))
+    return counts
+
+
 @pytest.mark.parametrize("kind", ["f_n", "X_n", "T_n", "perturbed"])
-def test_hermite_counts_agree_with_callable_counter(kind, sine2_basis):
+def test_hermite_counts_agree_with_sign_change_oracle(kind, sine2_basis):
     grid = default_grid()
     x = grid.points
     n = 50
@@ -173,13 +135,7 @@ def test_hermite_counts_agree_with_callable_counter(kind, sine2_basis):
     ders = np.stack([p.deriv(x) for p in procs])
     counts, certified = count_hermite_zeros(vals, ders, grid.h)
     assert certified.all()
-    for i in range(len(procs)):
-        def hermite(pts, i=i):
-            return hermite_rows(vals[i:i + 1], ders[i:i + 1], grid.h,
-                                np.atleast_1d(pts))[0][0]
-        res = count_zeros(hermite, n_hint=n)
-        assert res.stable
-        assert counts[i] == res.count
+    assert counts.tolist() == _sign_change_oracle(vals, ders, grid.h)
 
 
 def test_hermite_close_roots_resolved_by_subdivision():
