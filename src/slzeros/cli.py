@@ -1,10 +1,12 @@
 """Batch command line: configure, run, and export experiments.
 
 Subcommands: eigen, simulate, kac, compare, diagnose, robustness.
-Options resolve in three layers — built-in defaults, then a config
-file (INI with one section per subcommand, or a previously emitted
-manifest.json), then command-line flags.  Unknown config keys are
-rejected by name.  Every run that finishes writes manifest.json
+OPTIONS declares each option once: its parser, default and help text.
+Options resolve in three layers — those defaults, then a config file
+(INI with one section per subcommand, or a previously emitted
+manifest.json), then command-line flags; every layer's values go
+through the option's one parser.  Bad values and unknown config keys
+are rejected by name.  Every run that finishes writes manifest.json
 echoing the fully resolved configuration, and re-running from that
 manifest reproduces the run byte for byte; a refused or failed run
 writes none.
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 from .eigen import BoundaryCondition, asymptotic_deviation, eigen_solve
 from .errors import (DomainError, InvariantViolation, NumericError,
@@ -30,25 +33,44 @@ from .kernels import (expected_count_closed, kac_rice_expected,
                       second_order_exact, second_order_stationary)
 from .weights import TWO_PI, builtin_weights
 
-_INT = "int"
-_FLOAT = "float"
-_STR = "str"
-_BOOL = "bool"
-_INT_LIST = "int_list"
-_STR_LIST = "str_list"
 
-KEY_TYPES = {
-    "weight": _STR,
-    "n_list": _INT_LIST,
-    "replicates": _INT,
-    "seed": _INT,
-    "kinds": _STR_LIST,
-    "k_max": _INT,
-    "timing": _BOOL,
-    "x_ref": _FLOAT,
-    "pert_c0": _FLOAT,
-    "pert_c1": _FLOAT,
-    "out": _STR,
+def _str_list(text):
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _int_list(text):
+    return tuple(int(p) for p in _str_list(text))
+
+
+def _switch(text):
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(text)
+    return seed
+
+
+Option = namedtuple("Option", "parse default help")
+
+OPTIONS = {
+    "weight": Option(str, "sine2", "built-in weight name"),
+    "n_list": Option(_int_list, (50, 100, 200, 400), "ascending, with commas"),
+    "replicates": Option(int, 2000, "replicates per n, or covariance draws"),
+    "seed": Option(_seed, 20260819, "master seed, at least 0"),
+    "kinds": Option(_str_list, ("f_n", "X_n"), "process kinds, with commas"),
+    "k_max": Option(int, None, "eigenpairs per boundary family"),
+    "timing": Option(_switch, False, "write wall times to timing.csv (not "
+                                     "byte-reproducible)"),
+    "x_ref": Option(float, math.pi / 3.0, "anchor point of beta"),
+    "out": Option(str, "slzeros_out", "output directory"),
 }
 
 SUBCOMMAND_KEYS = {
@@ -61,53 +83,31 @@ SUBCOMMAND_KEYS = {
     "diagnose": ("weight", "n_list", "replicates", "seed", "k_max",
                  "x_ref", "out"),
     "robustness": ("weight", "n_list", "replicates", "seed", "timing",
-                   "pert_c0", "pert_c1", "out"),
+                   "out"),
 }
 
-DEFAULTS = {
-    "weight": "sine2",
-    "n_list": (50, 100, 200, 400),
-    "replicates": 2000,
-    "seed": 20260819,
-    "kinds": ("f_n", "X_n"),
-    "k_max": None,
-    "timing": False,
-    "x_ref": math.pi / 3.0,
-    "pert_c0": 0.5,
-    "pert_c1": 1.0,
-    "out": "slzeros_out",
-}
 DEFAULT_OVERRIDES = {
     "diagnose": {"replicates": 5000},
 }
 
 
+def _text(value):
+    """A manifest's JSON value as the text a flag would carry."""
+    if isinstance(value, list):
+        return ",".join(_text(v) for v in value)
+    if isinstance(value, str):
+        return value
+    return json.dumps(value)
+
+
 def _parse_value(key, raw):
-    kind = KEY_TYPES[key]
-    if isinstance(raw, str):
-        raw = raw.strip()
-        try:
-            if kind == _INT:
-                return int(raw)
-            if kind == _FLOAT:
-                return float(raw)
-            if kind == _BOOL:
-                low = raw.lower()
-                if low in ("1", "true", "yes", "on"):
-                    return True
-                if low in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(raw)
-            if kind == _INT_LIST:
-                return tuple(int(p) for p in raw.split(",") if p.strip())
-            if kind == _STR_LIST:
-                return tuple(p.strip() for p in raw.split(",") if p.strip())
-            return raw
-        except ValueError:
-            raise UsageError("bad value for %s: %r" % (key, raw))
-    if kind in (_INT_LIST, _STR_LIST):
-        return tuple(raw)
-    return raw
+    option = OPTIONS[key]
+    if raw is None and option.default is None:
+        return None  # a manifest echoing an unset k_max
+    try:
+        return option.parse(_text(raw).strip())
+    except ValueError:
+        raise UsageError("bad value for %s: %r" % (key, raw))
 
 
 def _load_file_layer(path, subcommand):
@@ -139,7 +139,7 @@ def _load_file_layer(path, subcommand):
 
 
 def _resolve(subcommand, args):
-    cfg = dict(DEFAULTS)
+    cfg = {key: option.default for key, option in OPTIONS.items()}
     cfg.update(DEFAULT_OVERRIDES.get(subcommand, {}))
     if args.config is not None:
         cfg.update(_load_file_layer(args.config, subcommand))
@@ -151,11 +151,8 @@ def _resolve(subcommand, args):
 
 
 def _write_manifest(out_dir, subcommand, cfg):
-    body = {}
-    for key, val in cfg.items():
-        body[key] = list(val) if isinstance(val, tuple) else val
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump({"subcommand": subcommand, "config": body}, fh,
+        json.dump({"subcommand": subcommand, "config": cfg}, fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -176,11 +173,10 @@ def _write_table(path, header, rows):
 
 def _experiment_config(cfg, kinds, output_path):
     return ExperimentConfig(
-        weight_name=cfg["weight"], n_list=tuple(cfg["n_list"]),
+        weight_name=cfg["weight"], n_list=cfg["n_list"],
         replicates=cfg["replicates"], master_seed=cfg["seed"],
         process_kinds=kinds, output_path=output_path,
-        k_max=cfg.get("k_max"), timing=cfg.get("timing", False),
-        pert_c0=cfg.get("pert_c0", 0.5), pert_c1=cfg.get("pert_c1", 1.0))
+        k_max=cfg.get("k_max"), timing=cfg["timing"])
 
 
 def cmd_eigen(cfg):
@@ -221,7 +217,15 @@ def cmd_kac(cfg):
     return 0
 
 
+def _refuse_log_scaling_below_2(n_list, scaling):
+    """The scaling divides by log(n), 0 at n = 1: refuse before any work."""
+    if min(n_list, default=0) < 2:
+        raise PreconditionError("the %s scaling needs a nonempty n_list with "
+                                "every n >= 2, got %r" % (scaling, n_list))
+
+
 def cmd_compare(cfg):
+    _refuse_log_scaling_below_2(cfg["n_list"], "sqrt(n)/log(n)")
     records = cmd_simulate(cfg, kinds=("f_n", "X_n"))
     contiguity = contiguity_diagnostic(records)
     sup_eps = sup_eps_diagnostic(records)
@@ -243,6 +247,7 @@ def cmd_compare(cfg):
 
 
 def cmd_diagnose(cfg):
+    _refuse_log_scaling_below_2(cfg["n_list"], "n/log(n)")
     weight = builtin_weights(cfg["weight"])
     n_max = max(cfg["n_list"])
     k_max = cfg["k_max"] if cfg["k_max"] is not None else n_max
@@ -319,32 +324,13 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="INI config or a previously emitted manifest.json")
-        p.add_argument("--out", default=None, help="output directory")
-        keys = SUBCOMMAND_KEYS[name]
-        if "weight" in keys:
-            p.add_argument("--weight", default=None)
-        if "n_list" in keys:
-            p.add_argument("--n-list", dest="n_list", default=None,
-                           help="comma-separated, ascending")
-        if "replicates" in keys:
-            p.add_argument("--replicates", default=None)
-        if "seed" in keys:
-            p.add_argument("--seed", default=None)
-        if "k_max" in keys:
-            p.add_argument("--k-max", dest="k_max", default=None)
-        if "kinds" in keys:
-            p.add_argument("--kinds", default=None,
-                           help="comma-separated process kinds")
-        if "timing" in keys:
-            p.add_argument("--timing", action="store_const", const=True,
-                           default=None,
-                           help="record wall times to timing.csv (not "
-                                "byte-reproducible)")
-        if "x_ref" in keys:
-            p.add_argument("--x-ref", dest="x_ref", default=None)
-        if "pert_c0" in keys:
-            p.add_argument("--pert-c0", dest="pert_c0", default=None)
-            p.add_argument("--pert-c1", dest="pert_c1", default=None)
+        for key in SUBCOMMAND_KEYS[name]:
+            option = OPTIONS[key]
+            # a bare switch: given, it sets the value to "true"
+            switch = (dict(action="store_const", const="true")
+                      if option.parse is _switch else {})
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           default=None, help=option.help, **switch)
     return parser
 
 

@@ -86,7 +86,7 @@ class PerturbationFamily:
     c1: float = 1.0
 
 
-def default_perturbation(c0=0.5, c1=1.0):
+def default_perturbation():
     """eps_k(x) = sin((k+1)x)/(2k), eta_k(x) = cos((k+1)x)/(2k):
     smooth, oscillatory, with |eps_k| <= 1/(2k) and |eps_k'| <= 1."""
     return PerturbationFamily(
@@ -95,14 +95,13 @@ def default_perturbation(c0=0.5, c1=1.0):
         eta=lambda k, x: np.cos((k + 1) * x) / (2.0 * k),
         deps=lambda k, x: (k + 1) * np.cos((k + 1) * x) / (2.0 * k),
         deta=lambda k, x: -(k + 1) * np.sin((k + 1) * x) / (2.0 * k),
-        c0=float(c0), c1=float(c1),
     )
 
 
-def verify_perturbation(family, n, points=None):
+def verify_perturbation(family, n):
     """Check the declared bounds by sampling; raises a precondition
     error with a bound report naming the first offending (k, bound)."""
-    x = points if points is not None else np.linspace(0.0, TWO_PI, 257)
+    x = np.linspace(0.0, TWO_PI, 257)
     k = np.arange(1, n + 1, dtype=float)[:, None]
     checks = (
         ("|eps_k|", np.abs(family.eps(k, x[None, :])), family.c0 / k),

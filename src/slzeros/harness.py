@@ -9,7 +9,11 @@ count holds an unresolved tangency is logged at WARNING and, for f_n
 and X_n, recorded with stable_* = 0.  Replicates are processed in
 fixed-size chunks whose composition depends only on the replicate
 ids, so results are bit-identical no matter how many workers run them
-(SLZEROS_THREADS, default 1).
+(SLZEROS_THREADS, default 1).  ExperimentConfig refuses at
+construction what a run could not do (a negative seed, too few
+replicates, frequencies the storage grid cannot resolve); the
+perturbed kind always uses ensembles.default_perturbation, whose
+bounds |eps_k| <= 1/(2k) and |eps_k'| <= 1 hold for every n.
 
 summarize() reduces persisted records to per-n statistics: mean count,
 var/n with a log-scale normal-theory confidence interval, skewness and
@@ -40,7 +44,7 @@ from scipy.special import erfc
 
 from .eigen import BoundaryCondition, eigen_solve
 from .ensembles import (combine, default_perturbation, process_rows,
-                        sample_coefficients, verify_perturbation)
+                        sample_coefficients)
 from .errors import DomainError, PreconditionError
 from .kernels import r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
@@ -70,8 +74,6 @@ class ExperimentConfig:
     output_path: str = None
     k_max: int = None
     timing: bool = False
-    pert_c0: float = 0.5
-    pert_c1: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -79,6 +81,9 @@ class ExperimentConfig:
         if self.replicates < 2:
             raise PreconditionError("need at least 2 replicates, got %d"
                                     % self.replicates)
+        if self.master_seed < 0:
+            raise PreconditionError("master_seed must be at least 0, got %d"
+                                    % self.master_seed)
         if not self.n_list:
             raise PreconditionError("n_list must be nonempty")
         if any(n < 1 for n in self.n_list):
@@ -103,9 +108,6 @@ class ExperimentConfig:
                              weight=builtin_weights(self.weight_name))
         if "perturbed" in self.process_kinds:
             check_resolution(grid, "n", top, shift=1)
-            # fail at construction, before any replicate runs
-            verify_perturbation(default_perturbation(self.pert_c0, self.pert_c1),
-                                top)
         elif "T_n" in self.process_kinds:
             check_resolution(grid, "n", top)
 
@@ -202,11 +204,10 @@ class _NContext:
         self.timing = config.timing
         self.h = grid.h
         self.root = 1.0 / math.sqrt(n)
-        # the config verified this family's bounds for max(n_list)
-        fam = default_perturbation(config.pert_c0, config.pert_c1)
         self.rows = {kind: process_rows(kind, n, weight=weight,
                                         basis_pair=basis_pair,
-                                        perturbation=fam, grid=grid)
+                                        perturbation=default_perturbation(),
+                                        grid=grid)
                      for kind in self.kinds}
 
     def samples(self, A, B, kind):
@@ -481,7 +482,7 @@ def summarize(records):
                 var_over_n_ci=ci, skewness=skew, excess_kurtosis=kurt,
                 ks_fitted=ks, stable_fraction=stable,
                 unreliable=(stable == 0.0))
-        sup_q = (_sup_eps_quantiles(n, recs) if n > 1 else None) or {}
+        sup_q = _sup_eps_quantiles(n, recs) or {}
         per_n[n] = PerNSummary(
             n=n, kinds=kinds, contiguity=_contiguity(n, recs),
             sup_eps_median_scaled=sup_q.get("median"),
@@ -503,9 +504,10 @@ def _contiguity(n, recs):
 
 
 def _sup_eps_quantiles(n, recs):
-    """Median and 99th percentile of sup|eps_n| * sqrt(n)/log(n), or None."""
+    """Median and 99th percentile of sup|eps_n| * sqrt(n)/log(n), or None
+    when no sup_eps is recorded or n < 2, where log(n) is 0."""
     sups = [r.sup_eps for r in recs if r.sup_eps is not None]
-    if not sups:
+    if not sups or n < 2:
         return None
     scaled = np.array(sups, dtype=float) * math.sqrt(n) / math.log(n)
     return {"median": float(np.median(scaled)),
@@ -529,7 +531,8 @@ def sup_eps_diagnostic(records):
     for n, recs in _group_by_n(records).items():
         quantiles[n] = _sup_eps_quantiles(n, recs)
         if quantiles[n] is None:
-            raise PreconditionError("no sup_eps recorded for n=%d" % n)
+            raise PreconditionError("no scaled sup_eps for n=%d: none "
+                                    "recorded, or n < 2" % n)
     slope = None
     ns = sorted(quantiles)
     if len(ns) >= 2 and all(quantiles[n]["median"] > 0 for n in ns):

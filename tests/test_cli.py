@@ -183,27 +183,38 @@ def test_k_max_below_largest_n(tmp_path, capsys):
     assert "smaller than" in err
 
 
-def test_violated_perturbation_bounds(tmp_path, capsys):
-    rc = _run(["robustness", "--weight", "unit", "--n-list", "5",
-               "--replicates", "2", "--pert-c0", "0.1", "--pert-c1", "0.5",
-               "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "violates its bound" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["eigen", "--weight", "nope"],
     ["simulate", "--weight", "unit", "--n-list", "5,20", "--k-max", "10",
      "--replicates", "2", "--kinds", "T_n"],
-    ["robustness", "--weight", "unit", "--n-list", "5", "--replicates", "2",
-     "--pert-c0", "0.1"],
+    ["robustness", "--n-list", "511", "--replicates", "2"],
+    ["compare", "--weight", "unit", "--n-list", "1,4", "--replicates", "2"],
+    ["diagnose", "--weight", "unit", "--n-list", "1,4"],
+    ["diagnose", "--weight", "unit", "--n-list", "4", "--seed", "-1"],
+    ["simulate", "--config", "replicates_2.5.json"],
 ])
-def test_refused_run_leaves_no_manifest(argv, tmp_path, capsys):
-    out = tmp_path / "o"
-    assert _run(argv + ["--out", str(out)]) == 2
+def test_refused_run_leaves_no_manifest(argv, tmp_path, monkeypatch, capsys):
+    # run in tmp_path, where the manifest case finds its file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "replicates_2.5.json").write_text(json.dumps(
+        {"subcommand": "simulate", "config": {"replicates": 2.5}}))
+    assert _run(argv + ["--out", "o"]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert not (out / "manifest.json").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"pert_c0": 0.5}, "unknown config key 'pert_c0'"),
+    ({"replicates": 2.5}, "bad value for replicates: 2.5"),
+    ({"seed": -1}, "bad value for seed"),
+])
+def test_manifest_value_refused_by_name(config, message, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": "robustness", "config": config}))
+    rc = _run(["robustness", "--config", str(path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):

@@ -65,7 +65,8 @@ def test_sample_coefficients_validation():
 
 
 def test_default_perturbation_satisfies_bounds():
-    verify_perturbation(default_perturbation(), 200)
+    # 510 is the largest n the storage grid resolves for the perturbed kind
+    verify_perturbation(default_perturbation(), 510)
 
 
 def test_perturbation_violation_is_named():

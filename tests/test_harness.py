@@ -32,6 +32,8 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         ExperimentConfig(**{**ok, "replicates": 1})
     with pytest.raises(PreconditionError):
+        ExperimentConfig(**{**ok, "master_seed": -1})
+    with pytest.raises(PreconditionError):
         ExperimentConfig(**{**ok, "n_list": ()})
     with pytest.raises(PreconditionError):
         ExperimentConfig(**{**ok, "n_list": (10, 10)})
@@ -45,16 +47,6 @@ def test_config_validation():
         ExperimentConfig(**{**ok, "process_kinds": ()})
     with pytest.raises(PreconditionError):
         ExperimentConfig(**{**ok, "k_max": 15})
-
-
-def test_config_perturbation_bounds_checked_up_front():
-    ok = dict(weight_name="unit", n_list=(5,), replicates=4,
-              master_seed=SEED, process_kinds=("perturbed",))
-    ExperimentConfig(**ok)
-    with pytest.raises(PreconditionError):
-        ExperimentConfig(**{**ok, "pert_c0": 0.1})
-    with pytest.raises(PreconditionError):
-        ExperimentConfig(**{**ok, "pert_c1": 0.5})
 
 
 @pytest.mark.parametrize("kinds, n, k_max, bound", [
@@ -390,6 +382,12 @@ def test_sup_eps_diagnostic_flat_series_has_zero_slope():
     assert abs(out["median_loglog_slope"]) < 1e-12
     with pytest.raises(PreconditionError):
         sup_eps_diagnostic(_tn_records(4, [1, 2]))
+    # log(1) = 0: summarize leaves n = 1 unscaled, the diagnostic refuses it
+    at_1 = [ReplicateRecord(n=1, replicate_id=i, seed=i, n_fn=1, n_xn=1,
+                            sup_eps=0.1) for i in range(2)]
+    assert summarize(at_1).per_n[1].sup_eps_median_scaled is None
+    with pytest.raises(PreconditionError, match="n < 2"):
+        sup_eps_diagnostic(at_1)
 
 
 def test_gap_diagnostics_unit_weight_vanishes(unit_basis, unit_weight):
