@@ -11,10 +11,8 @@ from .eigen import (BoundaryCondition, EigenBasis, Eigenpair,
                     asymptotic_deviation, asymptotic_eigenfunction,
                     eigen_solve, normalize_eigenfunction, ode_residual,
                     orthogonality_defect, prufer_phase)
-from .ensembles import (CoefficientDraw, PerturbationFamily, RandomProcess,
-                        build_process, default_perturbation, eval_epsilon,
-                        eval_epsilon_sup, sample_coefficients,
-                        verify_perturbation)
+from .ensembles import (CoefficientDraw, RandomProcess, build_process,
+                        eval_epsilon, eval_epsilon_sup, sample_coefficients)
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, SlzerosError, UsageError)
 from .harness import (ExperimentConfig, GapDiagnostics, ReplicateRecord,
@@ -22,10 +20,9 @@ from .harness import (ExperimentConfig, GapDiagnostics, ReplicateRecord,
                       covariance_check, gap_diagnostics, ks_statistic,
                       read_records, run_experiment, summarize,
                       sup_eps_diagnostic, write_records, write_summary)
-from .kernels import (ProcessSecondOrder, StationaryKernel, covariance_X,
-                      expected_count_closed, kac_rice_expected, r_n_closed,
-                      second_order_empirical, second_order_exact,
-                      second_order_stationary, stationary_kernel)
+from .kernels import (ProcessSecondOrder, covariance_X, expected_count_closed,
+                      kac_rice_expected, r_n_closed, second_order_empirical,
+                      second_order_exact, second_order_stationary)
 from .weights import (Grid, Potential, WeightFunction, builtin_weights,
                       default_grid, normal_form_potential, normalize_weight,
                       omega_cumulative, omega_inverse, weight_to_potential)

@@ -26,7 +26,8 @@ from collections import namedtuple
 from .eigen import BoundaryCondition, asymptotic_deviation, eigen_solve
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, UsageError)
-from .harness import (ExperimentConfig, build_basis_pair, contiguity_diagnostic,
+from .harness import (ExperimentConfig, build_basis_pair,
+                      check_covariance_draws, contiguity_diagnostic,
                       covariance_check, gap_diagnostics, run_experiment,
                       summarize, sup_eps_diagnostic, write_summary)
 from .kernels import (expected_count_closed, kac_rice_expected,
@@ -58,6 +59,14 @@ def _seed(text):
     return seed
 
 
+def _point(text):
+    """A point of [0, 2*pi]; NaN and the infinities fail the test."""
+    x = float(text)
+    if not 0.0 <= x <= TWO_PI:
+        raise ValueError(text)
+    return x
+
+
 Option = namedtuple("Option", "parse default help")
 
 OPTIONS = {
@@ -69,7 +78,8 @@ OPTIONS = {
     "k_max": Option(int, None, "eigenpairs per boundary family"),
     "timing": Option(_switch, False, "write wall times to timing.csv (not "
                                      "byte-reproducible)"),
-    "x_ref": Option(float, math.pi / 3.0, "anchor point of beta"),
+    "x_ref": Option(_point, math.pi / 3.0, "anchor point of beta, in "
+                                           "[0, 2*pi]"),
     "out": Option(str, "slzeros_out", "output directory"),
 }
 
@@ -117,7 +127,14 @@ def _load_file_layer(path, subcommand):
     layer = {}
     if path.endswith(".json"):
         with open(path) as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:
+                raise UsageError("cannot parse config %s: %s" % (path, exc))
+        if not (isinstance(manifest, dict)
+                and isinstance(manifest.get("config", {}), dict)):
+            raise UsageError("cannot parse config %s: a manifest and its "
+                             "config must be JSON objects" % path)
         if manifest.get("subcommand") != subcommand:
             raise UsageError(
                 "manifest %s is for subcommand %r, not %r"
@@ -254,6 +271,7 @@ def cmd_diagnose(cfg):
     if k_max < n_max:
         raise PreconditionError("k_max=%d is smaller than max(n_list)=%d"
                                 % (k_max, n_max))
+    check_covariance_draws(cfg["replicates"])
     basis_pair = build_basis_pair(weight, k_max)
     rows = []
     for n in cfg["n_list"]:

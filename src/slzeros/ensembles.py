@@ -8,7 +8,9 @@ pair of standard Gaussian coefficient vectors (a, b):
 * X_n — half-frequency trigonometric sum in the variable Omega(x),
 * X_n_raw — X_n / sqrt(omega) (the unweighted comparison process),
 * T_n / C_n — classic stationary trigonometric polynomials,
-* perturbed — T_n with per-frequency perturbation terms.
+* perturbed — T_n with cos(kx), sin(kx) perturbed by the fixed family
+  eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k), so that
+  |eps_k| <= 1/(2k) and |eps_k'| <= 1, and the same for eta_k.
 
 Coefficients come from a counter-based generator keyed by
 (master_seed, n, replicate_id, stream), so draws are reproducible and
@@ -20,8 +22,9 @@ slopes for one draw or a whole matrix of draws.  Eigenfunction sums
 take their stored (psi, psi') samples as rows on the storage grid and
 interpolate them with a cubic Hermite rule elsewhere; the trigonometric
 kinds are cosine/sine rows in closed form, whose slopes follow from the
-same rows.  RandomProcess, the harness's grid samples and the
-second-order diagnostics all read this one table.
+same rows; perturbed adds its family, itself cosine/sine rows, to T_n's
+and stores the slopes.  RandomProcess, the harness's grid samples and
+the second-order diagnostics all read this one table.
 """
 
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .weights import TWO_PI, default_grid, omega_map
+from .weights import default_grid, omega_map
 
 KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "T_n", "C_n", "perturbed")
 
@@ -69,55 +72,6 @@ def sample_coefficients(master_seed, n, replicate_id):
     return CoefficientDraw(master_seed=int(master_seed), n=n,
                            replicate_id=int(replicate_id),
                            a=stream(0), b=stream(1), seed=seed)
-
-
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """Per-frequency perturbations (eps_k, eta_k) with their declared
-    bound constants: |eps_k| <= c0/k and |d/dx eps_k| <= c1, same for
-    eta_k.  The closures take (k, x) and must broadcast."""
-
-    name: str
-    eps: object
-    eta: object
-    deps: object
-    deta: object
-    c0: float = 0.5
-    c1: float = 1.0
-
-
-def default_perturbation():
-    """eps_k(x) = sin((k+1)x)/(2k), eta_k(x) = cos((k+1)x)/(2k):
-    smooth, oscillatory, with |eps_k| <= 1/(2k) and |eps_k'| <= 1."""
-    return PerturbationFamily(
-        name="default",
-        eps=lambda k, x: np.sin((k + 1) * x) / (2.0 * k),
-        eta=lambda k, x: np.cos((k + 1) * x) / (2.0 * k),
-        deps=lambda k, x: (k + 1) * np.cos((k + 1) * x) / (2.0 * k),
-        deta=lambda k, x: -(k + 1) * np.sin((k + 1) * x) / (2.0 * k),
-    )
-
-
-def verify_perturbation(family, n):
-    """Check the declared bounds by sampling; raises a precondition
-    error with a bound report naming the first offending (k, bound)."""
-    x = np.linspace(0.0, TWO_PI, 257)
-    k = np.arange(1, n + 1, dtype=float)[:, None]
-    checks = (
-        ("|eps_k|", np.abs(family.eps(k, x[None, :])), family.c0 / k),
-        ("|eta_k|", np.abs(family.eta(k, x[None, :])), family.c0 / k),
-        ("|eps_k'|", np.abs(family.deps(k, x[None, :])), np.full_like(k, family.c1)),
-        ("|eta_k'|", np.abs(family.deta(k, x[None, :])), np.full_like(k, family.c1)),
-    )
-    slack = 1e-12
-    for label, got, allowed in checks:
-        bad = got > allowed + slack
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise PreconditionError(
-                "perturbation %r violates its bound: %s = %.6g at k=%d, "
-                "x=%.6f exceeds %.6g"
-                % (family.name, label, got[i, j], i + 1, x[j], allowed[i, 0]))
 
 
 def _hermite_weights(x, h, n_cells):
@@ -180,8 +134,8 @@ def _trig_rows(freq, phase, **fields):
     return ProcessRows(np.cos(ph), np.sin(ph), freq=freq, **fields)
 
 
-def process_rows(kind, n, x=None, weight=None, basis_pair=None,
-                 perturbation=None, grid=None, deriv=True):
+def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
+                 deriv=True):
     """The table of process kinds: `kind` at the points x as rows.
 
     x=None means the points of `grid`; there the eigenfunction kinds
@@ -224,22 +178,23 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None,
     if kind == "C_n":
         return _trig_rows(k, x, uses_b=False)
     if kind == "perturbed":
-        # cos(kx) + eps_k(x) and sin(kx) + eta_k(x), with stored slopes
-        # built in place, so that fewer n x len(x) temporaries are live
-        fam = perturbation
-        kc, xr = k[:, None], x[None, :]
-        ph = kc * xr
-        c, s = np.cos(ph), np.sin(ph)
+        # cos(kx) + eps_k(x) and sin(kx) + eta_k(x) for the fixed family
+        # eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k): the rows of
+        # frequencies 1..n+1 once, rows 2..n+1 reused for eps_k and eta_k
+        kc = k[:, None]
+        ph = np.arange(1, n + 2, dtype=float)[:, None] * x[None, :]
+        cos_all, sin_all = np.cos(ph), np.sin(ph)
         del ph
+        c, s, c1, s1 = cos_all[:n], sin_all[:n], cos_all[1:], sin_all[1:]
         da = db = None
         if deriv:
             db = kc * c
-            db += fam.deta(kc, xr)
+            db += -(kc + 1) * s1 / (2.0 * kc)
             da = (-kc) * s
-            da += fam.deps(kc, xr)
-        c += fam.eps(kc, xr)
-        s += fam.eta(kc, xr)
-        return ProcessRows(c, s, da, db)
+            da += (kc + 1) * c1 / (2.0 * kc)
+        ra = c + s1 / (2.0 * kc)
+        s += c1 / (2.0 * kc)  # in place only after ra: s and s1 share rows
+        return ProcessRows(ra, s, da, db)
     raise DomainError("unknown process kind %r (choose from %s)"
                       % (kind, ", ".join(KINDS)))
 
@@ -310,20 +265,17 @@ class RandomProcess(_RowsProcess):
     vectorized and deterministic given the fields.
     """
 
-    def __init__(self, kind, n, draw, weight=None, basis=None,
-                 perturbation=None, grid=None):
+    def __init__(self, kind, n, draw, weight=None, basis=None, grid=None):
         super().__init__(draw, n)
         self.kind = kind
         self.weight = weight
         self.basis = basis
-        self.perturbation = perturbation
         self.grid = grid if grid is not None else default_grid()
 
     def rows(self, x, deriv=True):
         """This process at the points x as rows (see process_rows)."""
         return process_rows(self.kind, self.n, x, weight=self.weight,
-                            basis_pair=self.basis,
-                            perturbation=self.perturbation, grid=self.grid,
+                            basis_pair=self.basis, grid=self.grid,
                             deriv=deriv)
 
     def omega(self, x):
@@ -339,8 +291,7 @@ class RandomProcess(_RowsProcess):
         return _HalfFreqPoly(self.draw, self.n)
 
 
-def build_process(kind, n, draw, weight=None, basis_pair=None,
-                  perturbation=None, grid=None):
+def build_process(kind, n, draw, weight=None, basis_pair=None, grid=None):
     """Construct a RandomProcess, checking the preconditions of the
     requested kind."""
     if kind not in KINDS:
@@ -367,12 +318,7 @@ def build_process(kind, n, draw, weight=None, basis_pair=None,
         grid = bc_c.grid
     if kind in ("X_n", "X_n_raw", "f_n") and weight is None:
         raise PreconditionError("kind %r needs a weight" % kind)
-    pert = None
-    if kind == "perturbed":
-        pert = perturbation if perturbation is not None else default_perturbation()
-        verify_perturbation(pert, n)
-    return RandomProcess(kind, n, draw, weight=weight, basis=basis,
-                         perturbation=pert, grid=grid)
+    return RandomProcess(kind, n, draw, weight=weight, basis=basis, grid=grid)
 
 
 def _expect_kind(proc, kind):

@@ -12,8 +12,10 @@ ids, so results are bit-identical no matter how many workers run them
 (SLZEROS_THREADS, default 1).  ExperimentConfig refuses at
 construction what a run could not do (a negative seed, too few
 replicates, frequencies the storage grid cannot resolve); the
-perturbed kind always uses ensembles.default_perturbation, whose
-bounds |eps_k| <= 1/(2k) and |eps_k'| <= 1 hold for every n.
+perturbed kind is T_n perturbed by the fixed family of
+ensembles.process_rows, eps_k = sin((k+1)x)/(2k) and
+eta_k = cos((k+1)x)/(2k), whose bounds |eps_k| <= 1/(2k) and
+|eps_k'| <= 1 hold for every n.
 
 summarize() reduces persisted records to per-n statistics: mean count,
 var/n with a log-scale normal-theory confidence interval, skewness and
@@ -43,10 +45,9 @@ import numpy as np
 from scipy.special import erfc
 
 from .eigen import BoundaryCondition, eigen_solve
-from .ensembles import (combine, default_perturbation, process_rows,
-                        sample_coefficients)
+from .ensembles import combine, process_rows, sample_coefficients
 from .errors import DomainError, PreconditionError
-from .kernels import r_n_closed
+from .kernels import covariance_X, r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
                       omega_map)
 # count_zeros, the one-process front of count_hermite_zeros, is not
@@ -205,9 +206,7 @@ class _NContext:
         self.h = grid.h
         self.root = 1.0 / math.sqrt(n)
         self.rows = {kind: process_rows(kind, n, weight=weight,
-                                        basis_pair=basis_pair,
-                                        perturbation=default_perturbation(),
-                                        grid=grid)
+                                        basis_pair=basis_pair, grid=grid)
                      for kind in self.kinds}
 
     def samples(self, A, B, kind):
@@ -604,6 +603,12 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
         delta_sup=float(np.max(delta)), beta_sup=float(np.max(np.abs(beta))))
 
 
+def check_covariance_draws(m):
+    """covariance_check's precondition on its number of draws m."""
+    if m < 1000:
+        raise PreconditionError("need at least 1000 draws, got %d" % m)
+
+
 def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
                      master_seed=20260819, grid=None):
     """Empirical spot check of the closed-form covariances.
@@ -614,8 +619,7 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     empirical variance of f_n is checked against 1 at the same points.
     Returns a dict with the max absolute errors and the raw tables.
     """
-    if m < 1000:
-        raise PreconditionError("need at least 1000 draws, got %d" % m)
+    check_covariance_draws(m)
     grid = grid if grid is not None else default_grid()
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
@@ -629,7 +633,6 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     A /= math.sqrt(n)
     B /= math.sqrt(n)
 
-    omap = omega_map(weight, grid)
     vals_x, _ = combine(process_rows("X_n", n, xs, weight=weight, grid=grid,
                                      deriv=False), A, B, deriv=False)
 
@@ -638,8 +641,8 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     for i in range(n_pairs):
         a, b = vals_x[:, 2 * i], vals_x[:, 2 * i + 1]
         cov_emp[i] = float(np.cov(a, b, ddof=1)[0, 1])
-        t = (omap.forward(xs[2 * i]) - omap.forward(xs[2 * i + 1])) / 2.0
-        cov_exact[i] = float(r_n_closed(n, t)[0])
+        cov_exact[i] = covariance_X(n, weight, xs[2 * i], xs[2 * i + 1],
+                                    grid)
     out = {
         "x_pairs": xs.reshape(n_pairs, 2),
         "cov_empirical": cov_emp,

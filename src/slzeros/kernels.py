@@ -87,25 +87,6 @@ def r_n_closed(n, t):
     return r, r1, r2
 
 
-@dataclass(frozen=True)
-class StationaryKernel:
-    """r_n with derivatives as callables."""
-
-    n: int
-    eval: object
-    d1: object
-    d2: object
-
-
-def stationary_kernel(n):
-    return StationaryKernel(
-        n=int(n),
-        eval=lambda t, n=n: r_n_closed(n, t)[0],
-        d1=lambda t, n=n: r_n_closed(n, t)[1],
-        d2=lambda t, n=n: r_n_closed(n, t)[2],
-    )
-
-
 def covariance_X(n, weight, x, y, grid=None):
     """Covariance of the weighted comparison process at (x, y):
     r_n((Omega(x) - Omega(y))/2)."""

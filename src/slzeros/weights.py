@@ -159,9 +159,9 @@ class OmegaMap:
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
-        if np.any(xs < -1e-12) or np.any(xs > TWO_PI + 1e-12):
-            bad = xs[(xs < -1e-12) | (xs > TWO_PI + 1e-12)][0]
-            raise DomainError("Omega: x=%r outside [0, 2*pi]" % (bad,))
+        bad = ~((xs >= -1e-12) & (xs <= TWO_PI + 1e-12))  # NaN is bad too
+        if np.any(bad):
+            raise DomainError("Omega: x=%r outside [0, 2*pi]" % (xs[bad][0],))
         xs = np.clip(xs, 0.0, TWO_PI)
         idx = np.minimum((xs / self.grid.h).astype(int), self.grid.n_cells - 1)
         a = self.grid.points[idx]
@@ -173,9 +173,10 @@ class OmegaMap:
         ys = np.asarray(y, dtype=float)
         scalar = ys.ndim == 0
         ys = np.atleast_1d(ys)
-        if np.any(ys < -1e-10) or np.any(ys > self.total + 1e-10):
-            bad = ys[(ys < -1e-10) | (ys > self.total + 1e-10)][0]
-            raise DomainError("Omega^-1: y=%r outside [0, %r]" % (bad, self.total))
+        bad = ~((ys >= -1e-10) & (ys <= self.total + 1e-10))  # NaN is bad too
+        if np.any(bad):
+            raise DomainError("Omega^-1: y=%r outside [0, %r]"
+                              % (ys[bad][0], self.total))
         ys = np.clip(ys, 0.0, self.total)
         idx = np.clip(np.searchsorted(self.table, ys, side="right") - 1,
                       0, self.grid.n_cells - 1)

@@ -192,6 +192,9 @@ def test_k_max_below_largest_n(tmp_path, capsys):
     ["diagnose", "--weight", "unit", "--n-list", "1,4"],
     ["diagnose", "--weight", "unit", "--n-list", "4", "--seed", "-1"],
     ["simulate", "--config", "replicates_2.5.json"],
+    ["diagnose", "--weight", "unit", "--n-list", "4", "--x-ref", "nan"],
+    ["diagnose", "--weight", "unit", "--n-list", "4", "--x-ref", "7"],
+    ["diagnose", "--weight", "unit", "--n-list", "4", "--replicates", "10"],
 ])
 def test_refused_run_leaves_no_manifest(argv, tmp_path, monkeypatch, capsys):
     # run in tmp_path, where the manifest case finds its file
@@ -207,14 +210,23 @@ def test_refused_run_leaves_no_manifest(argv, tmp_path, monkeypatch, capsys):
     ({"pert_c0": 0.5}, "unknown config key 'pert_c0'"),
     ({"replicates": 2.5}, "bad value for replicates: 2.5"),
     ({"seed": -1}, "bad value for seed"),
+    # a string is the manifest file's whole text
+    pytest.param('{"subcommand": "robustness", "config": ',
+                 "cannot parse config", id="truncated"),
+    pytest.param('["robustness", {}]', "cannot parse config", id="list"),
+    pytest.param([], "cannot parse config", id="config-list"),
 ])
 def test_manifest_value_refused_by_name(config, message, tmp_path, capsys):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"subcommand": "robustness", "config": config}))
+    path.write_text(config if isinstance(config, str) else json.dumps(
+        {"subcommand": "robustness", "config": config}))
     rc = _run(["robustness", "--config", str(path),
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):

@@ -1,16 +1,15 @@
-"""Coefficient draws, perturbation bounds, process construction and algebra."""
+"""Coefficient draws, the perturbed rows' bounds, process construction and algebra."""
 
 import math
 
 import numpy as np
 import pytest
 
-from slzeros import (BoundaryCondition, DomainError, PerturbationFamily,
-                     PreconditionError, build_process, default_perturbation,
-                     eigen_solve, eval_epsilon, eval_epsilon_sup,
-                     sample_coefficients, verify_perturbation)
-from slzeros.ensembles import hermite_rows
-from slzeros.weights import TWO_PI, Grid, builtin_weights, omega_cumulative
+from slzeros import (BoundaryCondition, DomainError, PreconditionError,
+                     build_process, eigen_solve, eval_epsilon,
+                     eval_epsilon_sup, sample_coefficients)
+from slzeros.ensembles import hermite_rows, process_rows
+from slzeros.weights import TWO_PI, Grid, default_grid, omega_cumulative
 
 SEED = 777
 
@@ -61,38 +60,22 @@ def test_sample_coefficients_validation():
 
 
 # ----------------------------------------------------------------------
-# perturbation families
+# the perturbed rows
 
 
 def test_default_perturbation_satisfies_bounds():
-    # 510 is the largest n the storage grid resolves for the perturbed kind
-    verify_perturbation(default_perturbation(), 510)
-
-
-def test_perturbation_violation_is_named():
-    too_big = PerturbationFamily(
-        name="loud",
-        eps=lambda k, x: np.broadcast_to(0.9 / k, np.broadcast_shapes(
-            np.shape(k), np.shape(x))).copy(),
-        eta=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        deps=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        deta=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        c0=0.5, c1=1.0)
-    with pytest.raises(PreconditionError, match=r"violates its bound.*exceeds"):
-        verify_perturbation(too_big, 10)
-
-
-def test_perturbation_derivative_bound_checked():
-    steep = PerturbationFamily(
-        name="steep",
-        eps=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        eta=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        deps=lambda k, x: np.broadcast_to(2.0, np.broadcast_shapes(
-            np.shape(k), np.shape(x))).copy(),
-        deta=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        c0=0.5, c1=1.0)
-    with pytest.raises(PreconditionError, match=r"\|eps_k'\|"):
-        verify_perturbation(steep, 3)
+    # 510 is the largest n the storage grid resolves for the perturbed kind;
+    # the family keeps |eps_k|, |eta_k| <= 1/(2k) and their slopes within 1
+    n = 510
+    rows = process_rows("perturbed", n, grid=default_grid())
+    x = default_grid().points[None, :]
+    k = np.arange(1, n + 1, dtype=float)[:, None]
+    c, s = np.cos(k * x), np.sin(k * x)
+    slack = 1e-12
+    assert np.all(np.abs(rows.ra - c) <= 1.0 / (2.0 * k) + slack)
+    assert np.all(np.abs(rows.rb - s) <= 1.0 / (2.0 * k) + slack)
+    assert np.all(np.abs(rows.da + k * s) <= 1.0 + slack)
+    assert np.all(np.abs(rows.db - k * c) <= 1.0 + slack)
 
 
 # ----------------------------------------------------------------------
@@ -149,20 +132,6 @@ def test_build_process_rejects_mismatched_grids(unit_weight, unit_basis):
         build_process("f_n", 3, draw, basis_pair=(unit_basis[0], small))
 
 
-def test_perturbed_build_verifies_family():
-    draw = sample_coefficients(SEED, 5, 0)
-    bad = PerturbationFamily(
-        name="bad",
-        eps=lambda k, x: np.broadcast_to(10.0, np.broadcast_shapes(
-            np.shape(k), np.shape(x))).copy(),
-        eta=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        deps=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        deta=lambda k, x: np.zeros(np.broadcast_shapes(np.shape(k), np.shape(x))),
-        c0=0.5, c1=1.0)
-    with pytest.raises(PreconditionError):
-        build_process("perturbed", 5, draw, perturbation=bad)
-
-
 # ----------------------------------------------------------------------
 # process values: closed-form cross-checks
 
@@ -187,15 +156,19 @@ def test_trig_processes_match_direct_sums():
 def test_perturbed_process_is_trig_plus_perturbation():
     n = 7
     draw = sample_coefficients(SEED, n, 1)
-    fam = default_perturbation()
-    pert = build_process("perturbed", n, draw, perturbation=fam)
+    pert = build_process("perturbed", n, draw)
     plain = build_process("T_n", n, draw)
     x = np.linspace(0.1, 6.1, 17)
-    k = np.arange(1, n + 1, dtype=float)[None, :]
-    extra = (fam.eps(k, x[:, None]) @ draw.a
-             + fam.eta(k, x[:, None]) @ draw.b) / math.sqrt(n)
+    k = np.arange(1, n + 1, dtype=float)
+    a, b = draw.a / math.sqrt(n), draw.b / math.sqrt(n)
+    # eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k) and their slopes
+    c1, s1 = np.cos(np.outer(x, k + 1)), np.sin(np.outer(x, k + 1))
+    extra = s1 @ (a / (2 * k)) + c1 @ (b / (2 * k))
+    dextra = c1 @ (a * (k + 1) / (2 * k)) - s1 @ (b * (k + 1) / (2 * k))
     np.testing.assert_allclose(pert.value(x),
                                plain.value(x) + extra, atol=1e-12)
+    np.testing.assert_allclose(pert.deriv(x),
+                               plain.deriv(x) + dextra, atol=1e-11)
 
 
 def test_X_process_agrees_with_stationary_pullback(sine2_weight):

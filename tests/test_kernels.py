@@ -9,8 +9,7 @@ import pytest
 from slzeros import (DomainError, InvariantViolation, PreconditionError,
                      ProcessSecondOrder, covariance_X, expected_count_closed,
                      kac_rice_expected, r_n_closed, second_order_empirical,
-                     second_order_exact, second_order_stationary,
-                     stationary_kernel)
+                     second_order_exact, second_order_stationary)
 from slzeros.weights import TWO_PI, builtin_weights, omega_cumulative
 
 
@@ -80,14 +79,6 @@ def test_kernel_rejects_bad_order():
         r_n_closed(0, 0.1)
     with pytest.raises(DomainError):
         r_n_closed(2.5, 0.1)
-
-
-def test_stationary_kernel_wraps_closed_form():
-    kern = stationary_kernel(6)
-    assert kern.n == 6
-    t = 0.77
-    np.testing.assert_allclose(
-        (kern.eval(t), kern.d1(t), kern.d2(t)), r_n_closed(6, t), rtol=1e-15)
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,11 @@ def test_omega_map_rejects_out_of_range():
         m.forward(TWO_PI + 0.5)
     with pytest.raises(DomainError):
         m.inverse(TWO_PI + 0.5)
+    # NaN fails the range tests too, rather than reaching the cell index
+    with pytest.raises(DomainError):
+        m.forward(math.nan)
+    with pytest.raises(DomainError):
+        m.inverse(np.array([1.0, math.nan]))
 
 
 @settings(max_examples=25, deadline=None)
