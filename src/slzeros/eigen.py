@@ -12,8 +12,10 @@ attached to the weight.  The solver works entirely in the phase frame:
 it propagates (g, g') across the image cells [Omega(x_j), Omega(x_{j+1})]
 with the exact transfer matrix of a piecewise-constant approximation of
 Q (midpoint value per cell), root-finds the boundary residual in lambda
-inside asymptotic brackets (scanning upward so no eigenvalue can be
-skipped), and then pulls the samples back to the x grid:
+inside asymptotic brackets (scanning upward from the previous root so no
+eigenvalue can be skipped, and evaluating no scan node below the Sturm
+comparison bound j^2/4 + min Q but the last), and then pulls the samples
+back to the x grid:
 
     psi  = omega^{-1/2} g(Omega(x)),
     psi' = omega^{1/2} g'(Omega(x)) - (omega'/(2 omega^{3/2})) g(Omega(x)).
@@ -118,10 +120,15 @@ def _transfer_chain(lam, qbar, h):
     z = (lam - qbar) * h * h
     rt = np.sqrt(np.abs(z))
     pos = z >= 0.0
-    a = np.where(pos, np.cos(rt), np.cosh(rt))
-    # sin(rt)/rt resp. sinh(rt)/rt, both -> 1 as rt -> 0
-    rts = np.where(rt > 1e-12, rt, 1.0)
-    s = np.where(pos, np.sinc(rt / np.pi), np.sinh(rts) / rts)
+    if pos.all():
+        # every cell oscillates: the cosh/sinh branch would be discarded
+        a = np.cos(rt)
+        s = np.sinc(rt / np.pi)
+    else:
+        a = np.where(pos, np.cos(rt), np.cosh(rt))
+        # sin(rt)/rt resp. sinh(rt)/rt, both -> 1 as rt -> 0
+        rts = np.where(rt > 1e-12, rt, 1.0)
+        s = np.where(pos, np.sinc(rt / np.pi), np.sinh(rts) / rts)
     b = h * s
     c = -(z / h) * s
     # both diagonal entries equal a; the chain ops never mutate inputs
@@ -188,7 +195,6 @@ class _Propagator:
         self.qbar = np.asarray(q.eval(omap.inverse(ymid)), dtype=float)
         ends = np.asarray(q.eval(np.array([0.0, TWO_PI])), dtype=float)
         self.q_min = float(min(np.min(self.qbar), np.min(ends)))
-        self.q_sup = float(max(np.max(np.abs(self.qbar)), np.max(np.abs(ends))))
 
     def residual(self, lam, bc):
         a, b, c, d = _transfer_chain(lam, self.qbar, self.hy)
@@ -263,10 +269,19 @@ def eigen_solve(weight, bc, k_max, grid=None):
     """First k_max eigenpairs of psi'' = -lambda omega^2 psi for the
     given weight, ordered, normalized to integral psi^2 omega dx = pi.
 
-    Scans lambda upward from below the spectrum, brackets each root of
-    the boundary residual, refines it to |dlambda| <= 1e-10*max(1,lambda),
-    and verifies the Sturm oscillation count of every eigenfunction.
-    A k_max that the grid cannot resolve is refused (check_resolution).
+    Scans lambda upward from just above the previous root, brackets each
+    root of the boundary residual, refines it to
+    |dlambda| <= 1e-10*max(1,lambda), and verifies the Sturm oscillation
+    count of every eigenfunction.  A k_max that the grid cannot resolve
+    is refused (check_resolution).
+
+    Two shortcuts leave every bracket, and so every bit, as the full scan
+    has it.  Sturm comparison with the constant potential min Q gives
+    lambda_j >= j^2/4 + min Q for the piecewise-constant Q the solver
+    integrates, so no scan node below that bound is evaluated but the
+    last, which stands in for the scan's start.  And brentq gets the
+    residuals at the bracket ends from the scan instead of evaluating
+    them again.
     """
     if k_max < 1 or int(k_max) != k_max:
         raise PreconditionError("k_max must be a positive integer, got %r" % (k_max,))
@@ -298,12 +313,23 @@ def eigen_solve(weight, bc, k_max, grid=None):
     for j in range(j_first, k_max + 1):
         guess = 0.25 * j * j + q_shift
         gap = max(0.25 * (2 * j + 1), 0.5)
+        # lambda_j >= j^2/4 + q_min (Sturm comparison).  A constant Q
+        # attains it, and that close to a root rounding sets the residual's
+        # sign, so keep the relative slack that lo keeps above lambda_{j-1}
+        bound = 0.25 * j * j + prop.q_min
+        bound -= 1e-7 * max(1.0, abs(bound))
         lo = lam_prev + max(1e-7, 1e-7 * abs(lam_prev))
+        step = gap / 4.0
+        node = max(lo + step, guess - 2.0 * step)
+        if node < bound:
+            # the nodes below the bound share flo's sign: evaluate the last
+            while node + step < bound:
+                node += step
+            lo = node
         flo = prop.residual(lo, bc)
         if flo == 0.0:
             lo += 1e-7 * max(1.0, abs(lo))
             flo = prop.residual(lo, bc)
-        step = gap / 4.0
         x_hi = max(lo + step, guess - 2.0 * step)
         root_lo, root_hi = None, None
         for _ in range(200):
@@ -314,6 +340,7 @@ def eigen_solve(weight, bc, k_max, grid=None):
                 break
             if flo * f_hi < 0.0:
                 root_lo, root_hi = lo, x_hi
+                known = {root_lo: flo, root_hi: f_hi}
                 break
             lo, flo = x_hi, f_hi
             x_hi = lo + step
@@ -324,9 +351,11 @@ def eigen_solve(weight, bc, k_max, grid=None):
         if root_lo == root_hi:
             lam = root_lo
         else:
-            # brentq's bracket termination beats 1e-10*max(1, lambda)
-            lam = brentq(lambda z: prop.residual(z, bc), root_lo, root_hi,
-                         xtol=1e-13, rtol=1e-15, maxiter=200)
+            # brentq's bracket termination beats 1e-10*max(1, lambda); it
+            # opens with the two bracket ends, whose residuals the scan has
+            lam = brentq(
+                lambda z: known[z] if z in known else prop.residual(z, bc),
+                root_lo, root_hi, xtol=1e-13, rtol=1e-15, maxiter=200)
 
         g, dg = prop.recover(lam, bc)
         zeros = _interior_sign_changes(g)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from slzeros import (BoundaryCondition, DomainError, PreconditionError,
-                     asymptotic_deviation, asymptotic_eigenfunction,
-                     eigen_solve, normal_form_potential,
-                     normalize_eigenfunction, ode_residual,
-                     orthogonality_defect, prufer_phase, weight_to_potential)
+from slzeros import (BoundaryCondition, DomainError, Eigenpair,
+                     PreconditionError, asymptotic_deviation,
+                     asymptotic_eigenfunction, eigen_solve,
+                     normal_form_potential, normalize_eigenfunction,
+                     ode_residual, orthogonality_defect, prufer_phase,
+                     weight_to_potential)
+from slzeros.eigen import _chain_reduce, _chain_scan, _Propagator
 from slzeros.weights import TWO_PI, Grid, WeightFunction, builtin_weights
 
 C = BoundaryCondition.C
@@ -227,6 +230,114 @@ def test_eigen_solve_prefix_stable():
     large = eigen_solve(w, D, 9, grid=g)
     np.testing.assert_array_equal(large.eigenvalues[:5], small.eigenvalues)
     np.testing.assert_array_equal(large.funcs[:5], small.funcs)
+
+
+# ----------------------------------------------------------------------
+# the residual evaluations the scan skips or reuses change no bit
+
+
+def _oracle_chain(lam, qbar, h):
+    """Per-cell transfer matrices with both branches always evaluated."""
+    z = (lam - qbar) * h * h
+    rt = np.sqrt(np.abs(z))
+    pos = z >= 0.0
+    a = np.where(pos, np.cos(rt), np.cosh(rt))
+    rts = np.where(rt > 1e-12, rt, 1.0)
+    s = np.where(pos, np.sinc(rt / np.pi), np.sinh(rts) / rts)
+    return a, h * s, -(z / h) * s, a
+
+
+def _oracle_solve(weight, bc, k_max, grid):
+    """(eigenvalues, funcs, dfuncs) from a scan that evaluates the
+    residual at every node upward from just above the previous root and
+    lets brentq evaluate its bracket ends again."""
+    prop = _Propagator(weight, grid)
+
+    def residual(lam):
+        _, tb, tc, _ = _chain_reduce(*_oracle_chain(lam, prop.qbar, prop.hy))
+        return tb if bc is D else tc
+
+    q_shift = float(np.sum(prop.qbar * prop.hy) / TWO_PI)
+    lam_prev = prop.q_min - 1.0
+    lambdas = []
+    for j in range(1 if bc is D else 0, k_max + 1):
+        guess = 0.25 * j * j + q_shift
+        step = max(0.25 * (2 * j + 1), 0.5) / 4.0
+        lo = lam_prev + max(1e-7, 1e-7 * abs(lam_prev))
+        flo = residual(lo)
+        if flo == 0.0:
+            lo += 1e-7 * max(1.0, abs(lo))
+            flo = residual(lo)
+        x_hi = max(lo + step, guess - 2.0 * step)
+        lam = None
+        for _ in range(200):
+            f_hi = residual(x_hi)
+            if f_hi == 0.0:
+                lam = x_hi
+                break
+            if flo * f_hi < 0.0:
+                lam = brentq(residual, lo, x_hi, xtol=1e-13, rtol=1e-15,
+                             maxiter=200)
+                break
+            lo, flo = x_hi, f_hi
+            x_hi = lo + step
+        assert lam is not None, (bc, j)
+        lambdas.append(lam)
+        lam_prev = lam
+    lambdas = lambdas[-k_max:]
+
+    x = grid.points
+    om = np.asarray(weight.eval(x), dtype=float)
+    rtw = np.sqrt(om)
+    pull_d = np.asarray(weight.deriv1(x), dtype=float) / (2.0 * om * rtw)
+    funcs, dfuncs = [], []
+    for k, lam in enumerate(lambdas, start=1):
+        pa, pb, pc, pd = _chain_scan(*_oracle_chain(lam, prop.qbar, prop.hy))
+        if bc is D:
+            g, dg = np.concatenate(([0.0], pb)), np.concatenate(([1.0], pd))
+        else:
+            g, dg = np.concatenate(([1.0], pa)), np.concatenate(([0.0], pc))
+        pair = normalize_eigenfunction(
+            Eigenpair(index=k, eigenvalue=float(lam), func=g / rtw,
+                      dfunc=rtw * dg - pull_d * g), weight, grid, bc)
+        funcs.append(pair.func)
+        dfuncs.append(pair.dfunc)
+    return np.array(lambdas), np.array(funcs), np.array(dfuncs)
+
+
+@pytest.mark.parametrize("bc", [C, D])
+@pytest.mark.parametrize("name", ["sine2", "expcos", "unit"])
+def test_eigen_solve_bit_equal_to_full_scan_oracle(name, bc):
+    w = builtin_weights(name)
+    g = Grid.uniform(2049)
+    basis = eigen_solve(w, bc, 40, grid=g)
+    lambdas, funcs, dfuncs = _oracle_solve(w, bc, 40, g)
+    np.testing.assert_array_equal(basis.eigenvalues, lambdas)
+    np.testing.assert_array_equal(basis.funcs, funcs)
+    np.testing.assert_array_equal(basis.dfuncs, dfuncs)
+
+
+def test_eigen_solve_residual_evaluations(monkeypatch):
+    calls = []
+    residual = _Propagator.residual
+
+    def counted(self, lam, bc):
+        calls.append(lam)
+        return residual(self, lam, bc)
+
+    monkeypatch.setattr(_Propagator, "residual", counted)
+    for bc in (C, D):
+        calls.clear()
+        eigen_solve(builtin_weights("sine2"), bc, 100)
+        assert len(calls) / 100 <= 7.0, (bc, len(calls))
+
+
+def test_eigenvalues_respect_sturm_bound(sine2_basis, sine2_weight):
+    # the premise of the scan's skip: lambda_k >= k^2/4 + min qbar
+    q_min = np.min(_Propagator(sine2_weight, sine2_basis[0].grid).qbar)
+    for basis in sine2_basis:
+        k = np.arange(1, basis.k_max + 1)
+        assert np.all(basis.eigenvalues >= 0.25 * k ** 2 + q_min)
 
 
 def test_basis_rows_alias_pairs(sine2_basis):
