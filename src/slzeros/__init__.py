@@ -12,7 +12,8 @@ from .eigen import (BoundaryCondition, EigenBasis, Eigenpair,
                     eigen_solve, normalize_eigenfunction, ode_residual,
                     orthogonality_defect, prufer_phase)
 from .ensembles import (CoefficientDraw, RandomProcess, build_process,
-                        eval_epsilon, eval_epsilon_sup, sample_coefficients)
+                        eval_epsilon, eval_epsilon_sup,
+                        sample_coefficient_block, sample_coefficients)
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, SlzerosError, UsageError)
 from .harness import (ExperimentConfig, GapDiagnostics, ReplicateRecord,

@@ -14,7 +14,16 @@ pair of standard Gaussian coefficient vectors (a, b):
 
 Coefficients come from a counter-based generator keyed by
 (master_seed, n, replicate_id, stream), so draws are reproducible and
-independent of evaluation or scheduling order.
+independent of evaluation or scheduling order: a and b are the standard
+normals of numpy's Philox seeded by SeedSequence(master_seed,
+spawn_key=(n, replicate_id, stream)) for streams 0 and 1.
+sample_coefficient_block() derives those keys for a block of ids in one
+pass: numpy's SeedSequence(master_seed, spawn_key=(n,)) mixes the words
+the block shares, the id and stream words are mixed into its pool for
+every id at once in uint32 arithmetic (SeedSequence's own hash, whose
+constant has advanced 16 + 4*(L - 4) times over those L words), and one
+Philox is re-keyed with counter 0 for each row.  sample_coefficients()
+is its one-id case, so a block and single draws give the same bits.
 
 Each kind is defined once, in process_rows(): the kind at points x as
 row matrices (ProcessRows), which combine() turns into values and
@@ -28,6 +37,7 @@ the second-order diagnostics all read this one table.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,26 +62,138 @@ class CoefficientDraw:
                 and self.replicate_id == other.replicate_id)
 
 
-def sample_coefficients(master_seed, n, replicate_id):
-    """2n standard Gaussians from a counter-based derivation of
-    (master_seed, n, replicate_id); streams 0/1 feed a/b."""
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_ID_LIMIT = 2 ** 32  # a replicate id is one 32-bit word of the key
+_KEY_BLOCK = 256  # ids whose keys sample_coefficient_block holds at once
+
+
+def _hash_constants(hash_const, mult, count):
+    """The next `count` steps of a hash constant: the (count, 1) uint32
+    values hashmix xors with and multiplies by, and the constant after."""
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        mults.append(hash_const)
+    return (np.array(xors, dtype=np.uint32)[:, None],
+            np.array(mults, dtype=np.uint32)[:, None], hash_const)
+
+
+def _hash(words, xors, mults):
+    h = words ^ xors
+    h *= mults
+    h ^= h >> 16
+    return h
+
+
+def _mix_word(pool, word, hash_const):
+    """SeedSequence.mix_entropy for one entropy word past the pool size,
+    for pools (..., 4, m) of m sequences at once: the mixed pools and
+    the advanced hash constant."""
+    xors, mults, hash_const = _hash_constants(hash_const, _MULT_A, _POOL_SIZE)
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(word, xors, mults)
+    mixed ^= mixed >> 16
+    return mixed, hash_const
+
+
+_STATE_XORS, _STATE_MULTS, _ = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
+
+
+def _uint64_state(pool, count):
+    """SeedSequence.generate_state(count, np.uint64) for pools (..., 4, m),
+    count <= 2: a (..., count, m) uint64 array."""
+    w = _hash(pool[..., :2 * count, :], _STATE_XORS[:2 * count],
+              _STATE_MULTS[:2 * count]).astype(np.uint64)
+    return w[..., 0::2, :] | (w[..., 1::2, :] << np.uint64(32))
+
+
+def _words(value):
+    """How many uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _non_negative_int(name, value):
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionError("%s must be an integer, got %r"
+                                % (name, value)) from None
+    if value < 0:
+        raise PreconditionError("%s must be non-negative, got %d"
+                                % (name, value))
+    return value
+
+
+def _id_words(ids):
+    """Replicate ids as the uint32 words SeedSequence makes of them."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise PreconditionError("replicate_ids must be a sequence of "
+                                "integers, got %r" % (ids,))
+    if ids.min() < 0 or ids.max() >= _ID_LIMIT:
+        raise PreconditionError("replicate_ids must lie in [0, 2**32)")
+    return ids.astype(np.uint32)
+
+
+def sample_coefficient_block(master_seed, n, replicate_ids):
+    """The draws of a block of replicate ids: (A, B, seeds), row i of the
+    (m, n) arrays A and B holding a and b of replicate_ids[i], and seeds
+    its uint64 record seed, the first uint64 of
+    SeedSequence(master_seed, spawn_key=(n, rid)).generate_state.  The
+    keys are derived as the module docstring says; every id must lie in
+    [0, 2**32)."""
     if n < 1 or int(n) != n:
         raise PreconditionError("n must be a positive integer, got %r" % (n,))
-    if master_seed < 0 or replicate_id < 0:
-        raise PreconditionError("master_seed and replicate_id must be non-negative")
+    master_seed = _non_negative_int("master_seed", master_seed)
     n = int(n)
+    m = len(replicate_ids)
 
-    def stream(tag):
-        ss = np.random.SeedSequence(entropy=int(master_seed),
-                                    spawn_key=(n, int(replicate_id), tag))
-        return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
+    prefix = np.random.SeedSequence(entropy=master_seed, spawn_key=(n,))
+    # mix_entropy advanced its hash constant 16 times over the first
+    # four words and 4 times per word after them
+    prefix_words = max(_POOL_SIZE, _words(master_seed)) + _words(n)
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * (prefix_words - _POOL_SIZE),
+                               _MASK32 + 1) & _MASK32
+    tags = np.arange(2, dtype=np.uint32)[:, None, None]  # streams 0 and 1
+    bitgen = np.random.Philox(prefix)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["state"]["counter"][:] = 0
+    out = (np.empty((m, n)), np.empty((m, n)))
+    seeds = np.empty(m, dtype=np.uint64)
+    for lo in range(0, m, _KEY_BLOCK):
+        # the ids and keys of _KEY_BLOCK draws at a time, so they never
+        # sit beside every row of a large block
+        block = _id_words(replicate_ids[lo:lo + _KEY_BLOCK])
+        pool, block_const = _mix_word(prefix.pool[:, None], block, hash_const)
+        seeds[lo:lo + block.size] = _uint64_state(pool, 1)[0]
+        streams, _ = _mix_word(pool, tags, block_const)
+        keys = _uint64_state(streams, 2).transpose(0, 2, 1).tolist()
+        for rows, stream_keys in zip(out, keys):
+            for row, key in zip(rows[lo:], stream_keys):
+                state["state"]["key"] = key
+                bitgen.state = state
+                gen.standard_normal(out=row)
+    return out[0], out[1], seeds
 
-    ss_rec = np.random.SeedSequence(entropy=int(master_seed),
-                                    spawn_key=(n, int(replicate_id)))
-    seed = int(ss_rec.generate_state(1, dtype=np.uint64)[0])
-    return CoefficientDraw(master_seed=int(master_seed), n=n,
-                           replicate_id=int(replicate_id),
-                           a=stream(0), b=stream(1), seed=seed)
+
+def sample_coefficients(master_seed, n, replicate_id):
+    """2n standard Gaussians from a counter-based derivation of
+    (master_seed, n, replicate_id); streams 0/1 feed a/b.  The one-id
+    case of sample_coefficient_block."""
+    replicate_id = _non_negative_int("replicate_id", replicate_id)
+    if replicate_id >= _ID_LIMIT:
+        raise PreconditionError("replicate_id must be below 2**32, got %d"
+                                % replicate_id)
+    A, B, seeds = sample_coefficient_block(master_seed, n, [replicate_id])
+    return CoefficientDraw(master_seed=operator.index(master_seed), n=int(n),
+                           replicate_id=replicate_id, a=A[0], b=B[0],
+                           seed=int(seeds[0]))
 
 
 def _hermite_weights(x, h, n_cells):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slzeros import (BoundaryCondition, DomainError, PreconditionError,
                      build_process, eigen_solve, eval_epsilon,
-                     eval_epsilon_sup, sample_coefficients)
+                     eval_epsilon_sup, sample_coefficient_block,
+                     sample_coefficients)
 from slzeros.ensembles import hermite_rows, process_rows
 from slzeros.weights import TWO_PI, Grid, default_grid, omega_cumulative
 
@@ -53,10 +56,93 @@ def test_sample_coefficients_validation():
         sample_coefficients(SEED, 0, 1)
     with pytest.raises(PreconditionError):
         sample_coefficients(SEED, 2.5, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="master_seed"):
         sample_coefficients(-1, 5, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="replicate_id"):
         sample_coefficients(SEED, 5, -1)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((7.9, 5, 2), "master_seed"), ((7, 5, 2.5), "replicate_id"),
+    ((7, 5, 2.0), "replicate_id"), ((7, 5, "2"), "replicate_id"),
+    ((7, 5, 2 ** 32), "replicate_id"),
+])
+def test_sample_coefficients_refuses_by_name(args, name):
+    # no int() truncation: 7.9 is not seed 7, 2.5 not replicate 2; an id
+    # is one 32-bit word of the key
+    with pytest.raises(PreconditionError, match=name):
+        sample_coefficients(*args)
+
+
+def test_sample_coefficients_accepts_numpy_integers():
+    d = sample_coefficients(np.int64(SEED), np.int32(12), np.uint32(3))
+    ref = sample_coefficients(SEED, 12, 3)
+    assert (d.master_seed, d.n, d.replicate_id) == (SEED, 12, 3)
+    assert type(d.master_seed) is int and type(d.replicate_id) is int
+    np.testing.assert_array_equal(d.a, ref.a)
+    np.testing.assert_array_equal(d.b, ref.b)
+    assert d.seed == ref.seed
+
+
+@pytest.mark.parametrize("ids", [[1.5], [0, -1], [2 ** 32], [[0, 1]]])
+def test_sample_coefficient_block_refuses_bad_ids(ids):
+    with pytest.raises(PreconditionError, match="replicate_ids"):
+        sample_coefficient_block(SEED, 5, ids)
+
+
+# the per-draw derivation the block kernel must reproduce bit for bit:
+# one SeedSequence and one Philox per stream, and the record seed from
+# spawn_key=(n, replicate_id)
+def _oracle_draw(master_seed, n, replicate_id):
+    def stream(tag):
+        ss = np.random.SeedSequence(entropy=master_seed,
+                                    spawn_key=(n, replicate_id, tag))
+        return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
+
+    ss_rec = np.random.SeedSequence(entropy=master_seed,
+                                    spawn_key=(n, replicate_id))
+    seed = int(ss_rec.generate_state(1, dtype=np.uint64)[0])
+    return stream(0), stream(1), seed
+
+
+def _assert_block_matches_oracle(master_seed, n, ids):
+    A, B, seeds = sample_coefficient_block(master_seed, n, ids)
+    assert A.shape == B.shape == (len(ids), n)
+    assert seeds.shape == (len(ids),)
+    for i, rid in enumerate(ids):
+        a, b, seed = _oracle_draw(master_seed, n, rid)
+        assert np.array_equal(A[i], a) and np.array_equal(B[i], b), rid
+        assert int(seeds[i]) == seed, rid
+
+
+ORACLE_SEEDS = (0, 7, 20260819, 2 ** 32, 2 ** 40 + 5, 2 ** 63 + 11,
+                2 ** 130 + 1)
+ORACLE_IDS = (0, 1, 63, 64, 29999, 2 ** 32 - 1)
+
+
+@pytest.mark.parametrize("master_seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("n", (1, 2, 13, 400))
+def test_draws_bit_equal_to_per_draw_oracle(master_seed, n):
+    _assert_block_matches_oracle(master_seed, n, ORACLE_IDS)
+    for rid in ORACLE_IDS:
+        d = sample_coefficients(master_seed, n, rid)
+        a, b, seed = _oracle_draw(master_seed, n, rid)
+        assert np.array_equal(d.a, a) and np.array_equal(d.b, b)
+        assert d.seed == seed
+
+
+def test_long_and_empty_blocks_bit_equal_to_oracle():
+    # a block spanning several key sub-blocks, as covariance_check draws
+    _assert_block_matches_oracle(20260819, 50, range(0, 1400, 2))
+    A, B, seeds = sample_coefficient_block(SEED, 3, [])
+    assert A.shape == B.shape == (0, 3) and seeds.shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(master_seed=st.integers(0, 2 ** 140), n=st.integers(1, 40),
+       ids=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6))
+def test_block_bit_equal_to_oracle_property(master_seed, n, ids):
+    _assert_block_matches_oracle(master_seed, n, ids)
 
 
 # ----------------------------------------------------------------------
