@@ -8,11 +8,9 @@ Kac-Rice oracles and seeded Monte Carlo experiments.
 """
 
 from .eigen import (BoundaryCondition, EigenBasis, Eigenpair,
-                    asymptotic_deviation, asymptotic_eigenfunction,
-                    eigen_solve, normalize_eigenfunction, ode_residual,
-                    orthogonality_defect, prufer_phase)
+                    asymptotic_deviation, eigen_solve, normalize_eigenfunction,
+                    ode_residual, orthogonality_defect)
 from .ensembles import (CoefficientDraw, RandomProcess, build_process,
-                        eval_epsilon, eval_epsilon_sup,
                         sample_coefficient_block, sample_coefficients)
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, SlzerosError, UsageError)
@@ -22,13 +20,12 @@ from .harness import (ExperimentConfig, GapDiagnostics, ReplicateRecord,
                       read_records, run_experiment, summarize,
                       sup_eps_diagnostic, write_records, write_summary)
 from .kernels import (ProcessSecondOrder, covariance_X, expected_count_closed,
-                      kac_rice_expected, r_n_closed, second_order_empirical,
-                      second_order_exact, second_order_stationary)
+                      kac_rice_expected, r_n_closed, second_order_exact,
+                      second_order_stationary)
 from .weights import (Grid, Potential, WeightFunction, builtin_weights,
-                      default_grid, normal_form_potential, normalize_weight,
-                      omega_cumulative, omega_inverse, weight_to_potential)
+                      default_grid, normalize_weight, weight_to_potential)
 from .zeros import (ZeroCountResult, count_hermite_zeros, count_zeros,
-                    count_zeros_changed_variable, standardize_count)
+                    count_zeros_changed_variable)
 
 __version__ = "0.1.0"
 

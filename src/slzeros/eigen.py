@@ -34,11 +34,6 @@ family C pins g'(0) = g'(2*pi) = 0 (zero slope of sqrt(omega) psi).
 Both families are indexed k = 1, 2, ... so that sqrt(lambda_k) ~ k/2;
 the C family's ground state (no interior zeros) sits below k = 1 and is
 discarded.
-
-`prufer_phase` integrates the classic phase ODE for the potential form
-with an adaptive Runge-Kutta method; fed the composed potential Q (see
-`normal_form_potential`) it is the independent cross-check for the
-transfer-matrix engine.
 """
 
 import math
@@ -46,10 +41,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import DomainError, InvariantViolation, NumericError, PreconditionError
+from .errors import InvariantViolation, NumericError, PreconditionError
 from .weights import (TWO_PI, Grid, check_resolution, default_grid, omega_map,
                       weight_to_potential)
 
@@ -83,34 +77,6 @@ class EigenBasis:
     @property
     def k_max(self):
         return len(self.pairs)
-
-
-def prufer_phase(q, lam, bc, rtol=1e-10):
-    """Terminal Prufer phase theta(2*pi; lambda) for the phase ODE
-
-        theta' = cos^2 theta + (lambda - q) sin^2 theta,
-
-    theta(0) = 0 for D and pi/2 for C.  Strictly increasing in lambda.
-
-    `q` is the potential of the equation being checked; to cross-check
-    `eigen_solve` for a non-unit weight, pass the composed potential
-    from `normal_form_potential`, since that is the equation the solver
-    integrates in the phase variable.
-    """
-    lam = float(lam)
-    theta0 = 0.0 if bc is BoundaryCondition.D else 0.5 * math.pi
-
-    def rhs(x, th):
-        s = math.sin(th[0])
-        c = math.cos(th[0])
-        return (c * c + (lam - float(q.eval(x))) * s * s,)
-
-    sol = solve_ivp(rhs, (0.0, TWO_PI), (theta0,), method="RK45",
-                    rtol=rtol, atol=1e-12)
-    if not sol.success:
-        raise NumericError("Prufer phase integration failed at lambda=%r: %s"
-                           % (lam, sol.message))
-    return float(sol.y[0, -1])
 
 
 def _transfer_chain(lam, qbar, h):
@@ -243,21 +209,16 @@ def _weighted_norm(psi, dpsi, weight, grid):
     return total - h * h / 12.0 * (fp1 - fp0)
 
 
-def normalize_eigenfunction(pair, weight, grid=None, bc=None):
-    """Scale so integral psi^2 omega dx = pi and fix the sign so the
-    leading asymptotic coefficient is +1 (psi(0) > 0 for family C,
-    psi'(0) > 0 for family D)."""
-    grid = grid if grid is not None else default_grid()
+def normalize_eigenfunction(pair, weight, grid, bc):
+    """Scale so integral psi^2 omega dx = pi on the grid and fix the
+    sign so the leading asymptotic coefficient is +1 (psi(0) > 0 for
+    family C, psi'(0) > 0 for family D)."""
     norm = _weighted_norm(pair.func, pair.dfunc, weight, grid)
     scale_ref = float(np.max(np.abs(pair.func)))
     if not (norm > 1e-28 * max(scale_ref, 1.0) ** 2):
         raise InvariantViolation("cannot normalize eigenfunction with zero norm "
                                  "(index %d, norm %r)" % (pair.index, norm))
     s = math.sqrt(math.pi / norm)
-    if bc is None:
-        # a D-family eigenfunction vanishes at 0; a C-family one does not
-        bc = (BoundaryCondition.D
-              if abs(pair.func[0]) < 1e-6 * scale_ref else BoundaryCondition.C)
     lead = pair.dfunc[0] if bc is BoundaryCondition.D else pair.func[0]
     if lead < 0.0:
         s = -s
@@ -385,17 +346,6 @@ def eigen_solve(weight, bc, k_max, grid=None):
         for k in range(k_max))
     return EigenBasis(bc=bc, pairs=pairs, weight=weight, grid=grid,
                       funcs=funcs, dfuncs=dfuncs)
-
-
-def asymptotic_eigenfunction(weight, k, bc, x, grid=None):
-    """Leading asymptotic form: omega^{-1/2} cos((k/2) Omega(x)) for
-    family C and omega^{-1/2} sin((k/2) Omega(x)) for family D."""
-    if k < 1:
-        raise DomainError("index k must be >= 1, got %r" % (k,))
-    om = omega_map(weight, grid)
-    phase = 0.5 * k * om.forward(x)
-    amp = 1.0 / np.sqrt(np.asarray(weight.eval(x), dtype=float))
-    return amp * (np.cos(phase) if bc is BoundaryCondition.C else np.sin(phase))
 
 
 def _asymptotic_on_grid(k, bc, omega_vals, omega_cum, omega_d1):

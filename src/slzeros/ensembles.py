@@ -7,7 +7,7 @@ pair of standard Gaussian coefficient vectors (a, b):
 * f_n — sqrt(omega) * F_n,
 * X_n — half-frequency trigonometric sum in the variable Omega(x),
 * X_n_raw — X_n / sqrt(omega) (the unweighted comparison process),
-* T_n / C_n — classic stationary trigonometric polynomials,
+* T_n — the classic stationary trigonometric polynomial,
 * perturbed — T_n with cos(kx), sin(kx) perturbed by the fixed family
   eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k), so that
   |eps_k| <= 1/(2k) and |eps_k'| <= 1, and the same for eta_k.
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .weights import default_grid, omega_map
 
-KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "T_n", "C_n", "perturbed")
+KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "T_n", "perturbed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +57,6 @@ class CoefficientDraw:
     b: np.ndarray
     seed: int  # derived record seed, for provenance columns
 
-    def same_draw(self, other):
-        return (self.master_seed == other.master_seed and self.n == other.n
-                and self.replicate_id == other.replicate_id)
-
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -68,7 +64,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
-_ID_LIMIT = 2 ** 32  # a replicate id is one 32-bit word of the key
+ID_LIMIT = 2 ** 32  # a replicate id is one 32-bit word of the key
 _KEY_BLOCK = 256  # ids whose keys sample_coefficient_block holds at once
 
 
@@ -135,7 +131,7 @@ def _id_words(ids):
     if ids.ndim != 1 or ids.dtype.kind not in "iu":
         raise PreconditionError("replicate_ids must be a sequence of "
                                 "integers, got %r" % (ids,))
-    if ids.min() < 0 or ids.max() >= _ID_LIMIT:
+    if ids.min() < 0 or ids.max() >= ID_LIMIT:
         raise PreconditionError("replicate_ids must lie in [0, 2**32)")
     return ids.astype(np.uint32)
 
@@ -187,7 +183,7 @@ def sample_coefficients(master_seed, n, replicate_id):
     (master_seed, n, replicate_id); streams 0/1 feed a/b.  The one-id
     case of sample_coefficient_block."""
     replicate_id = _non_negative_int("replicate_id", replicate_id)
-    if replicate_id >= _ID_LIMIT:
+    if replicate_id >= ID_LIMIT:
         raise PreconditionError("replicate_id must be below 2**32, got %d"
                                 % replicate_id)
     A, B, seeds = sample_coefficient_block(master_seed, n, [replicate_id])
@@ -237,7 +233,7 @@ class ProcessRows:
     dphase * ((b*freq) @ ra - (a*freq) @ rb): ra/rb are then the cosine
     and sine rows of freq * phase(x), and dphase = phase'(x) (None for
     1).  A pointwise factor g (None for 1) enters by the product rule
-    with its derivative dfactor.  Kinds with uses_b False read a only.
+    with its derivative dfactor.
     """
 
     ra: np.ndarray
@@ -248,7 +244,6 @@ class ProcessRows:
     dphase: np.ndarray = None
     factor: np.ndarray = None
     dfactor: np.ndarray = None
-    uses_b: bool = True
 
 
 def _trig_rows(freq, phase, **fields):
@@ -297,8 +292,6 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
         return replace(rows, factor=1.0 / root, dfactor=dfactor)
     if kind == "T_n":
         return _trig_rows(k, x)
-    if kind == "C_n":
-        return _trig_rows(k, x, uses_b=False)
     if kind == "perturbed":
         # cos(kx) + eps_k(x) and sin(kx) + eta_k(x) for the fixed family
         # eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k): the rows of
@@ -325,8 +318,6 @@ def combine(rows, A, B, deriv=True):
     """(values, slopes or None) at the rows' points of the draws whose
     scaled coefficients are A and B: one draw per row of A and B, or
     one draw as two vectors."""
-    if not rows.uses_b:
-        B = np.zeros_like(B)
     vals = A @ rows.ra + B @ rows.rb
     ders = None
     if deriv:
@@ -441,23 +432,3 @@ def build_process(kind, n, draw, weight=None, basis_pair=None, grid=None):
     if kind in ("X_n", "X_n_raw", "f_n") and weight is None:
         raise PreconditionError("kind %r needs a weight" % kind)
     return RandomProcess(kind, n, draw, weight=weight, basis=basis, grid=grid)
-
-
-def _expect_kind(proc, kind):
-    if proc.kind != kind:
-        raise PreconditionError("expected a %s process, got %r" % (kind, proc.kind))
-
-
-def eval_epsilon(proc_f, proc_X, x):
-    """eps_n(x) = f_n(x) - X_n(x) for processes sharing one draw."""
-    _expect_kind(proc_f, "f_n")
-    _expect_kind(proc_X, "X_n")
-    if not proc_f.draw.same_draw(proc_X.draw):
-        raise PreconditionError("eval_epsilon needs processes with a shared draw")
-    return proc_f.value(x) - proc_X.value(x)
-
-
-def eval_epsilon_sup(proc_f, proc_X):
-    """sup of |eps_n| over the storage grid."""
-    x = proc_f.grid.points
-    return float(np.max(np.abs(eval_epsilon(proc_f, proc_X, x))))

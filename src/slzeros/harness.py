@@ -11,9 +11,9 @@ and X_n, recorded with stable_* = 0.  Replicates are processed in
 fixed-size chunks whose composition depends only on the replicate
 ids, so results are bit-identical no matter how many workers run them
 (SLZEROS_THREADS, default 1).  ExperimentConfig refuses at
-construction what a run could not do (a negative seed, too few
-replicates, frequencies the storage grid cannot resolve); the
-perturbed kind is T_n perturbed by the fixed family of
+construction what a run could not do (a negative seed, fewer than 2
+or more than 2**32 replicates, frequencies the storage grid cannot
+resolve); the perturbed kind is T_n perturbed by the fixed family of
 ensembles.process_rows, eps_k = sin((k+1)x)/(2k) and
 eta_k = cos((k+1)x)/(2k), whose bounds |eps_k| <= 1/(2k) and
 |eps_k'| <= 1 hold for every n.
@@ -46,7 +46,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .eigen import BoundaryCondition, eigen_solve
-from .ensembles import combine, process_rows, sample_coefficient_block
+from .ensembles import (ID_LIMIT, combine, process_rows,
+                        sample_coefficient_block)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
 # not called here; the benchmark's traced run (perfbench/tracing.py)
 # looks it up in this module by name
@@ -86,6 +87,10 @@ class ExperimentConfig:
         object.__setattr__(self, "process_kinds", tuple(self.process_kinds))
         if self.replicates < 2:
             raise PreconditionError("need at least 2 replicates, got %d"
+                                    % self.replicates)
+        if self.replicates > ID_LIMIT:
+            raise PreconditionError("need at most 2**32 replicates, one per "
+                                    "32-bit replicate id, got %d"
                                     % self.replicates)
         if self.master_seed < 0:
             raise PreconditionError("master_seed must be at least 0, got %d"
@@ -214,10 +219,6 @@ class _NContext:
                                         basis_pair=basis_pair, grid=grid)
                      for kind in self.kinds}
 
-    def samples(self, A, B, kind):
-        """Grid values and derivatives for a chunk of draws (rows)."""
-        return combine(self.rows[kind], A, B)
-
 
 _WORKER_CTX = None  # set in the parent before forking a pool
 
@@ -232,7 +233,7 @@ def _process_chunk(replicate_ids):
     fields = [{} for _ in replicate_ids]
     values = {}
     for kind in ctx.kinds:
-        vals, ders = ctx.samples(A, B, kind)
+        vals, ders = combine(ctx.rows[kind], A, B)
         counts, certified = count_hermite_zeros(
             vals, ders, ctx.h, label="%s at n=%d, replicate" % (kind, n),
             row_ids=replicate_ids)
@@ -608,9 +609,13 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
 
 
 def check_covariance_draws(m):
-    """covariance_check's precondition on its number of draws m."""
+    """covariance_check's precondition on its number of draws m: at
+    least 1000, and at most one per 32-bit replicate id."""
     if m < 1000:
         raise PreconditionError("need at least 1000 draws, got %d" % m)
+    if m > ID_LIMIT:
+        raise PreconditionError("need at most 2**32 draws, one per 32-bit "
+                                "replicate id, got %d" % m)
 
 
 def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, InvariantViolation, PreconditionError
+from .errors import DomainError, InvariantViolation
 from .weights import TWO_PI, omega_map
 
 # Switch to the Taylor branch while m*|t|/2 < _TAYLOR_MU.  The closed-form
@@ -133,45 +133,6 @@ def second_order_stationary(n):
         var0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         var1=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
         cov01=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
-@dataclass(frozen=True)
-class SecondOrderEstimate:
-    """Monte Carlo estimate of second-order data at one point."""
-
-    x: float
-    m: int
-    var0: float
-    var1: float
-    cov01: float
-    se_var0: float
-    se_var1: float
-    se_cov01: float
-
-
-def second_order_empirical(proc_builder, n, m, x):
-    """Estimate (var Z(x), var Z'(x), cov) over m independent draws.
-
-    proc_builder(replicate_id) must return a process with .value and
-    .deriv evaluators; draws 0..m-1 are used.
-    """
-    if m < 1000:
-        raise PreconditionError("second_order_empirical needs m >= 1000, got %r" % (m,))
-    vals = np.empty(m)
-    ders = np.empty(m)
-    for rid in range(m):
-        proc = proc_builder(rid)
-        vals[rid] = proc.value(x)
-        ders[rid] = proc.deriv(x)
-    v0 = float(np.var(vals, ddof=1))
-    v1 = float(np.var(ders, ddof=1))
-    c01 = float(np.cov(vals, ders, ddof=1)[0, 1])
-    root = math.sqrt(2.0 / (m - 1))
-    return SecondOrderEstimate(
-        x=float(x), m=m, var0=v0, var1=v1, cov01=c01,
-        se_var0=v0 * root, se_var1=v1 * root,
-        se_cov01=math.sqrt((v0 * v1 + c01 * c01) / (m - 1)),
     )
 
 

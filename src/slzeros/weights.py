@@ -81,10 +81,6 @@ class Grid:
     def h(self):
         return TWO_PI / self.n_cells
 
-    @property
-    def midpoints(self):
-        return 0.5 * (self.points[:-1] + self.points[1:])
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -251,16 +247,6 @@ def omega_map(weight, grid=None):
     return m
 
 
-def omega_cumulative(weight, x, grid=None):
-    """Omega(x) = integral_0^x omega."""
-    return omega_map(weight, grid).forward(x)
-
-
-def omega_inverse(weight, y, grid=None):
-    """The x in [0, 2*pi] with Omega(x) = y."""
-    return omega_map(weight, grid).inverse(y)
-
-
 def normalize_weight(raw, grid=None):
     """Rescale a weight to total mass 2*pi, preserving its shape.
 
@@ -300,24 +286,6 @@ def weight_to_potential(weight):
     # fail fast on weights whose derivative closures are broken
     q(np.linspace(0.0, TWO_PI, 257))
     return Potential(name="q[%s]" % weight.name, eval=q)
-
-
-def normal_form_potential(weight, grid=None):
-    """The potential of `weight_to_potential` re-expressed in the phase
-    variable y = Omega(x), i.e. Q(y) = q(Omega^{-1}(y)).
-
-    This is the potential that appears when the weighted string equation
-    psi'' = -lambda omega^2 psi is rewritten as g'' = (Q - lambda) g for
-    g = sqrt(omega) psi sampled along the phase variable.  For the unit
-    weight Q coincides with q (both are zero).
-    """
-    q = weight_to_potential(weight)
-    omap = omega_map(weight, grid)
-
-    def qy(y, q=q, omap=omap):
-        return np.asarray(q.eval(omap.inverse(y)), dtype=float)
-
-    return Potential(name="Q[%s]" % weight.name, eval=qy)
 
 
 def _unit():

@@ -198,13 +198,6 @@ def count_hermite_zeros(vals, ders, h, label="row", row_ids=None):
     return counts, certified
 
 
-def standardize_count(count, expected_mean, n):
-    """(count - expected_mean) / sqrt(n)."""
-    if n < 1:
-        raise DomainError("n must be >= 1, got %r" % (n,))
-    return (count - expected_mean) / math.sqrt(n)
-
-
 def count_zeros(proc, interval=(0.0, TWO_PI)):
     """Count the zeros of a process on the interval.
 

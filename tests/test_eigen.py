@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from slzeros import (BoundaryCondition, DomainError, Eigenpair,
-                     PreconditionError, asymptotic_deviation,
-                     asymptotic_eigenfunction, eigen_solve,
-                     normal_form_potential, normalize_eigenfunction,
-                     ode_residual, orthogonality_defect, prufer_phase,
-                     weight_to_potential)
+from slzeros import (BoundaryCondition, Eigenpair, PreconditionError,
+                     asymptotic_deviation, eigen_solve,
+                     normalize_eigenfunction, ode_residual,
+                     orthogonality_defect, weight_to_potential)
 from slzeros.eigen import _chain_reduce, _chain_scan, _Propagator
-from slzeros.weights import TWO_PI, Grid, WeightFunction, builtin_weights
+from slzeros.weights import (TWO_PI, Grid, WeightFunction, builtin_weights,
+                             omega_map)
 
 C = BoundaryCondition.C
 D = BoundaryCondition.D
@@ -61,7 +61,55 @@ def test_unit_asymptotic_deviation_is_tiny(unit_basis):
 
 
 # ----------------------------------------------------------------------
-# Prufer phase oracle
+# Prufer phase oracle: an adaptive Runge-Kutta integration of the phase
+# ODE, independent of the transfer-matrix engine
+
+
+def prufer_phase(q, lam, bc, rtol=1e-10):
+    """Terminal Prufer phase theta(2*pi; lambda) for the phase ODE
+
+        theta' = cos^2 theta + (lambda - q) sin^2 theta,
+
+    theta(0) = 0 for D and pi/2 for C.  Strictly increasing in lambda.
+    To cross-check eigen_solve for a non-unit weight, pass the
+    phase-frame potential of normal_form_potential: that is the
+    equation the solver integrates."""
+    theta0 = 0.0 if bc is D else 0.5 * math.pi
+
+    def rhs(x, th):
+        s = math.sin(th[0])
+        c = math.cos(th[0])
+        return (c * c + (lam - float(q(x))) * s * s,)
+
+    sol = solve_ivp(rhs, (0.0, TWO_PI), (theta0,), method="RK45",
+                    rtol=rtol, atol=1e-12)
+    assert sol.success, sol.message
+    return float(sol.y[0, -1])
+
+
+def normal_form_potential(weight, grid=None):
+    """Q(y) = q(Omega^{-1}(y)), the potential of weight_to_potential in
+    the phase variable y = Omega(x): psi'' = -lambda omega^2 psi becomes
+    g'' = (Q - lambda) g for g = sqrt(omega) psi."""
+    q = weight_to_potential(weight)
+    omap = omega_map(weight, grid)
+    return lambda y: np.asarray(q(omap.inverse(y)), dtype=float)
+
+
+def test_normal_form_potential_is_composition():
+    # Q(Omega(x)) == q(x): the phase-frame potential is q dragged
+    # through the inverse phase map
+    w = builtin_weights("sine2")
+    Q = normal_form_potential(w)
+    x = np.linspace(0.0, TWO_PI, 41)
+    np.testing.assert_allclose(Q(omega_map(w).forward(x)),
+                               weight_to_potential(w)(x), atol=1e-10)
+
+
+def test_normal_form_potential_unit_weight():
+    Q = normal_form_potential(builtin_weights("unit"))
+    y = np.linspace(0.0, TWO_PI, 33)
+    np.testing.assert_allclose(Q(y), 0.0, atol=1e-14)
 
 
 def test_prufer_phase_pinned_unit_values():
@@ -172,26 +220,6 @@ def test_asymptotic_deviation_sine2_order_one(sine2_basis):
         assert np.max(d1) < 2.0
         # deviations decay: the tail is much smaller than the head
         assert np.median(d[200:]) < np.median(d[:20])
-
-
-# ----------------------------------------------------------------------
-# asymptotic forms pinned
-
-
-def test_asymptotic_eigenfunction_pinned_values():
-    unit = builtin_weights("unit")
-    x = np.linspace(0.0, TWO_PI, 101)
-    np.testing.assert_allclose(asymptotic_eigenfunction(unit, 2, C, x),
-                               np.cos(x), atol=1e-12)
-    np.testing.assert_allclose(asymptotic_eigenfunction(unit, 1, D, math.pi),
-                               1.0, atol=1e-12)
-    # at x = pi the sine2 weight is 1 and its cumulative map is pi + 1
-    sine2 = builtin_weights("sine2")
-    np.testing.assert_allclose(
-        asymptotic_eigenfunction(sine2, 4, D, math.pi),
-        math.sin(2.0 * (math.pi + 1.0)), atol=1e-10)
-    with pytest.raises(DomainError):
-        asymptotic_eigenfunction(unit, 0, C, x)
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slzeros import (BoundaryCondition, DomainError, PreconditionError,
-                     build_process, eigen_solve, eval_epsilon,
-                     eval_epsilon_sup, sample_coefficient_block,
+                     build_process, eigen_solve, sample_coefficient_block,
                      sample_coefficients)
 from slzeros.ensembles import hermite_rows, process_rows
-from slzeros.weights import TWO_PI, Grid, default_grid, omega_cumulative
+from slzeros.weights import TWO_PI, Grid, default_grid, omega_map
 
 SEED = 777
 
@@ -27,7 +26,6 @@ def test_sample_coefficients_reproducible():
     np.testing.assert_array_equal(d1.a, d2.a)
     np.testing.assert_array_equal(d1.b, d2.b)
     assert d1.seed == d2.seed
-    assert d1.same_draw(d2)
 
 
 def test_sample_coefficients_streams_and_replicates_differ():
@@ -37,7 +35,6 @@ def test_sample_coefficients_streams_and_replicates_differ():
     other = sample_coefficients(SEED, 12, 4)
     assert not np.allclose(d.a, other.a)      # replicate separation
     assert d.seed != other.seed
-    assert not d.same_draw(other)
     bigger = sample_coefficients(SEED, 13, 3)
     assert not np.allclose(d.a, bigger.a[:12])  # n is part of the key
 
@@ -229,11 +226,8 @@ def test_trig_processes_match_direct_sums():
     k = np.arange(1, n + 1, dtype=float)
     ph = x[:, None] * k
     want_t = (np.cos(ph) @ draw.a + np.sin(ph) @ draw.b) / math.sqrt(n)
-    want_c = (np.cos(ph) @ draw.a) / math.sqrt(n)
     t_proc = build_process("T_n", n, draw)
-    c_proc = build_process("C_n", n, draw)
     np.testing.assert_allclose(t_proc.value(x), want_t, atol=1e-12)
-    np.testing.assert_allclose(c_proc.value(x), want_c, atol=1e-12)
     want_dt = (np.cos(ph) @ (draw.b * k) - np.sin(ph) @ (draw.a * k)) / math.sqrt(n)
     np.testing.assert_allclose(t_proc.deriv(x), want_dt,
                                atol=1e-11)
@@ -261,7 +255,7 @@ def test_X_process_agrees_with_stationary_pullback(sine2_weight):
     n = 15
     draw = sample_coefficients(SEED, n, 4)
     x = np.linspace(0.0, TWO_PI, 29)
-    y = omega_cumulative(sine2_weight, x)
+    y = omega_map(sine2_weight).forward(x)
     xn = build_process("X_n", n, draw, weight=sine2_weight)
     pull = xn.stationary_pullback()
     np.testing.assert_allclose(xn.value(x), pull.value(y), atol=1e-12)
@@ -294,8 +288,8 @@ def test_f_process_is_weighted_eigen_sum(sine2_basis):
     np.testing.assert_allclose(f_proc.deriv(x), want, atol=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["T_n", "C_n", "perturbed", "X_n", "X_n_raw",
-                                  "F_n", "f_n"])
+@pytest.mark.parametrize("kind", ["T_n", "perturbed", "X_n", "X_n_raw", "F_n",
+                                  "f_n"])
 def test_derivatives_match_finite_differences(kind, sine2_weight, sine2_basis):
     n = 12
     draw = sample_coefficients(SEED, n, 8)
@@ -327,22 +321,10 @@ def test_epsilon_vanishes_for_unit_weight(unit_weight, unit_basis):
     draw = sample_coefficients(SEED, n, 11)
     f_proc = build_process("f_n", n, draw, basis_pair=unit_basis)
     x_proc = build_process("X_n", n, draw, weight=unit_weight)
-    assert eval_epsilon_sup(f_proc, x_proc) < 1e-8
-    x = np.linspace(0.0, TWO_PI, 101)
-    np.testing.assert_allclose(eval_epsilon(f_proc, x_proc, x), 0.0,
-                               atol=1e-8)
-
-
-def test_epsilon_requires_shared_draw(unit_weight, unit_basis):
-    n = 10
-    f_proc = build_process("f_n", n, sample_coefficients(SEED, n, 0),
-                           basis_pair=unit_basis)
-    x_proc = build_process("X_n", n, sample_coefficients(SEED, n, 1),
-                           weight=unit_weight)
-    with pytest.raises(PreconditionError):
-        eval_epsilon(f_proc, x_proc, 1.0)
-    with pytest.raises(PreconditionError):
-        eval_epsilon(x_proc, x_proc, 1.0)  # wrong kinds too
+    # eps_n = f_n - X_n on the storage grid and between its nodes
+    for x in (f_proc.grid.points, np.linspace(0.0, TWO_PI, 101)):
+        np.testing.assert_allclose(f_proc.value(x) - x_proc.value(x), 0.0,
+                                   atol=1e-8)
 
 
 def test_unit_variance_of_processes(sine2_weight):

@@ -13,9 +13,10 @@ from slzeros import (DomainError, ExperimentConfig, PreconditionError,
                      contiguity_diagnostic, covariance_check, gap_diagnostics,
                      ks_statistic, read_records, run_experiment, summarize,
                      sup_eps_diagnostic, write_records, write_summary)
-from slzeros.ensembles import build_process, sample_coefficients
+from slzeros.ensembles import build_process, combine, sample_coefficients
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _NContext,
-                             _worker_count, record_row)
+                             _worker_count, check_covariance_draws,
+                             record_row)
 from slzeros.weights import Grid
 
 SEED = 20260819
@@ -47,6 +48,21 @@ def test_config_validation():
         ExperimentConfig(**{**ok, "process_kinds": ()})
     with pytest.raises(PreconditionError):
         ExperimentConfig(**{**ok, "k_max": 15})
+
+
+def test_counts_above_the_replicate_id_range_refused():
+    # ids 0 .. count-1 must fit one 32-bit key word; only construction
+    # and the precondition run here, never a run of that size
+    ok = dict(weight_name="unit", n_list=(10,), master_seed=SEED,
+              process_kinds=("T_n",))
+    assert ExperimentConfig(**ok, replicates=2 ** 32).replicates == 2 ** 32
+    with pytest.raises(PreconditionError,
+                       match=r"at most 2\*\*32 replicates, .* got 4294967297"):
+        ExperimentConfig(**ok, replicates=2 ** 32 + 1)
+    check_covariance_draws(2 ** 32)
+    with pytest.raises(PreconditionError,
+                       match=r"at most 2\*\*32 draws, .* got 4294967297"):
+        check_covariance_draws(2 ** 32 + 1)
 
 
 @pytest.mark.parametrize("kinds, n, k_max, bound", [
@@ -208,7 +224,7 @@ def test_grid_samples_match_process_definitions(kind, sine2_weight,
     draws = [sample_coefficients(SEED, n, rid) for rid in range(replicates)]
     A = np.stack([d.a for d in draws]) * ctx.root
     B = np.stack([d.b for d in draws]) * ctx.root
-    vals, ders = ctx.samples(A, B, kind)
+    vals, ders = combine(ctx.rows[kind], A, B)
     for i, draw in enumerate(draws):
         proc = build_process(kind, n, draw, weight=sine2_weight,
                              basis_pair=sine2_basis, grid=grid)

@@ -1,16 +1,14 @@
 """Covariance kernels and Kac-Rice expected counts against closed forms."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slzeros import (DomainError, InvariantViolation, PreconditionError,
-                     ProcessSecondOrder, covariance_X, expected_count_closed,
-                     kac_rice_expected, r_n_closed, second_order_empirical,
-                     second_order_exact, second_order_stationary)
-from slzeros.weights import TWO_PI, builtin_weights, omega_cumulative
+from slzeros import (DomainError, InvariantViolation, ProcessSecondOrder,
+                     covariance_X, expected_count_closed, kac_rice_expected,
+                     r_n_closed, second_order_exact, second_order_stationary)
+from slzeros.weights import TWO_PI, builtin_weights, omega_map
 
 
 def _direct_sums(n, t):
@@ -199,27 +197,11 @@ def test_expected_count_closed_values():
         expected_count_closed(50, "f_n")
 
 
-def test_second_order_empirical_recovers_variances():
-    def builder(rid):
-        rng = np.random.default_rng(1000 + rid)
-        z = float(rng.standard_normal())
-        u = float(rng.standard_normal())
-        return SimpleNamespace(value=lambda x, z=z: 3.0 * z,
-                               deriv=lambda x, z=z, u=u: z + 2.0 * u)
-
-    est = second_order_empirical(builder, 1, 2000, 0.5)
-    assert est.m == 2000
-    np.testing.assert_allclose(est.var0, 9.0, atol=5 * est.se_var0)
-    np.testing.assert_allclose(est.var1, 5.0, atol=5 * est.se_var1)
-    np.testing.assert_allclose(est.cov01, 3.0, atol=5 * est.se_cov01)
-    with pytest.raises(PreconditionError):
-        second_order_empirical(builder, 1, 10, 0.5)
-
-
 def test_omega_cumulative_consistency_with_covariance():
     # the covariance depends on x only through the cumulative map
     w = builtin_weights("expcos")
+    om = omega_map(w)
     x, y = 2.0, 0.7
-    t = 0.5 * (omega_cumulative(w, x) - omega_cumulative(w, y))
+    t = 0.5 * (om.forward(x) - om.forward(y))
     np.testing.assert_allclose(covariance_X(5, w, x, y),
                                r_n_closed(5, t)[0], atol=1e-12)

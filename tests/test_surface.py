@@ -1,0 +1,45 @@
+"""Names that code outside the package's own modules relies on: the
+README's library quickstart, and the attributes that the benchmark's
+tracer (perfbench/tracing.py) and probe (perfbench/probe.py) look up."""
+
+import os
+import re
+
+import pytest
+
+import slzeros
+import slzeros.cli
+import slzeros.harness
+import slzeros.weights
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
+
+
+def test_readme_quickstart_runs(capsys):
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("## Quickstart (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert re.fullmatch(r"\d+ zeros; expected \d+\.\d+\n",
+                        capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (slzeros.harness, "count_zeros"),
+    (slzeros.harness, "sample_coefficients"),
+    (slzeros.harness, "eigen_solve"),
+    (slzeros.harness, "r_n_closed"),
+    (slzeros.harness, "build_basis_pair"),
+    (slzeros.cli, "run_experiment"),
+    (slzeros.cli, "gap_diagnostics"),
+    (slzeros.cli, "covariance_check"),
+    (slzeros.cli, "summarize"),
+    (slzeros.cli, "build_basis_pair"),
+    (slzeros.weights, "OmegaMap"),
+    (slzeros, "sample_coefficients"),
+    (slzeros, "default_grid"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_benchmark_names_resolve(owner, name):
+    assert callable(getattr(owner, name))

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slzeros import (DomainError, Grid, UsageError, WeightFunction,
-                     builtin_weights, default_grid, normal_form_potential,
-                     normalize_weight, omega_cumulative, omega_inverse,
+                     builtin_weights, default_grid, normalize_weight,
                      weight_to_potential)
 from slzeros.weights import TWO_PI, OmegaMap, omega_map
 
@@ -24,7 +23,6 @@ def test_grid_uniform_basics():
     np.testing.assert_allclose(g.h, TWO_PI / 128, rtol=1e-15)
     np.testing.assert_allclose(g.points[0], 0.0, atol=1e-15)
     np.testing.assert_allclose(g.points[-1], TWO_PI, rtol=1e-15)
-    np.testing.assert_allclose(g.midpoints, 0.5 * (g.points[:-1] + g.points[1:]))
 
 
 def test_grid_rejects_bad_input():
@@ -98,32 +96,30 @@ def test_nonpositive_weight_rejected():
 
 def test_omega_cumulative_sine2_at_pi():
     # integral_0^pi (2 + sin x)/2 dx = pi + 1
-    w = builtin_weights("sine2")
-    np.testing.assert_allclose(omega_cumulative(w, math.pi), math.pi + 1.0,
-                               rtol=1e-12)
-    np.testing.assert_allclose(omega_cumulative(w, 0.0), 0.0, atol=1e-14)
-    np.testing.assert_allclose(omega_cumulative(w, TWO_PI), TWO_PI, rtol=1e-12)
+    om = omega_map(builtin_weights("sine2"))
+    np.testing.assert_allclose(om.forward(math.pi), math.pi + 1.0, rtol=1e-12)
+    np.testing.assert_allclose(om.forward(0.0), 0.0, atol=1e-14)
+    np.testing.assert_allclose(om.forward(TWO_PI), TWO_PI, rtol=1e-12)
 
 
 def test_omega_cumulative_unit_is_identity():
     w = builtin_weights("unit")
     x = np.linspace(0.0, TWO_PI, 97)
-    np.testing.assert_allclose(omega_cumulative(w, x), x, atol=1e-13)
+    np.testing.assert_allclose(omega_map(w).forward(x), x, atol=1e-13)
 
 
 def test_omega_forward_strictly_increasing():
     w = builtin_weights("expcos")
     x = np.linspace(0.0, TWO_PI, 513)
-    y = omega_cumulative(w, x)
+    y = omega_map(w).forward(x)
     assert np.all(np.diff(y) > 0.0)
 
 
 def test_omega_inverse_round_trip():
-    w = builtin_weights("sine2")
+    om = omega_map(builtin_weights("sine2"))
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, TWO_PI, 200)
-    y = omega_cumulative(w, x)
-    np.testing.assert_allclose(omega_inverse(w, y), x, atol=1e-11)
+    np.testing.assert_allclose(om.inverse(om.forward(x)), x, atol=1e-11)
 
 
 def test_omega_map_rejects_out_of_range():
@@ -145,10 +141,10 @@ def test_omega_map_rejects_out_of_range():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=TWO_PI))
 def test_omega_inverse_is_right_inverse(y):
-    w = builtin_weights("sine2")
-    x = omega_inverse(w, y)
+    om = omega_map(builtin_weights("sine2"))
+    x = om.inverse(y)
     assert 0.0 <= x <= TWO_PI
-    assert abs(omega_cumulative(w, x) - y) < 1e-10
+    assert abs(om.forward(x) - y) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -169,23 +165,6 @@ def test_potential_sine2_closed_values():
     q = weight_to_potential(builtin_weights("sine2"))
     np.testing.assert_allclose(q.eval(0.0), -3.0 / 16.0, rtol=1e-13)
     np.testing.assert_allclose(q.eval(math.pi / 2.0), -2.0 / 27.0, rtol=1e-13)
-
-
-def test_normal_form_potential_is_composition():
-    # Q(Omega(x)) == q(x): the phase-frame potential is q dragged
-    # through the inverse phase map
-    w = builtin_weights("sine2")
-    q = weight_to_potential(w)
-    Q = normal_form_potential(w)
-    x = np.linspace(0.0, TWO_PI, 41)
-    y = omega_cumulative(w, x)
-    np.testing.assert_allclose(Q.eval(y), q.eval(x), atol=1e-10)
-
-
-def test_normal_form_potential_unit_weight():
-    Q = normal_form_potential(builtin_weights("unit"))
-    y = np.linspace(0.0, TWO_PI, 33)
-    np.testing.assert_allclose(Q.eval(y), 0.0, atol=1e-14)
 
 
 def test_default_grid_is_shared():

@@ -10,7 +10,7 @@ import pytest
 from slzeros import (CoefficientDraw, DomainError, build_process,
                      count_hermite_zeros, count_zeros,
                      count_zeros_changed_variable, default_grid,
-                     sample_coefficients, standardize_count)
+                     sample_coefficients)
 from slzeros.weights import TWO_PI, builtin_weights
 
 
@@ -66,13 +66,6 @@ def test_count_zeros_validation():
 def test_empty_interval():
     res = count_zeros(_single_mode("T_n", 5), interval=(1.0, 1.0))
     assert (res.count, res.stable) == (0, True)
-
-
-def test_standardize_count():
-    assert standardize_count(32.0, 29.5, 100) == (32.0 - 29.5) / 10.0
-    assert standardize_count(10, 10.0, 7) == 0.0
-    with pytest.raises(DomainError):
-        standardize_count(3, 2.0, 0)
 
 
 # ----------------------------------------------------------------------
