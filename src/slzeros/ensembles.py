@@ -314,23 +314,37 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
                       % (kind, ", ".join(KINDS)))
 
 
-def combine(rows, A, B, deriv=True):
+def combine(rows, A, B, deriv=True, out=None):
     """(values, slopes or None) at the rows' points of the draws whose
     scaled coefficients are A and B: one draw per row of A and B, or
-    one draw as two vectors."""
-    vals = A @ rows.ra + B @ rows.rb
-    ders = None
+    one draw as two vectors.
+
+    out=(values, slopes, scratch) are C-contiguous float arrays of the
+    result's shape to fill (slopes None without deriv); by default they
+    are allocated.  Either way the bits are those of the plain
+    expressions A @ ra + B @ rb and so on.
+    """
+    if out is None:
+        shape = A.shape[:-1] + rows.ra.shape[1:]
+        out = (np.empty(shape), np.empty(shape) if deriv else None,
+               np.empty(shape))
+    vals, ders, tmp = out
+    np.matmul(A, rows.ra, out=vals)
+    vals += np.matmul(B, rows.rb, out=tmp)
     if deriv:
         if rows.da is not None:
-            ders = A @ rows.da + B @ rows.db
+            np.matmul(A, rows.da, out=ders)
+            ders += np.matmul(B, rows.db, out=tmp)
         else:
-            ders = (B * rows.freq) @ rows.ra - (A * rows.freq) @ rows.rb
+            np.matmul(B * rows.freq, rows.ra, out=ders)
+            ders -= np.matmul(A * rows.freq, rows.rb, out=tmp)
             if rows.dphase is not None:
                 ders *= rows.dphase
     if rows.factor is not None:
         if deriv:
-            ders = rows.dfactor * vals + rows.factor * ders
-        vals = rows.factor * vals
+            ders *= rows.factor
+            ders += np.multiply(rows.dfactor, vals, out=tmp)
+        vals *= rows.factor
     return vals, ders
 
 

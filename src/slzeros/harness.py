@@ -43,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .eigen import BoundaryCondition, eigen_solve
 from .ensembles import (ID_LIMIT, combine, process_rows,
@@ -205,7 +204,11 @@ def read_records(path):
 
 class _NContext:
     """Everything a worker needs to turn draws for one n into records:
-    each simulated kind's rows on the storage grid."""
+    each simulated kind's rows on the storage grid, and the chunk-sized
+    buffers that combine fills with each kind's values and the slopes.
+    Every chunk reuses them, which spares the heap a 4 MB allocation and
+    free per array; they go with the context, before the next n's is
+    built."""
 
     def __init__(self, config, n, weight, basis_pair, grid):
         self.n = n
@@ -218,6 +221,12 @@ class _NContext:
         self.rows = {kind: process_rows(kind, n, weight=weight,
                                         basis_pair=basis_pair, grid=grid)
                      for kind in self.kinds}
+        # one block, not one array per buffer: glibc maps a block this
+        # large on its own and unmaps it with the context, where 4 MB
+        # arrays can stay resident in the heap through the next n's build
+        block = np.empty((len(self.kinds) + 2, CHUNK, grid.count))
+        self.values = dict(zip(self.kinds, block))
+        self.slopes, self.scratch = block[-2], block[-1]
 
 
 _WORKER_CTX = None  # set in the parent before forking a pool
@@ -232,12 +241,13 @@ def _process_chunk(replicate_ids):
     B *= ctx.root
     fields = [{} for _ in replicate_ids]
     values = {}
+    m = len(replicate_ids)
     for kind in ctx.kinds:
-        vals, ders = combine(ctx.rows[kind], A, B)
+        vals, ders = combine(ctx.rows[kind], A, B, out=(
+            ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
         counts, certified = count_hermite_zeros(
             vals, ders, ctx.h, label="%s at n=%d, replicate" % (kind, n),
             row_ids=replicate_ids)
-        del ders  # before the next kind's samples: keeps the peak down
         if kind in ("f_n", "X_n"):
             values[kind] = vals  # for sup_eps
         stable_field = _STABLE_FIELD.get(kind)
@@ -364,6 +374,9 @@ def ks_statistic(sample, mean, sd):
         raise PreconditionError("KS needs a sample of size >= 2, got %d" % m)
     if not sd > 0:
         raise DomainError("reference sd must be positive, got %r" % (sd,))
+    # imported here: scipy takes 0.25 s to import, and math.erfc's
+    # bits differ from scipy's, which would move ks_fitted
+    from scipy.special import erfc
     cdf = 0.5 * erfc(-z / (sd * math.sqrt(2.0)))
     grid = np.arange(1, m + 1) / m
     d_plus = np.max(grid - cdf)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, InvariantViolation
 from .weights import TWO_PI, omega_map
@@ -171,6 +170,8 @@ def kac_rice_expected(so, interval):
         c = float(so.cov01(x))
         disc = max(v0 * v1 - c * c, 0.0)
         return math.sqrt(disc) / (v0 * math.pi)
+
+    from scipy.integrate import quad  # here: importing scipy takes 0.5 s
 
     val, err = quad(intensity, a, b, epsabs=1e-12, epsrel=1e-8, limit=200)
     return float(val)

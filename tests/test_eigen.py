@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from slzeros import (BoundaryCondition, Eigenpair, PreconditionError,
-                     asymptotic_deviation, eigen_solve,
+from slzeros import (BoundaryCondition, Eigenpair, NumericError,
+                     PreconditionError, asymptotic_deviation, eigen_solve,
                      normalize_eigenfunction, ode_residual,
                      orthogonality_defect, weight_to_potential)
-from slzeros.eigen import _chain_reduce, _chain_scan, _Propagator
+from slzeros import eigen
+from slzeros.eigen import _brent, _chain_reduce, _chain_scan, _Propagator
 from slzeros.weights import (TWO_PI, Grid, WeightFunction, builtin_weights,
                              omega_map)
 
@@ -270,8 +273,10 @@ def _oracle_chain(lam, qbar, h):
     rt = np.sqrt(np.abs(z))
     pos = z >= 0.0
     a = np.where(pos, np.cos(rt), np.cosh(rt))
-    rts = np.where(rt > 1e-12, rt, 1.0)
-    s = np.where(pos, np.sinc(rt / np.pi), np.sinh(rts) / rts)
+    small = rt <= 1e-12
+    rts = np.where(small, 1.0, rt)
+    s = np.where(pos, np.sinc(rt / np.pi),
+                 np.where(small, 1.0, np.sinh(rts) / rts))
     return a, h * s, -(z / h) * s, a
 
 
@@ -346,18 +351,125 @@ def test_eigen_solve_bit_equal_to_full_scan_oracle(name, bc):
 
 
 def test_eigen_solve_residual_evaluations(monkeypatch):
-    calls = []
-    residual = _Propagator.residual
+    # sine2 at k=400 makes 5.183 residual evaluations per eigenvalue in
+    # both families, and recover builds no transfer chain of its own
+    residuals, chains = [], []
+    residual, transfer_chain = _Propagator.residual, eigen._transfer_chain
 
-    def counted(self, lam, bc):
-        calls.append(lam)
-        return residual(self, lam, bc)
+    def counted_residual(self, lam, bc, kept):
+        residuals.append(lam)
+        return residual(self, lam, bc, kept)
 
-    monkeypatch.setattr(_Propagator, "residual", counted)
+    def counted_chain(lam, qbar, h):
+        chains.append(lam)
+        return transfer_chain(lam, qbar, h)
+
+    monkeypatch.setattr(_Propagator, "residual", counted_residual)
+    monkeypatch.setattr(eigen, "_transfer_chain", counted_chain)
     for bc in (C, D):
-        calls.clear()
-        eigen_solve(builtin_weights("sine2"), bc, 100)
-        assert len(calls) / 100 <= 7.0, (bc, len(calls))
+        residuals.clear()
+        chains.clear()
+        eigen_solve(builtin_weights("sine2"), bc, 400)
+        assert len(residuals) / 400 <= 5.25, (bc, len(residuals))
+        assert len(chains) / 400 <= 5.3, (bc, len(chains))
+        assert chains == residuals
+
+
+def test_transfer_chain_non_oscillating_limit():
+    # a cell a rounding away from qbar neither oscillates nor grows: its
+    # sin(rt)/rt or sinh(rt)/rt factor is 1 on either side of qbar
+    q = np.array([1e-3])
+    h = np.array([1e-3])
+    for lam in (np.nextafter(1e-3, 0.0), np.nextafter(1e-3, 1.0)):
+        a, b, c, d = eigen._transfer_chain(lam, q, h)
+        z = (lam - q[0]) * h[0] * h[0]
+        assert a[0] == d[0] == 1.0
+        assert b[0] == h[0]
+        assert c[0] == -(z / h[0])
+
+
+# ----------------------------------------------------------------------
+# Brent's method: the same points and bits as scipy's brentq
+
+
+def _brent_trace(f, a, b, fa, fb, maxiter=200):
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return f(x)
+
+    root = _brent(traced, a, b, fa, fb, 1e-13, 1e-15, maxiter)
+    return root, calls
+
+
+def _check_against_brentq(f, a, b):
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return f(x)
+
+    want = brentq(traced, a, b, xtol=1e-13, rtol=1e-15, maxiter=200)
+    assert calls[:2] == [a, b]
+    root, got = _brent_trace(f, a, b, f(a), f(b))
+    assert root.hex() == want.hex()
+    assert [x.hex() for x in got] == [x.hex() for x in calls[2:]]
+
+
+_coef = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.lists(_coef, min_size=4, max_size=4), a=_coef, width=st.floats(
+    1e-6, 20.0))
+def test_brent_matches_brentq_on_cubics(c, a, width):
+    def f(x):
+        return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+
+    b = a + width
+    assume(b > a and (f(a) < 0.0) != (f(b) < 0.0) and f(a) * f(b) != 0.0)
+    _check_against_brentq(f, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+# residuals of 1e-119 underflow the extrapolation's denominator to 0
+@example(amp=[1.320473738164886e-119], phase=[1.0, 0.0, 0.0, 0.0, 0.0],
+         a=0.0, width=4.0)
+@given(amp=st.lists(_coef, min_size=1, max_size=5),
+       phase=st.lists(_coef, min_size=5, max_size=5), a=_coef,
+       width=st.floats(1e-6, 20.0))
+def test_brent_matches_brentq_on_trig_sums(amp, phase, a, width):
+    def f(x):
+        return sum(w * math.sin((k + 1) * x + p)
+                   for k, (w, p) in enumerate(zip(amp, phase)))
+
+    b = a + width
+    assume(b > a and (f(a) < 0.0) != (f(b) < 0.0) and f(a) * f(b) != 0.0)
+    _check_against_brentq(f, a, b)
+
+
+def test_brent_zero_at_either_end():
+    def f(x):
+        return x * (x - 1.0)
+
+    assert _brent_trace(f, 0.0, 0.5, 0.0, -0.25) == (0.0, [])
+    assert _brent_trace(f, 0.5, 1.0, -0.25, 0.0) == (1.0, [])
+    assert brentq(f, 0.0, 0.5) == 0.0 and brentq(f, 0.5, 1.0) == 1.0
+
+
+def test_brent_refuses_bracket_without_sign_change():
+    with pytest.raises(PreconditionError, match="one sign"):
+        _brent(math.cos, 0.0, 1.0, 1.0, math.cos(1.0), 1e-13, 1e-15, 200)
+
+
+def test_brent_non_convergence_raises():
+    # three steps cannot shrink [0, 3] around sqrt(2) below 1e-13
+    def f(x):
+        return x * x - 2.0
+
+    with pytest.raises(NumericError, match="did not converge in 3 steps"):
+        _brent(f, 0.0, 3.0, -2.0, 7.0, 1e-13, 1e-15, 3)
 
 
 def test_eigenvalues_respect_sturm_bound(sine2_basis, sine2_weight):

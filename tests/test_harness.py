@@ -13,7 +13,8 @@ from slzeros import (DomainError, ExperimentConfig, PreconditionError,
                      contiguity_diagnostic, covariance_check, gap_diagnostics,
                      ks_statistic, read_records, run_experiment, summarize,
                      sup_eps_diagnostic, write_records, write_summary)
-from slzeros.ensembles import build_process, combine, sample_coefficients
+from slzeros.ensembles import (build_process, combine, sample_coefficient_block,
+                                sample_coefficients)
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _NContext,
                              _worker_count, check_covariance_draws,
                              record_row)
@@ -233,6 +234,43 @@ def test_grid_samples_match_process_definitions(kind, sine2_weight,
             scale = np.max(np.abs(got))
             assert scale > 0.0
             assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
+def _plain_combine(rows, A, B):
+    """combine as plain expressions, each result a new array."""
+    vals = A @ rows.ra + B @ rows.rb
+    if rows.da is not None:
+        ders = A @ rows.da + B @ rows.db
+    else:
+        ders = (B * rows.freq) @ rows.ra - (A * rows.freq) @ rows.rb
+        if rows.dphase is not None:
+            ders *= rows.dphase
+    if rows.factor is not None:
+        ders = rows.dfactor * vals + rows.factor * ders
+        vals = rows.factor * vals
+    return vals, ders
+
+
+@pytest.mark.parametrize("kind", SIMULATED_KINDS)
+def test_context_buffers_bit_equal_to_plain_expressions(kind, sine2_weight,
+                                                        sine2_basis):
+    # the chunk buffers an _NContext reuses give the bits of fresh arrays,
+    # for a full chunk and for a short last one, filled again and again
+    n = 40
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(n,), replicates=70,
+                           master_seed=SEED, process_kinds=(kind,))
+    ctx = _NContext(cfg, n, sine2_weight, sine2_basis, sine2_basis[0].grid)
+    for ids in (list(range(64)), list(range(64, 70)), list(range(5))):
+        A, B, _ = sample_coefficient_block(SEED, n, ids)
+        A *= ctx.root
+        B *= ctx.root
+        m = len(ids)
+        got = combine(ctx.rows[kind], A, B, out=(
+            ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
+        assert np.shares_memory(got[0], ctx.values[kind])
+        assert np.shares_memory(got[1], ctx.slopes)
+        for g, want in zip(got, _plain_combine(ctx.rows[kind], A, B)):
+            np.testing.assert_array_equal(g, want)
 
 
 def test_run_experiment_worker_invariance(monkeypatch):

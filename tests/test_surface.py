@@ -1,9 +1,12 @@
 """Names that code outside the package's own modules relies on: the
 README's library quickstart, and the attributes that the benchmark's
-tracer (perfbench/tracing.py) and probe (perfbench/probe.py) look up."""
+tracer (perfbench/tracing.py) and probe (perfbench/probe.py) look up;
+and what importing the package costs."""
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +46,13 @@ def test_readme_quickstart_runs(capsys):
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_benchmark_names_resolve(owner, name):
     assert callable(getattr(owner, name))
+
+
+def test_import_loads_no_scipy(module_cli_env):
+    # scipy takes 0.5-0.9 s to import; only the kac subcommand (quad) and
+    # the summary's KS distance (erfc) load it, inside the functions
+    code = ("import slzeros, slzeros.cli, sys; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=module_cli_env, check=True)
+    assert out.stdout == "[]\n"
