@@ -15,13 +15,12 @@ from .ensembles import (CoefficientDraw, RandomProcess, build_process,
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, SlzerosError, UsageError)
 from .harness import (ExperimentConfig, GapDiagnostics, ReplicateRecord,
-                      SummaryReport, build_basis_pair, contiguity_diagnostic,
-                      covariance_check, gap_diagnostics, ks_statistic,
-                      read_records, run_experiment, summarize,
-                      sup_eps_diagnostic, write_records, write_summary)
-from .kernels import (ProcessSecondOrder, covariance_X, expected_count_closed,
-                      kac_rice_expected, r_n_closed, second_order_exact,
-                      second_order_stationary)
+                      SummaryReport, build_basis_pair, covariance_check,
+                      gap_diagnostics, ks_statistic, read_records,
+                      run_experiment, summarize, sup_eps_diagnostic,
+                      write_records, write_summary)
+from .kernels import (covariance_X, expected_count_closed, kac_rice_expected,
+                      r_n_closed)
 from .weights import (Grid, Potential, WeightFunction, builtin_weights,
                       default_grid, normalize_weight, weight_to_potential)
 from .zeros import (ZeroCountResult, count_hermite_zeros, count_zeros,

@@ -27,11 +27,10 @@ from .eigen import BoundaryCondition, asymptotic_deviation, eigen_solve
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, UsageError)
 from .harness import (ExperimentConfig, build_basis_pair,
-                      check_covariance_draws, contiguity_diagnostic,
-                      covariance_check, gap_diagnostics, run_experiment,
-                      summarize, sup_eps_diagnostic, write_summary)
-from .kernels import (expected_count_closed, kac_rice_expected,
-                      second_order_exact, second_order_stationary)
+                      check_covariance_draws, covariance_check,
+                      gap_diagnostics, run_experiment, summarize,
+                      sup_eps_diagnostic, write_summary)
+from .kernels import expected_count_closed, kac_rice_expected
 from .weights import TWO_PI, builtin_weights
 
 
@@ -217,18 +216,18 @@ def cmd_eigen(cfg):
 def cmd_simulate(cfg, kinds=None):
     config = _experiment_config(cfg, kinds or tuple(cfg["kinds"]), cfg["out"])
     records = run_experiment(config)
-    write_summary(summarize(records), os.path.join(cfg["out"], "summary.json"))
-    return records
+    report = summarize(records)
+    write_summary(report, os.path.join(cfg["out"], "summary.json"))
+    return records, report
 
 
 def cmd_kac(cfg):
     weight = builtin_weights(cfg["weight"])
     rows = []
     for n in cfg["n_list"]:
-        integral_x = kac_rice_expected(second_order_exact(n, weight), (0.0, TWO_PI))
-        integral_t = kac_rice_expected(second_order_stationary(n), (0.0, TWO_PI))
-        rows.append((n, "X_n", integral_x, expected_count_closed(n, "X_n")))
-        rows.append((n, "T_n", integral_t, expected_count_closed(n, "T_n")))
+        for kind in ("X_n", "T_n"):
+            rows.append((n, kind, kac_rice_expected(n, kind, weight),
+                         expected_count_closed(n, kind)))
     _write_table(os.path.join(cfg["out"], "kac_table.csv"),
                  ("n", "kind", "expected_count", "closed_form"), rows)
     return 0
@@ -243,8 +242,8 @@ def _refuse_log_scaling_below_2(n_list, scaling):
 
 def cmd_compare(cfg):
     _refuse_log_scaling_below_2(cfg["n_list"], "sqrt(n)/log(n)")
-    records = cmd_simulate(cfg, kinds=("f_n", "X_n"))
-    contiguity = contiguity_diagnostic(records)
+    records, report = cmd_simulate(cfg, kinds=("f_n", "X_n"))
+    contiguity = {n: block.contiguity for n, block in report.per_n.items()}
     sup_eps = sup_eps_diagnostic(records)
     _write_table(os.path.join(cfg["out"], "contiguity.csv"),
                  ("n", "contiguity"),
@@ -302,7 +301,7 @@ def cmd_diagnose(cfg):
 
 
 def cmd_robustness(cfg):
-    records = cmd_simulate(cfg, kinds=("T_n", "perturbed"))
+    records, _ = cmd_simulate(cfg, kinds=("T_n", "perturbed"))
     by_n = {}
     for rec in records:
         by_n.setdefault(rec.n, []).append(rec)

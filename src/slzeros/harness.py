@@ -40,7 +40,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -402,7 +402,6 @@ def _moments(counts):
 
 @dataclass(frozen=True)
 class KindSummary:
-    kind: str
     replicates: int
     mean: float
     var: float
@@ -417,7 +416,6 @@ class KindSummary:
 
 @dataclass(frozen=True)
 class PerNSummary:
-    n: int
     kinds: dict
     contiguity: float = None
     sup_eps_median_scaled: float = None
@@ -431,30 +429,10 @@ class SummaryReport:
     v_estimate: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {"n_list": list(self.n_list), "per_n": {}, "v_estimate": dict(self.v_estimate)}
-        for n in self.n_list:
-            block = self.per_n[n]
-            kinds = {}
-            for kind, ks in block.kinds.items():
-                kinds[kind] = {
-                    "replicates": ks.replicates,
-                    "mean": ks.mean,
-                    "var": ks.var,
-                    "var_over_n": ks.var_over_n,
-                    "var_over_n_ci": list(ks.var_over_n_ci),
-                    "skewness": ks.skewness,
-                    "excess_kurtosis": ks.excess_kurtosis,
-                    "ks_fitted": ks.ks_fitted,
-                    "stable_fraction": ks.stable_fraction,
-                    "unreliable": ks.unreliable,
-                }
-            out["per_n"][str(n)] = {
-                "kinds": kinds,
-                "contiguity": block.contiguity,
-                "sup_eps_median_scaled": block.sup_eps_median_scaled,
-                "sup_eps_p99_scaled": block.sup_eps_p99_scaled,
-            }
-        return out
+        return {"n_list": list(self.n_list),
+                "v_estimate": dict(self.v_estimate),
+                "per_n": {str(n): asdict(block)
+                          for n, block in self.per_n.items()}}
 
 
 def _group_by_n(records):
@@ -495,13 +473,13 @@ def summarize(records):
             if flags and all(f is not None for f in flags):
                 stable = float(np.mean([1.0 if f else 0.0 for f in flags]))
             kinds[kind] = KindSummary(
-                kind=kind, replicates=m, mean=mean, var=var, var_over_n=var / n,
+                replicates=m, mean=mean, var=var, var_over_n=var / n,
                 var_over_n_ci=ci, skewness=skew, excess_kurtosis=kurt,
                 ks_fitted=ks, stable_fraction=stable,
                 unreliable=(stable == 0.0))
         sup_q = _sup_eps_quantiles(n, recs) or {}
         per_n[n] = PerNSummary(
-            n=n, kinds=kinds, contiguity=_contiguity(n, recs),
+            kinds=kinds, contiguity=_contiguity(n, recs),
             sup_eps_median_scaled=sup_q.get("median"),
             sup_eps_p99_scaled=sup_q.get("p99"))
     n_max = max(groups)
@@ -529,16 +507,6 @@ def _sup_eps_quantiles(n, recs):
     scaled = np.array(sups, dtype=float) * math.sqrt(n) / math.log(n)
     return {"median": float(np.median(scaled)),
             "p99": float(np.percentile(scaled, 99))}
-
-
-def contiguity_diagnostic(records):
-    """Per-n E|N_f - N_X| / sqrt(n) from paired counts."""
-    out = {}
-    for n, recs in _group_by_n(records).items():
-        out[n] = _contiguity(n, recs)
-        if out[n] is None:
-            raise PreconditionError("no paired counts recorded for n=%d" % n)
-    return out
 
 
 def sup_eps_diagnostic(records):

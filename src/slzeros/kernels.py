@@ -7,17 +7,18 @@ of variables, and its covariance is the normalized Dirichlet-type sum
 
 This module evaluates r_n and its first two derivatives in closed
 form (with a Taylor branch near t = 0 where the sin(t/2) denominators
-cancel), packages the exact second-order data (variances of a process
-and its derivative) for the comparison processes, and integrates the
-Kac-Rice first-moment intensity to get expected zero counts.
+cancel), and gives the expected zero counts on [0, 2*pi] of the
+half-frequency process X_n and the stationary polynomial T_n twice:
+by quadrature of the Kac-Rice first-moment intensity, and in closed
+form.  Every function here refuses an order n that is not a positive
+integer.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError
 from .weights import TWO_PI, omega_map
 
 # Switch to the Taylor branch while m*|t|/2 < _TAYLOR_MU.  The closed-form
@@ -25,6 +26,13 @@ from .weights import TWO_PI, omega_map
 # small-n second derivative with ~eps/(m*u)^2 relative error just above it;
 # scaling the cut with 1/m keeps both branches below ~1e-13 everywhere.
 _TAYLOR_MU = 0.2
+
+
+def _check_order(n):
+    """n as an int, or DomainError unless it is a positive integer."""
+    if n < 1 or int(n) != n:
+        raise DomainError("order n must be a positive integer, got %r" % (n,))
+    return int(n)
 
 
 def _power_sums(n):
@@ -46,9 +54,7 @@ def r_n_closed(n, t):
     removable singularity (m |t|/2 below 0.2) a degree-8 Taylor
     expansion in t replaces the quotients.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError("kernel order must be a positive integer, got %r" % (n,))
-    n = int(n)
+    n = _check_order(n)
     ts = np.asarray(t, dtype=float)
     scalar = ts.ndim == 0
     ts = np.atleast_1d(ts).copy()
@@ -93,87 +99,37 @@ def covariance_X(n, weight, x, y, grid=None):
     return r_n_closed(n, 0.5 * (om.forward(x) - om.forward(y)))[0]
 
 
-@dataclass(frozen=True)
-class ProcessSecondOrder:
-    """Pointwise second-order data of a differentiable process:
-    var0(x) = var Z(x), var1(x) = var Z'(x), cov01(x) = cov(Z, Z')."""
+def kac_rice_expected(n, kind, weight=None):
+    """Expected zero count on [0, 2*pi] by the Kac-Rice first-moment
+    formula, E N = (1/pi) * integral sqrt(var Z'(x)) dx for a process of
+    unit variance whose value and slope are uncorrelated:
 
-    var0: object
-    var1: object
-    cov01: object
+    - X_n (half frequencies, any weight): var X_n'(x) =
+      omega(x)^2 (n+1)(2n+1)/24, the analogue of -r_n''(0) scaled by
+      (Omega'/2)^2; the weight is required;
+    - T_n (full frequencies): var T_n' = (n+1)(2n+1)/6 = -r_n''(0).
 
-
-def second_order_exact(n, weight, grid=None):
-    """Exact second-order data of the weighted comparison process.
-
-    var0 = 1, cov01 = 0, var1(x) = omega(x)^2 (n+1)(2n+1)/24 — the
-    half-frequency analogue of -r_n''(0) scaled by (Omega'/2)^2.
+    Adaptive quadrature, relative error <= 1e-8; expected_count_closed
+    gives the same counts in closed form.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1, got %r" % (n,))
-    c = (n + 1) * (2 * n + 1) / 24.0
-
-    def var1(x, w=weight, c=c):
-        om = np.asarray(w.eval(x), dtype=float)
-        return om * om * c
-
-    return ProcessSecondOrder(
-        var0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        var1=var1,
-        cov01=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
-def second_order_stationary(n):
-    """Exact second-order data of the full-frequency stationary
-    polynomial: var0 = 1, cov01 = 0, var1 = (n+1)(2n+1)/6 = -r_n''(0)."""
-    c = (n + 1) * (2 * n + 1) / 6.0
-    return ProcessSecondOrder(
-        var0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        var1=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
-        cov01=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
-def kac_rice_expected(so, interval):
-    """Expected zero count on the interval by the first-moment formula:
-
-        E N = (1/pi) * integral sqrt(var0*var1 - cov01^2) / var0.
-
-    Adaptive quadrature, relative error <= 1e-8.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not (b >= a):
-        raise DomainError("empty interval (%r, %r)" % (a, b))
-    if b == a:
-        return 0.0
-
-    probe = np.linspace(a, b, 65)
-    v0p = np.asarray(so.var0(probe), dtype=float)
-    if np.any(v0p <= 0.0):
-        bad = probe[np.argmin(v0p)]
-        raise DomainError("var0 <= 0 at x=%.6f; Kac-Rice intensity undefined" % bad)
-    v1p = np.asarray(so.var1(probe), dtype=float)
-    cp = np.asarray(so.cov01(probe), dtype=float)
-    slack = cp * cp - v0p * v1p
-    if np.any(slack > 1e-9 * np.maximum(v0p * v1p, 1e-300) + 1e-12):
-        i = int(np.argmax(slack))
-        raise InvariantViolation(
-            "Cauchy-Schwarz violated at x=%.6f: cov01^2=%r > var0*var1=%r"
-            % (probe[i], cp[i] ** 2, v0p[i] * v1p[i]))
+    n = _check_order(n)
+    if kind == "X_n":
+        if weight is None:
+            raise DomainError("kac_rice_expected(kind='X_n') needs a weight")
+        omega, c = weight.eval, (n + 1) * (2 * n + 1) / 24.0
+    elif kind == "T_n":
+        omega, c = (lambda x: 1.0), (n + 1) * (2 * n + 1) / 6.0
+    else:
+        raise DomainError("no Kac-Rice intensity for kind %r" % (kind,))
 
     def intensity(x):
-        v0 = float(so.var0(x))
-        if v0 <= 0.0:
-            raise DomainError("var0 <= 0 at x=%r inside Kac-Rice integral" % (x,))
-        v1 = float(so.var1(x))
-        c = float(so.cov01(x))
-        disc = max(v0 * v1 - c * c, 0.0)
-        return math.sqrt(disc) / (v0 * math.pi)
+        om = float(omega(x))
+        return math.sqrt(om * om * c) / math.pi
 
     from scipy.integrate import quad  # here: importing scipy takes 0.5 s
 
-    val, err = quad(intensity, a, b, epsabs=1e-12, epsrel=1e-8, limit=200)
+    val, err = quad(intensity, 0.0, TWO_PI, epsabs=1e-12, epsrel=1e-8,
+                    limit=200)
     return float(val)
 
 
@@ -181,6 +137,7 @@ def expected_count_closed(n, kind):
     """Closed-form expected zero counts on [0, 2*pi]: half-frequency
     comparison process (weight-independent) and full-frequency
     stationary polynomial."""
+    n = _check_order(n)
     if kind in ("X_n", "X_n_raw"):
         return 2.0 * math.sqrt((n + 1) * (2 * n + 1) / 24.0)
     if kind == "T_n":

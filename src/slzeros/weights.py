@@ -235,10 +235,11 @@ def check_resolution(grid, name, value, weight=None, shift=0):
 
 def omega_map(weight, grid=None):
     """Cached OmegaMap for (weight, grid); maps are immutable."""
-    key = (id(weight), id(grid) if grid is not None else 0)
+    grid = grid if grid is not None else default_grid()
+    key = (id(weight), id(grid))
     hit = _MAP_CACHE.get(key)
     # guard against id reuse after garbage collection
-    if hit is not None and hit.weight is weight and (grid is None or hit.grid is grid):
+    if hit is not None and hit.weight is weight and hit.grid is grid:
         return hit
     m = OmegaMap(weight, grid)
     if len(_MAP_CACHE) > 64:

@@ -13,6 +13,7 @@ import pytest
 from slzeros import cli
 from slzeros.errors import NumericError
 from slzeros.harness import RECORD_COLUMNS
+from slzeros.kernels import expected_count_closed
 
 
 def _run(argv):
@@ -195,6 +196,7 @@ def test_k_max_below_largest_n(tmp_path, capsys):
     ["diagnose", "--weight", "unit", "--n-list", "4", "--x-ref", "nan"],
     ["diagnose", "--weight", "unit", "--n-list", "4", "--x-ref", "7"],
     ["diagnose", "--weight", "unit", "--n-list", "4", "--replicates", "10"],
+    ["kac", "--weight", "unit", "--n-list", "0"],
 ])
 def test_refused_run_leaves_no_manifest(argv, tmp_path, monkeypatch, capsys):
     # run in tmp_path, where the manifest case finds its file
@@ -246,12 +248,12 @@ def test_compare_outputs(tmp_path):
     assert _run(["compare", "--weight", "unit", "--n-list", "10,20",
                  "--replicates", "4", "--seed", "7", "--k-max", "20",
                  "--out", out]) == 0
-    header, rows = _read_table(os.path.join(out, "contiguity.csv"))
+    header, rows_c = _read_table(os.path.join(out, "contiguity.csv"))
     assert header == ["n", "contiguity"]
-    assert [int(r[0]) for r in rows] == [10, 20]
+    assert [int(r[0]) for r in rows_c] == [10, 20]
     # with the unit weight the coupled processes coincide, so the
     # normalized count distance vanishes identically
-    assert all(float(r[1]) == 0.0 for r in rows)
+    assert all(float(r[1]) == 0.0 for r in rows_c)
     header, rows = _read_table(os.path.join(out, "sup_eps.csv"))
     assert header == ["n", "median_scaled", "p99_scaled"]
     assert [int(r[0]) for r in rows] == [10, 20]
@@ -262,6 +264,34 @@ def test_compare_outputs(tmp_path):
                            "median_loglog_slope"}
     assert set(report["contiguity"]) == {"10", "20"}
     assert math.isfinite(report["median_loglog_slope"])
+    # both contiguity outputs are the summary's per-n statistic
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)["per_n"]
+    assert {r[0]: float(r[1]) for r in rows_c} == {
+        n: block["contiguity"] for n, block in summary.items()}
+    assert report["contiguity"] == {
+        n: block["contiguity"] for n, block in summary.items()}
+
+
+def test_robustness_outputs(tmp_path):
+    out = str(tmp_path / "rob")
+    assert _run(["robustness", "--weight", "unit", "--n-list", "8,16",
+                 "--replicates", "6", "--seed", "3", "--out", out]) == 0
+    header, rows = _read_table(os.path.join(out, "robustness.csv"))
+    assert header == ["n", "mean_T", "mean_perturbed", "closed_form_T",
+                      "se_perturbed", "gap_over_se"]
+    assert [int(r[0]) for r in rows] == [8, 16]
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)["per_n"]
+    for row in rows:
+        n = int(row[0])
+        mean_t, mean_p, closed, se_p, gap = (float(v) for v in row[1:])
+        kinds = summary[row[0]]["kinds"]
+        assert mean_t == kinds["T_n"]["mean"]
+        assert mean_p == kinds["perturbed"]["mean"]
+        assert closed == expected_count_closed(n, "T_n")
+        assert se_p > 0
+        assert gap == abs(mean_p - closed) / se_p
 
 
 def test_diagnose_outputs(tmp_path):

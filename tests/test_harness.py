@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from slzeros import (DomainError, ExperimentConfig, PreconditionError,
                      ReplicateRecord, UsageError, build_basis_pair,
-                     contiguity_diagnostic, covariance_check, gap_diagnostics,
+                     covariance_check, gap_diagnostics,
                      ks_statistic, read_records, run_experiment, summarize,
                      sup_eps_diagnostic, write_records, write_summary)
 from slzeros.ensembles import (build_process, combine, sample_coefficient_block,
@@ -418,10 +418,10 @@ def test_summary_json_round_trip(tmp_path):
 def test_contiguity_diagnostic_pinned():
     recs = [ReplicateRecord(n=9, replicate_id=i, seed=i, n_fn=a, n_xn=b)
             for i, (a, b) in enumerate([(5, 3), (4, 4), (7, 4)])]
-    out = contiguity_diagnostic(recs)
-    np.testing.assert_allclose(out[9], (2 + 0 + 3) / 3.0 / 3.0)
-    with pytest.raises(PreconditionError):
-        contiguity_diagnostic(_tn_records(4, [1, 2]))
+    out = summarize(recs).per_n[9].contiguity
+    np.testing.assert_allclose(out, (2 + 0 + 3) / 3.0 / 3.0)
+    # no paired counts, no statistic
+    assert summarize(_tn_records(4, [1, 2])).per_n[4].contiguity is None
 
 
 def test_sup_eps_diagnostic_flat_series_has_zero_slope():

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from slzeros import (DomainError, InvariantViolation, ProcessSecondOrder,
-                     covariance_X, expected_count_closed, kac_rice_expected,
-                     r_n_closed, second_order_exact, second_order_stationary)
+from slzeros import (DomainError, covariance_X, expected_count_closed,
+                     kac_rice_expected, r_n_closed)
 from slzeros.weights import TWO_PI, builtin_weights, omega_map
 
 
@@ -103,34 +102,6 @@ def test_covariance_X_sine2_uses_cumulative_map():
 
 
 # ----------------------------------------------------------------------
-# second-order data
-
-
-def test_second_order_exact_fields():
-    w = builtin_weights("sine2")
-    so = second_order_exact(10, w)
-    x = np.linspace(0.0, TWO_PI, 9)
-    np.testing.assert_allclose(so.var0(x), 1.0)
-    np.testing.assert_allclose(so.cov01(x), 0.0)
-    om = np.asarray(w.eval(x), dtype=float)
-    np.testing.assert_allclose(so.var1(x), om * om * 11 * 21 / 24.0,
-                               rtol=1e-14)
-    with pytest.raises(DomainError):
-        second_order_exact(0, w)
-
-
-def test_second_order_stationary_fields():
-    so = second_order_stationary(10)
-    x = np.linspace(0.0, TWO_PI, 9)
-    np.testing.assert_allclose(so.var0(x), 1.0)
-    np.testing.assert_allclose(so.var1(x), 11 * 21 / 6.0)
-    np.testing.assert_allclose(so.cov01(x), 0.0)
-    # consistency with the kernel: var1 = -r_n''(0)
-    np.testing.assert_allclose(so.var1(0.0), -r_n_closed(10, 0.0)[2],
-                               rtol=1e-15)
-
-
-# ----------------------------------------------------------------------
 # Kac-Rice integration
 
 
@@ -139,49 +110,70 @@ def test_kac_rice_matches_closed_forms():
     sine2 = builtin_weights("sine2")
     for n in (1, 5, 50):
         want_x = expected_count_closed(n, "X_n")
-        got_unit = kac_rice_expected(second_order_exact(n, unit),
-                                     (0.0, TWO_PI))
-        got_sine2 = kac_rice_expected(second_order_exact(n, sine2),
-                                      (0.0, TWO_PI))
-        np.testing.assert_allclose(got_unit, want_x, rtol=1e-8)
+        np.testing.assert_allclose(kac_rice_expected(n, "X_n", unit),
+                                   want_x, rtol=1e-8)
         # mass normalization makes the expected count weight-independent
-        np.testing.assert_allclose(got_sine2, want_x, rtol=1e-8)
-        want_t = expected_count_closed(n, "T_n")
-        got_t = kac_rice_expected(second_order_stationary(n), (0.0, TWO_PI))
-        np.testing.assert_allclose(got_t, want_t, rtol=1e-8)
+        np.testing.assert_allclose(kac_rice_expected(n, "X_n", sine2),
+                                   want_x, rtol=1e-8)
+        np.testing.assert_allclose(kac_rice_expected(n, "T_n"),
+                                   expected_count_closed(n, "T_n"), rtol=1e-8)
 
 
 def test_kac_rice_pinned_small_orders():
     unit = builtin_weights("unit")
-    np.testing.assert_allclose(
-        kac_rice_expected(second_order_exact(1, unit), (0.0, TWO_PI)), 1.0,
-        rtol=1e-10)
-    np.testing.assert_allclose(
-        kac_rice_expected(second_order_stationary(1), (0.0, TWO_PI)), 2.0,
-        rtol=1e-10)
-    # half interval, constant intensity: half the count
-    np.testing.assert_allclose(
-        kac_rice_expected(second_order_stationary(1), (0.0, math.pi)), 1.0,
-        rtol=1e-10)
+    np.testing.assert_allclose(kac_rice_expected(1, "X_n", unit), 1.0,
+                               rtol=1e-10)
+    np.testing.assert_allclose(kac_rice_expected(1, "T_n"), 2.0, rtol=1e-10)
 
 
-def test_kac_rice_validates_interval_and_variances():
-    so = second_order_stationary(3)
-    assert kac_rice_expected(so, (1.0, 1.0)) == 0.0
-    with pytest.raises(DomainError):
-        kac_rice_expected(so, (2.0, 1.0))
-    bad_var = ProcessSecondOrder(
-        var0=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
-        var1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        cov01=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    with pytest.raises(DomainError):
-        kac_rice_expected(bad_var, (0.0, 1.0))
-    cs_violation = ProcessSecondOrder(
-        var0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        var1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        cov01=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)))
-    with pytest.raises(InvariantViolation):
-        kac_rice_expected(cs_violation, (0.0, 1.0))
+@pytest.mark.parametrize("n, kind, weight, bits", [
+    (1, "X_n", "unit", "0x1.0000000000000p+0"),
+    (1, "X_n", "sine2", "0x1.0000000000000p+0"),
+    (1, "X_n", "expcos", "0x1.0000000000000p+0"),
+    (1, "T_n", None, "0x1.0000000000000p+1"),
+    (50, "X_n", "unit", "0x1.d4cd7fbcc3d03p+4"),
+    (50, "X_n", "sine2", "0x1.d4cd7fbcc3d03p+4"),
+    (50, "X_n", "expcos", "0x1.d4cd7fbcc3d06p+4"),
+    (50, "T_n", None, "0x1.d4cd7fbcc3d03p+5"),
+    (400, "X_n", "unit", "0x1.cebf03bbaf9efp+7"),
+    (400, "X_n", "sine2", "0x1.cebf03bbaf9efp+7"),
+    (400, "X_n", "expcos", "0x1.cebf03bbaf9f1p+7"),
+    (400, "T_n", None, "0x1.cebf03bbaf9efp+8"),
+])
+def test_kac_rice_expected_pinned_bits(n, kind, weight, bits):
+    # the expected_count column of kac_table.csv, to the last bit
+    w = builtin_weights(weight) if weight is not None else None
+    assert kac_rice_expected(n, kind, w).hex() == bits
+
+
+def test_kac_rice_stationary_constant_is_kernel_curvature():
+    # var T_n' = -r_n''(0), so the intensity is constant and
+    # E N = 2*pi * sqrt(-r_n''(0)) / pi
+    for n in (1, 10, 400):
+        np.testing.assert_allclose(kac_rice_expected(n, "T_n"),
+                                   2.0 * math.sqrt(-r_n_closed(n, 0.0)[2]),
+                                   rtol=1e-13)
+
+
+def test_kac_rice_refuses_kind_and_missing_weight():
+    with pytest.raises(DomainError, match="no Kac-Rice intensity"):
+        kac_rice_expected(10, "f_n", builtin_weights("unit"))
+    with pytest.raises(DomainError, match="needs a weight"):
+        kac_rice_expected(10, "X_n")
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.5])
+@pytest.mark.parametrize("call", [
+    lambda n: r_n_closed(n, 0.1),
+    lambda n: kac_rice_expected(n, "T_n"),
+    lambda n: kac_rice_expected(n, "X_n", builtin_weights("unit")),
+    lambda n: expected_count_closed(n, "T_n"),
+    lambda n: expected_count_closed(n, "X_n"),
+], ids=["r_n_closed", "kac_T_n", "kac_X_n", "closed_T_n", "closed_X_n"])
+def test_order_must_be_positive_integer(call, n):
+    with pytest.raises(DomainError, match="order n must be a positive "
+                                          "integer, got %r" % (n,)):
+        call(n)
 
 
 # ----------------------------------------------------------------------

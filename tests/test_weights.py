@@ -122,6 +122,17 @@ def test_omega_inverse_round_trip():
     np.testing.assert_allclose(om.inverse(om.forward(x)), x, atol=1e-11)
 
 
+def test_omega_map_default_grid_is_one_cache_entry():
+    # grid=None means default_grid(): one map, built once, either way
+    w = builtin_weights("expcos")
+    m = omega_map(w)
+    assert omega_map(w, default_grid()) is m
+    assert omega_map(w) is m
+    assert m.grid is default_grid()
+    v = builtin_weights("sine2")
+    assert omega_map(v, default_grid()) is omega_map(v)
+
+
 def test_omega_map_rejects_out_of_range():
     w = builtin_weights("sine2")
     m = omega_map(w)
