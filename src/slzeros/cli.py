@@ -23,13 +23,13 @@ import os
 import sys
 from collections import namedtuple
 
-from .eigen import BoundaryCondition, asymptotic_deviation, eigen_solve
+from .eigen import asymptotic_deviation
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, UsageError)
 from .harness import (ExperimentConfig, build_basis_pair,
                       check_covariance_draws, covariance_check,
-                      gap_diagnostics, run_experiment, summarize,
-                      sup_eps_diagnostic, write_summary)
+                      gap_diagnostics, median_loglog_slope, run_experiment,
+                      summarize, write_summary)
 from .kernels import expected_count_closed, kac_rice_expected
 from .weights import TWO_PI, builtin_weights
 
@@ -199,12 +199,11 @@ def cmd_eigen(cfg):
     weight = builtin_weights(cfg["weight"])
     k_max = cfg["k_max"] if cfg["k_max"] is not None else 20
     rows = []
-    for bc in (BoundaryCondition.C, BoundaryCondition.D):
-        basis = eigen_solve(weight, bc, k_max)
+    for basis in build_basis_pair(weight, k_max):
         ks, d, d1 = asymptotic_deviation(basis)
         for pair, dev, dev1 in zip(basis.pairs, d, d1):
             root = math.sqrt(pair.eigenvalue)
-            rows.append((bc.value, pair.index, pair.eigenvalue,
+            rows.append((basis.bc.value, pair.index, pair.eigenvalue,
                          root - pair.index / 2.0, dev, pair.index * dev, dev1))
     _write_table(os.path.join(cfg["out"], "eigen_table.csv"),
                  ("family", "k", "lambda", "sqrt_lambda_minus_half_k",
@@ -244,19 +243,22 @@ def cmd_compare(cfg):
     _refuse_log_scaling_below_2(cfg["n_list"], "sqrt(n)/log(n)")
     records, report = cmd_simulate(cfg, kinds=("f_n", "X_n"))
     contiguity = {n: block.contiguity for n, block in report.per_n.items()}
-    sup_eps = sup_eps_diagnostic(records)
+    quantiles = {n: {"median": block.sup_eps_median_scaled,
+                     "p99": block.sup_eps_p99_scaled}
+                 for n, block in report.per_n.items()}
+    slope = median_loglog_slope({n: q["median"] for n, q in quantiles.items()})
     _write_table(os.path.join(cfg["out"], "contiguity.csv"),
                  ("n", "contiguity"),
                  [(n, v) for n, v in sorted(contiguity.items())])
     _write_table(os.path.join(cfg["out"], "sup_eps.csv"),
                  ("n", "median_scaled", "p99_scaled"),
                  [(n, q["median"], q["p99"])
-                  for n, q in sorted(sup_eps["quantiles"].items())])
+                  for n, q in sorted(quantiles.items())])
     with open(os.path.join(cfg["out"], "compare.json"), "w") as fh:
         json.dump({"contiguity": {str(n): v for n, v in contiguity.items()},
                    "sup_eps_quantiles": {str(n): q for n, q in
-                                         sup_eps["quantiles"].items()},
-                   "median_loglog_slope": sup_eps["median_loglog_slope"]},
+                                         quantiles.items()},
+                   "median_loglog_slope": slope},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0

@@ -126,23 +126,33 @@ def _chain_reduce(a, b, c, d):
 
 
 def _chain_scan(a, b, c, d):
-    """Inclusive prefix products P_i = M_i @ ... @ M_0 (Hillis-Steele)."""
-    a = a.copy()
-    b = b.copy()
-    c = c.copy()
-    d = d.copy()
+    """Inclusive prefix products P_i = M_i @ ... @ M_0 (Hillis-Steele).
+
+    Each level reads one buffer and writes the other, with the products
+    formed in place, so a scan allocates two buffers and one temporary
+    whatever its depth; the inputs are only read."""
     n = a.size
+    one, two = np.empty((2, 4, n))
+    tmp = np.empty(n)
+    src = (a, b, c, d)
     shift = 1
     while shift < n:
-        a2, b2, c2, d2 = a[shift:], b[shift:], c[shift:], d[shift:]
-        a1, b1, c1, d1 = a[:-shift], b[:-shift], c[:-shift], d[:-shift]
-        na = a2 * a1 + b2 * c1
-        nb = a2 * b1 + b2 * d1
-        nc = c2 * a1 + d2 * c1
-        nd = c2 * b1 + d2 * d1
-        a[shift:], b[shift:], c[shift:], d[shift:] = na, nb, nc, nd
+        dst = two if src is one else one
+        t = tmp[:n - shift]
+        a1, b1, c1, d1 = (x[:-shift] for x in src)
+        a2, b2, c2, d2 = (x[shift:] for x in src)
+        # entry i >= shift is M-block i times block i - shift, as
+        # a2 * a1 + b2 * c1 and so on, in that order of rounding
+        for out, head, (p, q, r, s) in zip(dst, src, (
+                (a2, a1, b2, c1), (a2, b1, b2, d1),
+                (c2, a1, d2, c1), (c2, b1, d2, d1))):
+            out[:shift] = head[:shift]
+            np.multiply(p, q, out=out[shift:])
+            np.multiply(r, s, out=t)
+            out[shift:] += t
+        src = dst
         shift *= 2
-    return a, b, c, d
+    return tuple(src)
 
 
 class _Propagator:
@@ -309,6 +319,28 @@ def normalize_eigenfunction(pair, weight, grid, bc):
                      func=pair.func * s, dfunc=pair.dfunc * s)
 
 
+def check_k_max(k_max, weight, grid):
+    """k_max as an int; refuses one that is not a positive integer or
+    that the grid cannot resolve (check_resolution)."""
+    if k_max < 1 or int(k_max) != k_max:
+        raise PreconditionError("k_max must be a positive integer, got %r" % (k_max,))
+    k_max = int(k_max)
+    check_resolution(grid, "k_max", k_max, weight=weight)
+    return k_max
+
+
+def basis_from_arrays(bc, weight, grid, lambdas, funcs, dfuncs):
+    """The EigenBasis over solved arrays: row k - 1 of funcs/dfuncs and
+    entry k - 1 of lambdas belong to index k, and every pair's samples
+    are views of those rows."""
+    pairs = tuple(
+        Eigenpair(index=k + 1, eigenvalue=float(lambdas[k]),
+                  func=funcs[k], dfunc=dfuncs[k])
+        for k in range(len(lambdas)))
+    return EigenBasis(bc=bc, pairs=pairs, weight=weight, grid=grid,
+                      funcs=funcs, dfuncs=dfuncs)
+
+
 def eigen_solve(weight, bc, k_max, grid=None):
     """First k_max eigenpairs of psi'' = -lambda omega^2 psi for the
     given weight, ordered, normalized to integral psi^2 omega dx = pi.
@@ -336,13 +368,10 @@ def eigen_solve(weight, bc, k_max, grid=None):
     from the chain at the returned lambda, which the scan or Brent
     evaluated, instead of a new one.
     """
-    if k_max < 1 or int(k_max) != k_max:
-        raise PreconditionError("k_max must be a positive integer, got %r" % (k_max,))
-    k_max = int(k_max)
     if not isinstance(bc, BoundaryCondition):
         raise PreconditionError("bc must be a BoundaryCondition, got %r" % (bc,))
     grid = grid if grid is not None else default_grid()
-    check_resolution(grid, "k_max", k_max, weight=weight)
+    k_max = check_k_max(k_max, weight, grid)
     prop = _Propagator(weight, grid)
     q_shift = float(np.sum(prop.qbar * prop.hy) / TWO_PI)
 
@@ -443,12 +472,7 @@ def eigen_solve(weight, bc, k_max, grid=None):
         lambdas[stored] = lam
         stored += 1
 
-    pairs = tuple(
-        Eigenpair(index=k + 1, eigenvalue=float(lambdas[k]),
-                  func=funcs[k], dfunc=dfuncs[k])
-        for k in range(k_max))
-    return EigenBasis(bc=bc, pairs=pairs, weight=weight, grid=grid,
-                      funcs=funcs, dfuncs=dfuncs)
+    return basis_from_arrays(bc, weight, grid, lambdas, funcs, dfuncs)
 
 
 def _asymptotic_on_grid(k, bc, omega_vals, omega_cum, omega_d1):

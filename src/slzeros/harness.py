@@ -1,5 +1,10 @@
 """Seeded Monte Carlo experiments over zero counts, and their summaries.
 
+build_basis_pair() solves the two boundary families that f_n sums, C
+in this process and D in a forked child beside it, and returns D's
+arrays through an anonymous shared mapping, with the bits of a solo
+eigen_solve call for each family.
+
 run_experiment() draws the coefficient vectors of a chunk of
 replicates in one ensembles.sample_coefficient_block call, evaluates
 the configured process kinds on the storage grid, counts zeros of the
@@ -37,14 +42,18 @@ import ctypes
 import glob
 import json
 import math
+import mmap
 import multiprocessing
 import os
+import pickle
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .eigen import BoundaryCondition, eigen_solve
+from .eigen import (BoundaryCondition, basis_from_arrays, check_k_max,
+                    eigen_solve)
 from .ensembles import (ID_LIMIT, combine, process_rows,
                         sample_coefficient_block)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
@@ -290,9 +299,82 @@ def _one_blas_thread():
 
 
 def build_basis_pair(weight, k_max, grid=None):
-    """Solve both boundary families once; shared by every n."""
-    return (eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid),
-            eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid))
+    """Solve both boundary families once; shared by every n.
+
+    Neither solve reads the other, so where the platform forks, a child
+    process solves D while this one solves C.  The child writes D's
+    funcs, dfuncs and eigenvalues into an anonymous shared mapping made
+    before the fork, and the D basis is built over that mapping without
+    a copy.  The omega map is built before the fork, so the child
+    inherits it.  A child that fails sends its exception back pickled,
+    and it is raised here with its type and message.  The child is
+    always reaped, and killed first if the C solve raises.  Each family
+    has the bits that eigen_solve gives it alone, and both solves go
+    through this module's name eigen_solve.
+    """
+    if not hasattr(os, "fork"):
+        return (eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid),
+                eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid))
+    grid = grid if grid is not None else default_grid()
+    k_max = check_k_max(k_max, weight, grid)
+    omega_map(weight, grid)
+    size = k_max * grid.count
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + k_max)))
+    funcs = shared[:size].reshape(k_max, grid.count)
+    dfuncs = shared[size:2 * size].reshape(k_max, grid.count)
+    lambdas = shared[2 * size:]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child never returns into its caller: whatever happens, it
+        # leaves through os._exit, after sending back any exception
+        os.close(read_fd)
+        code = 1
+        try:
+            basis = eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid)
+            funcs[...] = basis.funcs
+            dfuncs[...] = basis.dfuncs
+            lambdas[...] = basis.eigenvalues
+            code = 0
+        except BaseException as exc:
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_pickled_exception(exc))
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            basis_c = eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid)
+            failure = pipe.read()  # empty when the child succeeds
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if failure:
+        raise pickle.loads(failure)
+    if status != 0:
+        raise ChildProcessError("the D-family solve ended with exit code %d "
+                                "and sent no error"
+                                % os.waitstatus_to_exitcode(status))
+    return basis_c, basis_from_arrays(BoundaryCondition.D, weight, grid,
+                                      lambdas, funcs, dfuncs)
+
+
+def _pickled_exception(exc):
+    """exc pickled, or, when it does not survive pickling, a
+    RuntimeError that names its type and message."""
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps(RuntimeError("%s: %s" % (type(exc).__name__, exc)))
 
 
 def run_experiment(config, basis_pair=None):
@@ -518,13 +600,19 @@ def sup_eps_diagnostic(records):
         if quantiles[n] is None:
             raise PreconditionError("no scaled sup_eps for n=%d: none "
                                     "recorded, or n < 2" % n)
-    slope = None
-    ns = sorted(quantiles)
-    if len(ns) >= 2 and all(quantiles[n]["median"] > 0 for n in ns):
-        slope = float(np.polyfit(np.log(ns),
-                                 np.log([quantiles[n]["median"] for n in ns]),
-                                 1)[0])
+    slope = median_loglog_slope({n: q["median"] for n, q in quantiles.items()})
     return {"quantiles": quantiles, "median_loglog_slope": slope}
+
+
+def median_loglog_slope(medians):
+    """Least-squares slope of log(median) against log(n) over a
+    {n: median} map, or None for fewer than 2 values of n or a median
+    that is not positive."""
+    ns = sorted(medians)
+    if len(ns) < 2 or not all(medians[n] > 0 for n in ns):
+        return None
+    return float(np.polyfit(np.log(ns), np.log([medians[n] for n in ns]),
+                            1)[0])
 
 
 # ----------------------------------------------------------------------

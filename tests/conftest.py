@@ -12,8 +12,8 @@ import os
 import pytest
 
 import slzeros
-from slzeros import (BoundaryCondition, ExperimentConfig, builtin_weights,
-                     eigen_solve, run_experiment)
+from slzeros import (ExperimentConfig, build_basis_pair, builtin_weights,
+                     run_experiment)
 
 MASTER_SEED = 20260819
 
@@ -42,22 +42,19 @@ def sine2_weight():
 @pytest.fixture(scope="session")
 def unit_basis(unit_weight):
     """(C, D) eigenbasis pair for the unit weight, 100 pairs each."""
-    return (eigen_solve(unit_weight, BoundaryCondition.C, 100),
-            eigen_solve(unit_weight, BoundaryCondition.D, 100))
+    return build_basis_pair(unit_weight, 100)
 
 
 @pytest.fixture(scope="session")
 def sine2_basis(sine2_weight):
     """(C, D) eigenbasis pair for the sine2 weight, 400 pairs each."""
-    return (eigen_solve(sine2_weight, BoundaryCondition.C, 400),
-            eigen_solve(sine2_weight, BoundaryCondition.D, 400))
+    return build_basis_pair(sine2_weight, 400)
 
 
 @pytest.fixture(scope="session")
 def sine2_basis_200(sine2_weight):
     """Smaller sine2 pair for tests that only need 200 modes."""
-    return (eigen_solve(sine2_weight, BoundaryCondition.C, 200),
-            eigen_solve(sine2_weight, BoundaryCondition.D, 200))
+    return build_basis_pair(sine2_weight, 200)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 
 from slzeros import cli
 from slzeros.errors import NumericError
-from slzeros.harness import RECORD_COLUMNS
+from slzeros.harness import RECORD_COLUMNS, read_records, sup_eps_diagnostic
 from slzeros.kernels import expected_count_closed
 
 
@@ -271,6 +271,17 @@ def test_compare_outputs(tmp_path):
         n: block["contiguity"] for n, block in summary.items()}
     assert report["contiguity"] == {
         n: block["contiguity"] for n, block in summary.items()}
+    # both sup_eps outputs are the summary's scaled quantiles, and the
+    # slope is the one the diagnostic fits to the records
+    quantiles = {n: {"median": block["sup_eps_median_scaled"],
+                     "p99": block["sup_eps_p99_scaled"]}
+                 for n, block in summary.items()}
+    assert report["sup_eps_quantiles"] == quantiles
+    assert {r[0]: {"median": float(r[1]), "p99": float(r[2])}
+            for r in rows} == quantiles
+    records = read_records(os.path.join(out, "records.csv"))
+    assert (report["median_loglog_slope"]
+            == sup_eps_diagnostic(records)["median_loglog_slope"])
 
 
 def test_robustness_outputs(tmp_path):

@@ -280,6 +280,36 @@ def _oracle_chain(lam, qbar, h):
     return a, h * s, -(z / h) * s, a
 
 
+def _copying_scan(a, b, c, d):
+    """The Hillis-Steele prefix products on four copies, with fresh
+    temporaries per level: the oracle of the two-buffer scan's bits."""
+    a, b, c, d = a.copy(), b.copy(), c.copy(), d.copy()
+    shift = 1
+    while shift < a.size:
+        a2, b2, c2, d2 = a[shift:], b[shift:], c[shift:], d[shift:]
+        a1, b1, c1, d1 = a[:-shift], b[:-shift], c[:-shift], d[:-shift]
+        na = a2 * a1 + b2 * c1
+        nb = a2 * b1 + b2 * d1
+        nc = c2 * a1 + d2 * c1
+        nd = c2 * b1 + d2 * d1
+        a[shift:], b[shift:], c[shift:], d[shift:] = na, nb, nc, nd
+        shift *= 2
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 8192])
+def test_chain_scan_bit_equal_to_copying_scan(n):
+    rng = np.random.default_rng(n)
+    a, b, c, d = rng.normal(size=(4, n))
+    for chain in ((a, b, c, d), (a, b, c, a)):  # a chain shares a and d
+        kept = [x.copy() for x in chain]
+        got = _chain_scan(*chain)
+        for x, y in zip(got, _copying_scan(*chain)):
+            assert np.array_equal(x, y)
+        for x, y in zip(chain, kept):
+            assert np.array_equal(x, y)  # the inputs are only read
+
+
 def _oracle_solve(weight, bc, k_max, grid):
     """(eigenvalues, funcs, dfuncs) from a scan that evaluates the
     residual at every node upward from just above the previous root and

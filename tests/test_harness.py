@@ -3,18 +3,23 @@
 import json
 import logging
 import math
+import mmap
+import os
+import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from slzeros import (DomainError, ExperimentConfig, PreconditionError,
-                     ReplicateRecord, UsageError, build_basis_pair,
-                     covariance_check, gap_diagnostics,
+from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
+                     NumericError, PreconditionError, ReplicateRecord,
+                     UsageError, build_basis_pair, builtin_weights,
+                     covariance_check, eigen_solve, gap_diagnostics,
                      ks_statistic, read_records, run_experiment, summarize,
                      sup_eps_diagnostic, write_records, write_summary)
 from slzeros.ensembles import (build_process, combine, sample_coefficient_block,
                                 sample_coefficients)
+from slzeros import harness
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _NContext,
                              _worker_count, check_covariance_draws,
                              record_row)
@@ -308,6 +313,129 @@ def test_build_basis_pair_is_ordered(unit_weight):
     assert pair[0].bc.value == "C"
     assert pair[1].bc.value == "D"
     assert pair[0].k_max == pair[1].k_max == 3
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _solve_d_with(monkeypatch, d_solve, c_solve=None):
+    """Route harness.eigen_solve's D calls, and its C calls when c_solve
+    is given, to stand-ins."""
+    real = harness.eigen_solve
+
+    def solve(weight, bc, k_max, grid=None):
+        if bc is BoundaryCondition.D:
+            return d_solve(weight, bc, k_max, grid=grid)
+        return (c_solve or real)(weight, bc, k_max, grid=grid)
+
+    monkeypatch.setattr(harness, "eigen_solve", solve)
+
+
+def _assert_basis_equal(basis, solo):
+    assert basis.bc is solo.bc
+    assert basis.grid is solo.grid
+    assert np.array_equal(basis.eigenvalues, solo.eigenvalues)
+    assert np.array_equal(basis.funcs, solo.funcs)
+    assert np.array_equal(basis.dfuncs, solo.dfuncs)
+    assert [p.index for p in basis.pairs] == [p.index for p in solo.pairs]
+    for k, pair in enumerate(basis.pairs):
+        assert np.array_equal(pair.func, basis.funcs[k])
+        assert np.array_equal(pair.dfunc, basis.dfuncs[k])
+
+
+@pytest.mark.parametrize("name", ["sine2", "expcos"])
+def test_build_basis_pair_bit_equal_to_solo_solves(name):
+    w = builtin_weights(name)
+    g = Grid.uniform(1025)
+    pair = build_basis_pair(w, 24, grid=g)
+    _no_child_left()
+    for basis, bc in zip(pair, (BoundaryCondition.C, BoundaryCondition.D)):
+        _assert_basis_equal(basis, eigen_solve(w, bc, 24, grid=g))
+
+
+def test_build_basis_pair_d_arrays_live_in_a_shared_mapping(unit_weight):
+    c, d = build_basis_pair(unit_weight, 6, grid=Grid.uniform(257))
+    for arr in (d.funcs, d.dfuncs):
+        owner = arr
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(getattr(owner, "obj", owner), mmap.mmap)
+    assert c.funcs.flags.owndata  # C is solved in this process
+
+
+def test_build_basis_pair_without_fork_solves_in_turn(monkeypatch):
+    w = builtin_weights("sine2")
+    g = Grid.uniform(1025)
+    forked = build_basis_pair(w, 12, grid=g)
+    monkeypatch.delattr(os, "fork")
+    for basis, solo in zip(build_basis_pair(w, 12, grid=g), forked):
+        _assert_basis_equal(basis, solo)
+
+
+def test_build_basis_pair_raises_the_childs_error(monkeypatch, unit_weight):
+    message = "no residual sign change found for ordinal 3 (D family)"
+
+    def failing(weight, bc, k_max, grid=None):
+        raise NumericError(message)
+
+    _solve_d_with(monkeypatch, failing)
+    with pytest.raises(NumericError) as info:
+        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+    assert type(info.value) is NumericError
+    assert str(info.value) == message
+    _no_child_left()
+
+
+def test_build_basis_pair_names_an_unpicklable_error(monkeypatch, unit_weight):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    def failing(weight, bc, k_max, grid=None):
+        raise LocalError("lost in the child")
+
+    _solve_d_with(monkeypatch, failing)
+    with pytest.raises(RuntimeError, match="^LocalError: lost in the child$"):
+        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+    _no_child_left()
+
+
+def test_build_basis_pair_child_that_dies_silently(monkeypatch, unit_weight):
+    def dying(weight, bc, k_max, grid=None):
+        os._exit(3)
+
+    _solve_d_with(monkeypatch, dying)
+    with pytest.raises(ChildProcessError, match="exit code 3 and sent no error"):
+        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+    _no_child_left()
+
+
+def test_build_basis_pair_kills_and_reaps_the_child_when_c_fails(
+        monkeypatch, unit_weight):
+    def slow(weight, bc, k_max, grid=None):
+        time.sleep(60)
+
+    def failing(weight, bc, k_max, grid=None):
+        raise NumericError("C failed")
+
+    _solve_d_with(monkeypatch, slow, c_solve=failing)
+    start = time.monotonic()
+    with pytest.raises(NumericError, match="^C failed$"):
+        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("k_max, match", [
+    (0, "k_max must be a positive integer, got 0"),
+    (2.5, "k_max must be a positive integer, got 2.5"),
+    (400, "k_max=400 leaves .* k_max must be at most"),
+])
+def test_build_basis_pair_refuses_bad_k_max(unit_weight, k_max, match):
+    with pytest.raises(PreconditionError, match=match):
+        build_basis_pair(unit_weight, k_max, grid=Grid.uniform(257))
+    _no_child_left()
 
 
 # ----------------------------------------------------------------------
