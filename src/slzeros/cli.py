@@ -26,10 +26,10 @@ from collections import namedtuple
 from .eigen import asymptotic_deviation
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, UsageError)
-from .harness import (ExperimentConfig, build_basis_pair,
+from .harness import (ExperimentConfig, _fmt, build_basis_pair,
                       check_covariance_draws, covariance_check,
                       gap_diagnostics, median_loglog_slope, run_experiment,
-                      summarize, write_summary)
+                      summarize, write_json, write_summary)
 from .kernels import expected_count_closed, kac_rice_expected
 from .weights import TWO_PI, builtin_weights
 
@@ -40,15 +40,6 @@ def _str_list(text):
 
 def _int_list(text):
     return tuple(int(p) for p in _str_list(text))
-
-
-def _switch(text):
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
 
 
 def _seed(text):
@@ -75,8 +66,6 @@ OPTIONS = {
     "seed": Option(_seed, 20260819, "master seed, at least 0"),
     "kinds": Option(_str_list, ("f_n", "X_n"), "process kinds, with commas"),
     "k_max": Option(int, None, "eigenpairs per boundary family"),
-    "timing": Option(_switch, False, "write wall times to timing.csv (not "
-                                     "byte-reproducible)"),
     "x_ref": Option(_point, math.pi / 3.0, "anchor point of beta, in "
                                            "[0, 2*pi]"),
     "out": Option(str, "slzeros_out", "output directory"),
@@ -85,14 +74,12 @@ OPTIONS = {
 SUBCOMMAND_KEYS = {
     "eigen": ("weight", "k_max", "out"),
     "simulate": ("weight", "n_list", "replicates", "seed", "kinds",
-                 "k_max", "timing", "out"),
+                 "k_max", "out"),
     "kac": ("weight", "n_list", "out"),
-    "compare": ("weight", "n_list", "replicates", "seed", "k_max",
-                "timing", "out"),
+    "compare": ("weight", "n_list", "replicates", "seed", "k_max", "out"),
     "diagnose": ("weight", "n_list", "replicates", "seed", "k_max",
                  "x_ref", "out"),
-    "robustness": ("weight", "n_list", "replicates", "seed", "timing",
-                   "out"),
+    "robustness": ("weight", "n_list", "replicates", "seed", "out"),
 }
 
 DEFAULT_OVERRIDES = {
@@ -166,33 +153,12 @@ def _resolve(subcommand, args):
     return {key: cfg[key] for key in SUBCOMMAND_KEYS[subcommand]}
 
 
-def _write_manifest(out_dir, subcommand, cfg):
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump({"subcommand": subcommand, "config": cfg}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
 def _write_table(path, header, rows):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _experiment_config(cfg, kinds, output_path):
-    return ExperimentConfig(
-        weight_name=cfg["weight"], n_list=cfg["n_list"],
-        replicates=cfg["replicates"], master_seed=cfg["seed"],
-        process_kinds=kinds, output_path=output_path,
-        k_max=cfg.get("k_max"), timing=cfg["timing"])
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def cmd_eigen(cfg):
@@ -213,8 +179,11 @@ def cmd_eigen(cfg):
 
 
 def cmd_simulate(cfg, kinds=None):
-    config = _experiment_config(cfg, kinds or tuple(cfg["kinds"]), cfg["out"])
-    records = run_experiment(config)
+    records = run_experiment(ExperimentConfig(
+        weight_name=cfg["weight"], n_list=cfg["n_list"],
+        replicates=cfg["replicates"], master_seed=cfg["seed"],
+        process_kinds=kinds or cfg["kinds"], output_path=cfg["out"],
+        k_max=cfg.get("k_max")))
     report = summarize(records)
     write_summary(report, os.path.join(cfg["out"], "summary.json"))
     return records, report
@@ -254,13 +223,10 @@ def cmd_compare(cfg):
                  ("n", "median_scaled", "p99_scaled"),
                  [(n, q["median"], q["p99"])
                   for n, q in sorted(quantiles.items())])
-    with open(os.path.join(cfg["out"], "compare.json"), "w") as fh:
-        json.dump({"contiguity": {str(n): v for n, v in contiguity.items()},
-                   "sup_eps_quantiles": {str(n): q for n, q in
-                                         quantiles.items()},
-                   "median_loglog_slope": slope},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg["out"], "compare.json"),
+               {"contiguity": {str(n): v for n, v in contiguity.items()},
+                "sup_eps_quantiles": {str(n): q for n, q in quantiles.items()},
+                "median_loglog_slope": slope})
     return 0
 
 
@@ -344,12 +310,8 @@ def build_parser():
         p.add_argument("--config", default=None,
                        help="INI config or a previously emitted manifest.json")
         for key in SUBCOMMAND_KEYS[name]:
-            option = OPTIONS[key]
-            # a bare switch: given, it sets the value to "true"
-            switch = (dict(action="store_const", const="true")
-                      if option.parse is _switch else {})
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           default=None, help=option.help, **switch)
+                           default=None, help=OPTIONS[key].help)
     return parser
 
 
@@ -361,7 +323,8 @@ def main(argv=None):
         _DISPATCH[args.subcommand](cfg)
         # only a run that finished leaves a manifest: one refused on its
         # inputs or stopped by a numerical failure leaves none
-        _write_manifest(cfg["out"], args.subcommand, cfg)
+        write_json(os.path.join(cfg["out"], "manifest.json"),
+                   {"subcommand": args.subcommand, "config": cfg})
     except (UsageError, DomainError, PreconditionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

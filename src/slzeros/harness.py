@@ -15,11 +15,13 @@ count holds an unresolved tangency is logged at WARNING and, for f_n
 and X_n, recorded with stable_* = 0.  Replicates are processed in
 fixed-size chunks whose composition depends only on the replicate
 ids, so results are bit-identical no matter how many workers run them
-(SLZEROS_THREADS, default 1).  ExperimentConfig refuses at
-construction what a run could not do (a negative seed, fewer than 2
-or more than 2**32 replicates, frequencies the storage grid cannot
-resolve); the perturbed kind is T_n perturbed by the fixed family of
-ensembles.process_rows, eps_k = sin((k+1)x)/(2k) and
+(SLZEROS_THREADS, default 1).  Each record's fields, in order, are the
+columns of records.csv, followed by a millis column that is always 0.
+ExperimentConfig refuses at construction what a run could not do (an
+n, replicate count or seed that is not an integer, a negative seed,
+fewer than 2 or more than 2**32 replicates, frequencies the storage
+grid cannot resolve); the perturbed kind is T_n perturbed by the fixed
+family of ensembles.process_rows, eps_k = sin((k+1)x)/(2k) and
 eta_k = cos((k+1)x)/(2k), whose bounds |eps_k| <= 1/(2k) and
 |eps_k'| <= 1 hold for every n.
 
@@ -30,7 +32,8 @@ standardized counts to a moment-fitted Gaussian, the paired-count
 contiguity statistic E|N_f - N_X|/sqrt(n), and scaled quantiles of the
 sup-norm gap between the eigenfunction sum and its trigonometric
 comparison process.  Everything in the summary is recomputable from
-the record rows alone.
+the record rows alone.  write_json() writes every JSON output file
+(summary, manifest, compare), and _fmt() every CSV cell.
 
 gap_diagnostics() and covariance_check() provide the second-order
 diagnostics: coupling coefficients alpha/Delta/beta from exact
@@ -47,14 +50,14 @@ import multiprocessing
 import os
 import pickle
 import signal
-import time
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .eigen import (BoundaryCondition, basis_from_arrays, check_k_max,
                     eigen_solve)
-from .ensembles import (ID_LIMIT, combine, process_rows,
+from .ensembles import (ID_LIMIT, _non_negative_int, combine, process_rows,
                         sample_coefficient_block)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
 # not called here; the benchmark's traced run (perfbench/tracing.py)
@@ -88,10 +91,13 @@ class ExperimentConfig:
     process_kinds: tuple = ("f_n", "X_n")
     output_path: str = None
     k_max: int = None
-    timing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(
+            _non_negative_int("n", n) for n in self.n_list))
+        for name in ("replicates", "master_seed"):
+            object.__setattr__(self, name,
+                               _non_negative_int(name, getattr(self, name)))
         object.__setattr__(self, "process_kinds", tuple(self.process_kinds))
         if self.replicates < 2:
             raise PreconditionError("need at least 2 replicates, got %d"
@@ -100,9 +106,6 @@ class ExperimentConfig:
             raise PreconditionError("need at most 2**32 replicates, one per "
                                     "32-bit replicate id, got %d"
                                     % self.replicates)
-        if self.master_seed < 0:
-            raise PreconditionError("master_seed must be at least 0, got %d"
-                                    % self.master_seed)
         if not self.n_list:
             raise PreconditionError("n_list must be nonempty")
         if any(n < 1 for n in self.n_list):
@@ -151,7 +154,6 @@ class ReplicateRecord:
     sup_eps: float = None
     stable_fn: bool = None
     stable_xn: bool = None
-    millis: float = 0.0
 
     def count(self, kind):
         return getattr(self, _COUNT_FIELD[kind])
@@ -160,23 +162,30 @@ class ReplicateRecord:
 # ----------------------------------------------------------------------
 # record persistence
 
+# the columns of records.csv, in order, all but the last (millis)
+_RECORD_FIELDS = fields(ReplicateRecord)
+_PARSE = {int: int, float: float, bool: lambda text: bool(int(text))}
+
+
 def _fmt(value):
+    """One CSV cell: empty for None, 1 or 0 for a bool, an integer in
+    decimal, a float to 17 significant digits, anything else as str."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return "%d" % value
-    return "%.17g" % value
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
+    return str(value)
 
 
 def record_row(rec):
-    # the millis column is pinned in the schema but always written as 0
-    # so record files are byte-reproducible; measured timings go to the
-    # optional timing.csv sidecar instead.
-    return ",".join(_fmt(v) for v in (
-        rec.n, rec.replicate_id, rec.seed, rec.n_fn, rec.n_xn, rec.n_tn,
-        rec.n_pert, rec.sup_eps, rec.stable_fn, rec.stable_xn, 0.0))
+    # the millis column stays in the schema, always 0, so that record
+    # files keep their bytes
+    return ",".join([_fmt(getattr(rec, f.name)) for f in _RECORD_FIELDS]
+                    + ["0"])
 
 
 def write_records(records, path):
@@ -187,25 +196,28 @@ def write_records(records, path):
 
 
 def read_records(path):
-    def parse(text, conv):
-        return None if text == "" else conv(text)
-
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header.split(",") != list(RECORD_COLUMNS):
             raise DomainError("unrecognized records header in %s" % path)
         for line in fh:
-            c = line.strip().split(",")
-            records.append(ReplicateRecord(
-                n=int(c[0]), replicate_id=int(c[1]), seed=int(c[2]),
-                n_fn=parse(c[3], int), n_xn=parse(c[4], int),
-                n_tn=parse(c[5], int), n_pert=parse(c[6], int),
-                sup_eps=parse(c[7], float),
-                stable_fn=parse(c[8], lambda s: bool(int(s))),
-                stable_xn=parse(c[9], lambda s: bool(int(s))),
-                millis=float(c[10])))
+            cells = line.strip().split(",")
+            if len(cells) != len(RECORD_COLUMNS):
+                raise DomainError("a row of %s has %d cells, not %d"
+                                  % (path, len(cells), len(RECORD_COLUMNS)))
+            # zip stops before the trailing millis cell
+            records.append(ReplicateRecord(*(
+                None if text == "" else _PARSE[f.type](text)
+                for f, text in zip(_RECORD_FIELDS, cells))))
     return records
+
+
+def write_json(path, obj):
+    """obj as JSON, indented, with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +236,6 @@ class _NContext:
         self.kinds = tuple(k for k in SIMULATED_KINDS
                            if k in config.process_kinds)
         self.master_seed = config.master_seed
-        self.timing = config.timing
         self.h = grid.h
         self.root = 1.0 / math.sqrt(n)
         self.rows = {kind: process_rows(kind, n, weight=weight,
@@ -243,36 +254,28 @@ _WORKER_CTX = None  # set in the parent before forking a pool
 
 def _process_chunk(replicate_ids):
     ctx = _WORKER_CTX
-    n = ctx.n
-    t0 = time.perf_counter() if ctx.timing else 0.0
+    n, m = ctx.n, len(replicate_ids)
     A, B, seeds = sample_coefficient_block(ctx.master_seed, n, replicate_ids)
     A *= ctx.root
     B *= ctx.root
-    fields = [{} for _ in replicate_ids]
-    values = {}
-    m = len(replicate_ids)
+    # one list per record field; a field no kind fills stays None
+    columns = {"n": [n] * m, "replicate_id": replicate_ids,
+               "seed": seeds.tolist()}
     for kind in ctx.kinds:
         vals, ders = combine(ctx.rows[kind], A, B, out=(
             ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
         counts, certified = count_hermite_zeros(
             vals, ders, ctx.h, label="%s at n=%d, replicate" % (kind, n),
             row_ids=replicate_ids)
-        if kind in ("f_n", "X_n"):
-            values[kind] = vals  # for sup_eps
-        stable_field = _STABLE_FIELD.get(kind)
-        for i, count in enumerate(counts.tolist()):
-            fields[i][_COUNT_FIELD[kind]] = count
-            if stable_field is not None:
-                fields[i][stable_field] = bool(certified[i])
-    if "f_n" in values and "X_n" in values:
-        sups = np.max(np.abs(values["f_n"] - values["X_n"]), axis=1)
-        for f, sup in zip(fields, sups.tolist()):
-            f["sup_eps"] = sup
-    millis = ((time.perf_counter() - t0) * 1e3 / len(replicate_ids)
-              if ctx.timing else 0.0)
-    return [ReplicateRecord(n=n, replicate_id=rid, seed=seed, millis=millis,
-                            **f)
-            for rid, seed, f in zip(replicate_ids, seeds.tolist(), fields)]
+        columns[_COUNT_FIELD[kind]] = counts.tolist()
+        if kind in _STABLE_FIELD:
+            columns[_STABLE_FIELD[kind]] = certified.tolist()
+    if "f_n" in ctx.values and "X_n" in ctx.values:
+        columns["sup_eps"] = np.max(np.abs(
+            ctx.values["f_n"][:m] - ctx.values["X_n"][:m]), axis=1).tolist()
+    unset = [None] * m
+    return [ReplicateRecord(*row) for row in zip(
+        *(columns.get(f.name, unset) for f in _RECORD_FIELDS))]
 
 
 def _worker_count(n_chunks):
@@ -380,8 +383,13 @@ def _pickled_exception(exc):
 def run_experiment(config, basis_pair=None):
     """Run the configured experiment; returns all records, and streams
     them to <output_path>/records.csv as chunks complete when an output
-    path is set (timing.csv beside it when timing is enabled)."""
+    path is set.  SLZEROS_THREADS is read, and refused if it is not an
+    integer, before the basis solve and before records.csv exists."""
     global _WORKER_CTX
+    chunks = [list(range(lo, min(lo + CHUNK, config.replicates)))
+              for lo in range(0, config.replicates, CHUNK)]
+    workers = _worker_count(len(chunks))
+    fork = workers > 1 and hasattr(os, "fork")
     weight = builtin_weights(config.weight_name)
     grid = default_grid()
     if config.needs_basis:
@@ -394,54 +402,32 @@ def run_experiment(config, basis_pair=None):
                 % (short, max(config.n_list)))
         grid = basis_pair[0].grid
 
-    rec_fh = tim_fh = None
+    rec_fh = None
     if config.output_path is not None:
         os.makedirs(config.output_path, exist_ok=True)
         rec_fh = open(os.path.join(config.output_path, "records.csv"), "w")
         rec_fh.write(",".join(RECORD_COLUMNS) + "\n")
-        if config.timing:
-            tim_fh = open(os.path.join(config.output_path, "timing.csv"), "w")
-            tim_fh.write("n,replicate_id,millis\n")
 
     records = []
     try:
         for n in config.n_list:
             _WORKER_CTX = _NContext(config, n, weight, basis_pair, grid)
-            chunks = [list(range(lo, min(lo + CHUNK, config.replicates)))
-                      for lo in range(0, config.replicates, CHUNK)]
-            workers = _worker_count(len(chunks))
-            if workers > 1 and hasattr(os, "fork"):
-                with multiprocessing.get_context("fork").Pool(
-                        workers, initializer=_one_blas_thread) as pool:
-                    produced = pool.imap(_process_chunk, chunks)
-                    for batch in produced:
-                        records.extend(batch)
-                        _flush(batch, rec_fh, tim_fh)
-            else:
-                for chunk in chunks:
-                    batch = _process_chunk(chunk)
+            # the pool forks here, so its workers inherit this n's context
+            with (multiprocessing.get_context("fork").Pool(
+                    workers, initializer=_one_blas_thread)
+                  if fork else nullcontext()) as pool:
+                for batch in (pool.imap if fork else map)(_process_chunk,
+                                                          chunks):
                     records.extend(batch)
-                    _flush(batch, rec_fh, tim_fh)
+                    if rec_fh is not None:
+                        rec_fh.writelines(record_row(r) + "\n" for r in batch)
+                        rec_fh.flush()
             _WORKER_CTX = None
     finally:
         _WORKER_CTX = None
         if rec_fh is not None:
             rec_fh.close()
-        if tim_fh is not None:
-            tim_fh.close()
     return records
-
-
-def _flush(batch, rec_fh, tim_fh):
-    if rec_fh is None:
-        return
-    for rec in batch:
-        rec_fh.write(record_row(rec) + "\n")
-        if tim_fh is not None:
-            tim_fh.write("%d,%d,%.17g\n" % (rec.n, rec.replicate_id, rec.millis))
-    rec_fh.flush()
-    if tim_fh is not None:
-        tim_fh.flush()
 
 
 # ----------------------------------------------------------------------
@@ -736,6 +722,4 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
 
 
 def write_summary(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())

@@ -96,17 +96,24 @@ def test_simulate_and_manifest_rerun_byte_identical(tmp_path):
     assert m1 == m2
 
 
-def test_simulate_timing_sidecar(tmp_path):
-    out = str(tmp_path / "timed")
+def test_retired_timing_flag_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["simulate", "--weight", "unit", "--n-list", "5",
+              "--replicates", "2", "--kinds", "T_n", "--timing",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--timing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_thread_count_leaves_no_records(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SLZEROS_THREADS", "two")
+    out = tmp_path / "o"
     assert _run(["simulate", "--weight", "unit", "--n-list", "5",
-                 "--replicates", "2", "--kinds", "T_n", "--timing",
-                 "--out", out]) == 0
-    _, rows = _read_table(os.path.join(out, "records.csv"))
-    assert all(r[-1] == "0" for r in rows)  # records stay byte-reproducible
-    header, trows = _read_table(os.path.join(out, "timing.csv"))
-    assert header == ["n", "replicate_id", "millis"]
-    assert len(trows) == 2
-    assert all(float(r[2]) > 0.0 for r in trows)
+                 "--replicates", "4", "--kinds", "T_n",
+                 "--out", str(out)]) == 2
+    assert "SLZEROS_THREADS" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
 
 
 def test_ini_layer_and_flag_override(tmp_path):
@@ -217,6 +224,9 @@ def test_refused_run_leaves_no_manifest(argv, tmp_path, monkeypatch, capsys):
                  "cannot parse config", id="truncated"),
     pytest.param('["robustness", {}]', "cannot parse config", id="list"),
     pytest.param([], "cannot parse config", id="config-list"),
+    # written before --timing was retired
+    pytest.param({"timing": False}, "unknown config key 'timing'",
+                 id="timing"),
 ])
 def test_manifest_value_refused_by_name(config, message, tmp_path, capsys):
     path = tmp_path / "manifest.json"

@@ -20,8 +20,8 @@ from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
 from slzeros.ensembles import (build_process, combine, sample_coefficient_block,
                                 sample_coefficients)
 from slzeros import harness
-from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _NContext,
-                             _worker_count, check_covariance_draws,
+from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
+                             _NContext, _worker_count, check_covariance_draws,
                              record_row)
 from slzeros.weights import Grid
 
@@ -54,6 +54,32 @@ def test_config_validation():
         ExperimentConfig(**{**ok, "process_kinds": ()})
     with pytest.raises(PreconditionError):
         ExperimentConfig(**{**ok, "k_max": 15})
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("n_list", (2.5, 4), "n"),
+    ("replicates", 2.5, "replicates"),
+    ("master_seed", 1.5, "master_seed"),
+    ("master_seed", "7", "master_seed"),
+])
+def test_config_refuses_non_integers_by_name(field, value, name, tmp_path):
+    # int() would truncate an n to 2, and a run would refuse 2.5
+    # replicates or a 1.5 seed only after creating records.csv
+    ok = dict(weight_name="unit", n_list=(10, 20), replicates=4,
+              master_seed=SEED, process_kinds=("T_n",),
+              output_path=str(tmp_path / "o"))
+    with pytest.raises(PreconditionError,
+                       match="^%s must be an integer, got " % name):
+        ExperimentConfig(**{**ok, field: value})
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_keeps_integer_like_values_as_ints():
+    cfg = ExperimentConfig(weight_name="unit", n_list=np.array([10, 20]),
+                           replicates=np.int64(4), master_seed=np.uint32(7),
+                           process_kinds=("T_n",))
+    assert cfg.n_list == (10, 20) and type(cfg.n_list[0]) is int
+    assert type(cfg.replicates) is int and type(cfg.master_seed) is int
 
 
 def test_counts_above_the_replicate_id_range_refused():
@@ -108,10 +134,19 @@ def test_config_properties():
 
 
 def test_record_row_pins_millis_to_zero():
-    rec = ReplicateRecord(n=5, replicate_id=2, seed=123, n_tn=8, millis=42.5)
+    rec = ReplicateRecord(n=5, replicate_id=2, seed=123, n_tn=8)
     row = record_row(rec)
     assert row == "5,2,123,,,8,,,,,0"
     assert len(row.split(",")) == len(RECORD_COLUMNS)
+
+
+@pytest.mark.parametrize("value, cell", [
+    ("C", "C"), (7, "7"), (np.int64(-7), "-7"), (0.1, "0.10000000000000001"),
+    (np.float64(1 / 3), "0.33333333333333331"), (2.0, "2"),
+    (True, "1"), (False, "0"), (None, ""),
+])
+def test_fmt_cells(value, cell):
+    assert _fmt(value) == cell
 
 
 def test_records_round_trip(tmp_path):
@@ -131,7 +166,6 @@ def test_records_round_trip(tmp_path):
     assert back[0].n_tn is None
     assert back[1].n_tn == 9 and back[1].n_pert == 11
     assert back[1].stable_fn is None
-    assert back[1].millis == 0.0
     assert back[0].count("f_n") == 4
     assert back[1].count("T_n") == 9
 
@@ -140,6 +174,10 @@ def test_read_records_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DomainError):
+        read_records(path)
+    # a short row is refused, not read with its missing fields as None
+    path.write_text(",".join(RECORD_COLUMNS) + "\n5,2,123,,,8,,,,\n")
+    with pytest.raises(DomainError, match="has 10 cells, not 11"):
         read_records(path)
 
 
@@ -187,19 +225,6 @@ def test_run_experiment_rejects_small_basis(unit_basis):
         process_kinds=("f_n",))
     with pytest.raises(PreconditionError):
         run_experiment(cfg, basis_pair=unit_basis)
-
-
-def test_run_experiment_timing_sidecar(tmp_path):
-    cfg = ExperimentConfig(
-        weight_name="unit", n_list=(10,), replicates=3, master_seed=SEED,
-        process_kinds=("T_n",), output_path=str(tmp_path), timing=True)
-    run_experiment(cfg)
-    records = (tmp_path / "records.csv").read_text().splitlines()
-    assert all(line.endswith(",0") for line in records[1:])
-    timing = (tmp_path / "timing.csv").read_text().splitlines()
-    assert timing[0] == "n,replicate_id,millis"
-    assert len(timing) == 4
-    assert all(float(line.split(",")[2]) > 0.0 for line in timing[1:])
 
 
 def test_close_root_pair_is_counted_and_certified(caplog):
@@ -299,6 +324,20 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SLZEROS_THREADS", "two")
     with pytest.raises(PreconditionError):
         _worker_count(3)
+
+
+def test_bad_thread_count_refused_before_any_work(monkeypatch, tmp_path):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the basis solve ran")
+
+    monkeypatch.setattr(harness, "build_basis_pair", no_solve)
+    monkeypatch.setenv("SLZEROS_THREADS", "two")
+    cfg = ExperimentConfig(
+        weight_name="unit", n_list=(5,), replicates=4, master_seed=SEED,
+        process_kinds=("f_n",), output_path=str(tmp_path / "o"))
+    with pytest.raises(PreconditionError, match="SLZEROS_THREADS"):
+        run_experiment(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_experiment_unknown_weight():

@@ -48,6 +48,34 @@ def test_benchmark_names_resolve(owner, name):
     assert callable(getattr(owner, name))
 
 
+# flags the README names as retired; each must be refused
+RETIRED_FLAGS = {"--pert-c0", "--pert-c1", "--timing"}
+
+
+def _parses(argv):
+    try:
+        slzeros.cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+def test_readme_flags_match_the_parser():
+    # only parses: no subcommand runs
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert RETIRED_FLAGS <= flags
+    subcommands = list(slzeros.cli.SUBCOMMAND_KEYS)
+    for flag in sorted(flags - RETIRED_FLAGS):
+        assert any(_parses([sub, flag, "1"]) == 0 for sub in subcommands), flag
+    for flag in sorted(RETIRED_FLAGS):
+        for sub in subcommands:
+            assert _parses([sub, flag]) == 2, (sub, flag)
+            assert _parses([sub, flag, "1"]) == 2, (sub, flag)
+
+
 def test_import_loads_no_scipy(module_cli_env):
     # scipy takes 0.5-0.9 s to import; only the kac subcommand (quad) and
     # the summary's KS distance (erfc) load it, inside the functions
