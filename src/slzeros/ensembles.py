@@ -245,6 +245,12 @@ class ProcessRows:
     factor: np.ndarray = None
     dfactor: np.ndarray = None
 
+    def prefix(self, n):
+        """The first n rows; dphase, factor and dfactor are per point."""
+        return replace(self, **{f: getattr(self, f)[:n]
+                                for f in ("ra", "rb", "da", "db", "freq")
+                                if getattr(self, f) is not None})
+
 
 def _trig_rows(freq, phase, **fields):
     ph = freq[:, None] * phase[None, :]

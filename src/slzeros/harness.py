@@ -5,18 +5,18 @@ in this process and D in a forked child beside it, and returns D's
 arrays through an anonymous shared mapping, with the bits of a solo
 eigen_solve call for each family.
 
-run_experiment() draws the coefficient vectors of a chunk of
-replicates in one ensembles.sample_coefficient_block call, evaluates
-the configured process kinds on the storage grid, counts zeros of the
-cubic-Hermite interpolants exactly, cell by cell, with
-zeros.count_hermite_zeros over a whole chunk of replicates at once,
-and streams one record per (n, replicate) to CSV.  A replicate whose
-count holds an unresolved tangency is logged at WARNING and, for f_n
-and X_n, recorded with stable_* = 0.  Replicates are processed in
-fixed-size chunks whose composition depends only on the replicate
-ids, so results are bit-identical no matter how many workers run them
-(SLZEROS_THREADS, default 1).  Each record's fields, in order, are the
-columns of records.csv, followed by a millis column that is always 0.
+run_experiment() builds each configured kind's rows on the storage
+grid once, at max(n_list); each n takes the first n of them.  A task is
+one n and a fixed-size chunk of replicate ids: one
+ensembles.sample_coefficient_block call draws the chunk, and
+zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
+interpolants exactly, cell by cell.  One pool of
+SLZEROS_THREADS workers (default 1), forked once per run, maps the
+tasks in order, and one record per (n, replicate) streams to CSV, so
+the records keep their order and draws for any worker count.  A
+replicate whose count holds an unresolved tangency is logged at WARNING
+and, for f_n and X_n, recorded with stable_* = 0.  Each record's fields,
+in order, are the columns of records.csv, then a millis column, always 0.
 ExperimentConfig refuses at construction what a run could not do (an
 n, replicate count or seed that is not an integer, a negative seed,
 fewer than 2 or more than 2**32 replicates, frequencies the storage
@@ -221,48 +221,44 @@ def write_json(path, obj):
 
 
 # ----------------------------------------------------------------------
-# per-n evaluation context (shared read-only with forked workers)
+# per-run evaluation context (shared read-only with forked workers)
 
-class _NContext:
-    """Everything a worker needs to turn draws for one n into records:
-    each simulated kind's rows on the storage grid, and the chunk-sized
-    buffers that combine fills with each kind's values and the slopes.
-    Every chunk reuses them, which spares the heap a 4 MB allocation and
-    free per array; they go with the context, before the next n's is
-    built."""
+class _RunContext:
+    """Everything a worker needs to turn draws into records: each
+    simulated kind's rows on the storage grid, built once at max(n_list)
+    and cut to rows[n][kind], the first n, which has the bits of rows
+    built for n since row k-1 depends on k alone; and the chunk buffers
+    that combine fills with each kind's values and the slopes."""
 
-    def __init__(self, config, n, weight, basis_pair, grid):
-        self.n = n
-        self.kinds = tuple(k for k in SIMULATED_KINDS
-                           if k in config.process_kinds)
+    def __init__(self, config, weight, basis_pair, grid):
         self.master_seed = config.master_seed
         self.h = grid.h
-        self.root = 1.0 / math.sqrt(n)
-        self.rows = {kind: process_rows(kind, n, weight=weight,
-                                        basis_pair=basis_pair, grid=grid)
-                     for kind in self.kinds}
-        # one block, not one array per buffer: glibc maps a block this
-        # large on its own and unmaps it with the context, where 4 MB
-        # arrays can stay resident in the heap through the next n's build
-        block = np.empty((len(self.kinds) + 2, CHUNK, grid.count))
-        self.values = dict(zip(self.kinds, block))
+        top = {kind: process_rows(kind, max(config.n_list), weight=weight,
+                                  basis_pair=basis_pair, grid=grid)
+               for kind in SIMULATED_KINDS if kind in config.process_kinds}
+        self.rows = {n: {kind: rows.prefix(n) for kind, rows in top.items()}
+                     for n in config.n_list}
+        # one block holds every buffer, reused by every chunk
+        block = np.empty((len(top) + 2, CHUNK, grid.count))
+        self.values = dict(zip(top, block))
         self.slopes, self.scratch = block[-2], block[-1]
 
 
 _WORKER_CTX = None  # set in the parent before forking a pool
 
 
-def _process_chunk(replicate_ids):
+def _process_chunk(task):
     ctx = _WORKER_CTX
-    n, m = ctx.n, len(replicate_ids)
+    n, replicate_ids = task
+    m, root = len(replicate_ids), 1.0 / math.sqrt(n)
     A, B, seeds = sample_coefficient_block(ctx.master_seed, n, replicate_ids)
-    A *= ctx.root
-    B *= ctx.root
+    A *= root
+    B *= root
     # one list per record field; a field no kind fills stays None
     columns = {"n": [n] * m, "replicate_id": replicate_ids,
                "seed": seeds.tolist()}
-    for kind in ctx.kinds:
-        vals, ders = combine(ctx.rows[kind], A, B, out=(
+    for kind, rows in ctx.rows[n].items():
+        vals, ders = combine(rows, A, B, out=(
             ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
         counts, certified = count_hermite_zeros(
             vals, ders, ctx.h, label="%s at n=%d, replicate" % (kind, n),
@@ -278,14 +274,14 @@ def _process_chunk(replicate_ids):
         *(columns.get(f.name, unset) for f in _RECORD_FIELDS))]
 
 
-def _worker_count(n_chunks):
+def _worker_count(n_tasks):
     raw = os.environ.get("SLZEROS_THREADS", "1")
     try:
         workers = int(raw)
     except ValueError:
         raise PreconditionError("SLZEROS_THREADS must be an integer, got %r"
                                 % raw)
-    return max(1, min(workers, n_chunks))
+    return max(1, min(workers, n_tasks))
 
 
 def _one_blas_thread():
@@ -386,9 +382,10 @@ def run_experiment(config, basis_pair=None):
     path is set.  SLZEROS_THREADS is read, and refused if it is not an
     integer, before the basis solve and before records.csv exists."""
     global _WORKER_CTX
-    chunks = [list(range(lo, min(lo + CHUNK, config.replicates)))
-              for lo in range(0, config.replicates, CHUNK)]
-    workers = _worker_count(len(chunks))
+    tasks = [(n, list(range(lo, min(lo + CHUNK, config.replicates))))
+             for n in config.n_list
+             for lo in range(0, config.replicates, CHUNK)]
+    workers = _worker_count(len(tasks))
     fork = workers > 1 and hasattr(os, "fork")
     weight = builtin_weights(config.weight_name)
     grid = default_grid()
@@ -410,19 +407,16 @@ def run_experiment(config, basis_pair=None):
 
     records = []
     try:
-        for n in config.n_list:
-            _WORKER_CTX = _NContext(config, n, weight, basis_pair, grid)
-            # the pool forks here, so its workers inherit this n's context
-            with (multiprocessing.get_context("fork").Pool(
-                    workers, initializer=_one_blas_thread)
-                  if fork else nullcontext()) as pool:
-                for batch in (pool.imap if fork else map)(_process_chunk,
-                                                          chunks):
-                    records.extend(batch)
-                    if rec_fh is not None:
-                        rec_fh.writelines(record_row(r) + "\n" for r in batch)
-                        rec_fh.flush()
-            _WORKER_CTX = None
+        _WORKER_CTX = _RunContext(config, weight, basis_pair, grid)
+        # the pool forks here, so its workers inherit the run's context
+        with (multiprocessing.get_context("fork").Pool(
+                workers, initializer=_one_blas_thread)
+              if fork else nullcontext()) as pool:
+            for batch in (pool.imap if fork else map)(_process_chunk, tasks):
+                records.extend(batch)
+                if rec_fh is not None:
+                    rec_fh.writelines(record_row(r) + "\n" for r in batch)
+                    rec_fh.flush()
     finally:
         _WORKER_CTX = None
         if rec_fh is not None:

@@ -61,7 +61,7 @@ def sine2_basis_200(sine2_weight):
 def main_records(sine2_basis, tmp_path_factory):
     """The flagship run: sine2 weight, coupled f_n/X_n counts,
     n in {50, 100, 200, 400}, 2000 replicates."""
-    out = tmp_path_factory.mktemp("main") / "records.csv"
+    out = tmp_path_factory.mktemp("main")
     config = ExperimentConfig(
         weight_name="sine2", n_list=(50, 100, 200, 400), replicates=2000,
         master_seed=MASTER_SEED, process_kinds=("f_n", "X_n"),
@@ -74,7 +74,7 @@ def main_records(sine2_basis, tmp_path_factory):
 def pert_records(tmp_path_factory):
     """Stationary polynomial and its default perturbation,
     n in {50, 200, 400}, 2000 replicates (no eigenbasis involved)."""
-    out = tmp_path_factory.mktemp("pert") / "records.csv"
+    out = tmp_path_factory.mktemp("pert")
     config = ExperimentConfig(
         weight_name="sine2", n_list=(50, 200, 400), replicates=2000,
         master_seed=MASTER_SEED, process_kinds=("T_n", "perturbed"),
@@ -87,7 +87,7 @@ def pert_records(tmp_path_factory):
 def unit_couple_records(unit_basis, tmp_path_factory):
     """Unit-weight coupled run where f_n and X_n coincide:
     n in {50, 100}, 500 replicates."""
-    out = tmp_path_factory.mktemp("unit_couple") / "records.csv"
+    out = tmp_path_factory.mktemp("unit_couple")
     config = ExperimentConfig(
         weight_name="unit", n_list=(50, 100), replicates=500,
         master_seed=MASTER_SEED, process_kinds=("f_n", "X_n"),

@@ -4,8 +4,10 @@ import json
 import logging
 import math
 import mmap
+import multiprocessing
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,12 +19,12 @@ from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
                      covariance_check, eigen_solve, gap_diagnostics,
                      ks_statistic, read_records, run_experiment, summarize,
                      sup_eps_diagnostic, write_records, write_summary)
-from slzeros.ensembles import (build_process, combine, sample_coefficient_block,
-                                sample_coefficients)
+from slzeros.ensembles import (build_process, combine, process_rows,
+                                sample_coefficient_block, sample_coefficients)
 from slzeros import harness
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
-                             _NContext, _worker_count, check_covariance_draws,
-                             record_row)
+                             _RunContext, _worker_count,
+                             check_covariance_draws, record_row)
 from slzeros.weights import Grid
 
 SEED = 20260819
@@ -245,17 +247,18 @@ def test_close_root_pair_is_counted_and_certified(caplog):
 def test_grid_samples_match_process_definitions(kind, sine2_weight,
                                                 sine2_basis):
     # the records path evaluates every replicate of a chunk at once on the
-    # storage grid; it must give each process's own value and slope there
+    # storage grid, from rows built at max(n_list) and cut to n; it must
+    # give each process's own value and slope there
     n, replicates = 50, 4
-    cfg = ExperimentConfig(weight_name="sine2", n_list=(n,),
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=replicates, master_seed=SEED,
                            process_kinds=(kind,))
     grid = sine2_basis[0].grid
-    ctx = _NContext(cfg, n, sine2_weight, sine2_basis, grid)
+    ctx = _RunContext(cfg, sine2_weight, sine2_basis, grid)
     draws = [sample_coefficients(SEED, n, rid) for rid in range(replicates)]
-    A = np.stack([d.a for d in draws]) * ctx.root
-    B = np.stack([d.b for d in draws]) * ctx.root
-    vals, ders = combine(ctx.rows[kind], A, B)
+    A = np.stack([d.a for d in draws]) / math.sqrt(n)
+    B = np.stack([d.b for d in draws]) / math.sqrt(n)
+    vals, ders = combine(ctx.rows[n][kind], A, B)
     for i, draw in enumerate(draws):
         proc = build_process(kind, n, draw, weight=sine2_weight,
                              basis_pair=sine2_basis, grid=grid)
@@ -284,23 +287,89 @@ def _plain_combine(rows, A, B):
 @pytest.mark.parametrize("kind", SIMULATED_KINDS)
 def test_context_buffers_bit_equal_to_plain_expressions(kind, sine2_weight,
                                                         sine2_basis):
-    # the chunk buffers an _NContext reuses give the bits of fresh arrays,
-    # for a full chunk and for a short last one, filled again and again
+    # the chunk buffers a _RunContext reuses give the bits of fresh arrays,
+    # for a full chunk and for a short last one, filled again and again,
+    # from rows built at max(n_list) and cut to n
     n = 40
-    cfg = ExperimentConfig(weight_name="sine2", n_list=(n,), replicates=70,
-                           master_seed=SEED, process_kinds=(kind,))
-    ctx = _NContext(cfg, n, sine2_weight, sine2_basis, sine2_basis[0].grid)
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
+                           replicates=70, master_seed=SEED,
+                           process_kinds=(kind,))
+    ctx = _RunContext(cfg, sine2_weight, sine2_basis, sine2_basis[0].grid)
+    rows = ctx.rows[n][kind]
     for ids in (list(range(64)), list(range(64, 70)), list(range(5))):
         A, B, _ = sample_coefficient_block(SEED, n, ids)
-        A *= ctx.root
-        B *= ctx.root
+        A *= 1.0 / math.sqrt(n)
+        B *= 1.0 / math.sqrt(n)
         m = len(ids)
-        got = combine(ctx.rows[kind], A, B, out=(
+        got = combine(rows, A, B, out=(
             ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
         assert np.shares_memory(got[0], ctx.values[kind])
         assert np.shares_memory(got[1], ctx.slopes)
-        for g, want in zip(got, _plain_combine(ctx.rows[kind], A, B)):
+        for g, want in zip(got, _plain_combine(rows, A, B)):
             np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("kind", SIMULATED_KINDS)
+def test_context_rows_bit_equal_to_fresh_rows(kind, sine2_weight,
+                                              sine2_basis):
+    # a run builds each kind's rows once, at max(n_list); the rows it
+    # gives a smaller n are those that process_rows builds for that n
+    n, grid = 40, sine2_basis[0].grid
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
+                           replicates=2, master_seed=SEED,
+                           process_kinds=(kind,))
+    got = _RunContext(cfg, sine2_weight, sine2_basis, grid).rows[n][kind]
+    want = process_rows(kind, n, weight=sine2_weight, basis_pair=sine2_basis,
+                        grid=grid)
+    assert got.ra.shape == (n, grid.count)
+    for f in fields(want):
+        if getattr(want, f.name) is None:
+            assert getattr(got, f.name) is None, f.name
+        else:
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name),
+                                          err_msg=f.name)
+
+
+def test_run_records_independent_of_n_list_and_workers(monkeypatch,
+                                                       unit_basis):
+    # each n of a run gets the records of a run of that n alone, for one
+    # worker and for two; 130 replicates leave each n a short last chunk.
+    # A run builds each kind's rows once and forks at most one pool.
+    calls, pools = [], []
+    real_rows = harness.process_rows
+
+    def counted_rows(kind, n, **kwargs):
+        calls.append((kind, n))
+        return real_rows(kind, n, **kwargs)
+
+    fork_ctx = multiprocessing.get_context("fork")
+    real_pool = fork_ctx.Pool
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args[0])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "process_rows", counted_rows)
+    monkeypatch.setattr(fork_ctx, "Pool", counted_pool)
+
+    def run(n_list, threads):
+        monkeypatch.setenv("SLZEROS_THREADS", threads)
+        cfg = ExperimentConfig(weight_name="unit", n_list=n_list,
+                               replicates=130, master_seed=SEED,
+                               process_kinds=SIMULATED_KINDS)
+        del calls[:], pools[:]
+        rows = [record_row(r) for r in run_experiment(cfg,
+                                                      basis_pair=unit_basis)]
+        assert calls == [(kind, max(n_list)) for kind in SIMULATED_KINDS]
+        assert pools == ([] if threads == "1" else [2])
+        return rows
+
+    whole = {threads: run((10, 20), threads) for threads in ("1", "2")}
+    assert len(whole["1"]) == 260
+    assert whole["1"] == whole["2"]
+    for threads in ("1", "2"):
+        assert whole[threads] == run((10,), threads) + run((20,), threads)
 
 
 def test_run_experiment_worker_invariance(monkeypatch):
