@@ -31,7 +31,7 @@ from .harness import (ExperimentConfig, _fmt, build_basis_pair,
                       gap_diagnostics, median_loglog_slope, run_experiment,
                       summarize, write_json, write_summary)
 from .kernels import expected_count_closed, kac_rice_expected
-from .weights import TWO_PI, builtin_weights
+from .weights import TWO_PI, builtin_weights, default_grid
 
 
 def _str_list(text):
@@ -165,7 +165,7 @@ def cmd_eigen(cfg):
     weight = builtin_weights(cfg["weight"])
     k_max = cfg["k_max"] if cfg["k_max"] is not None else 20
     rows = []
-    for basis in build_basis_pair(weight, k_max):
+    for basis in build_basis_pair(weight, k_max, default_grid()):
         ks, d, d1 = asymptotic_deviation(basis)
         for pair, dev, dev1 in zip(basis.pairs, d, d1):
             root = math.sqrt(pair.eigenvalue)
@@ -239,7 +239,7 @@ def cmd_diagnose(cfg):
         raise PreconditionError("k_max=%d is smaller than max(n_list)=%d"
                                 % (k_max, n_max))
     check_covariance_draws(cfg["replicates"])
-    basis_pair = build_basis_pair(weight, k_max)
+    basis_pair = build_basis_pair(weight, k_max, default_grid())
     rows = []
     for n in cfg["n_list"]:
         diag = gap_diagnostics(basis_pair, weight, n, x_ref=cfg["x_ref"])

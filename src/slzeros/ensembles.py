@@ -257,21 +257,41 @@ def _trig_rows(freq, phase, **fields):
     return ProcessRows(np.cos(ph), np.sin(ph), freq=freq, **fields)
 
 
+def _family_pair(kind, basis_pair, n):
+    """basis_pair as (C, D), refused unless it is ordered C then D, both
+    families hold at least n pairs, and both are sampled on one grid."""
+    if basis_pair is None:
+        raise PreconditionError("kind %r needs the (C, D) eigenbasis pair" % kind)
+    bc_c, bc_d = basis_pair
+    if bc_c.bc.value != "C" or bc_d.bc.value != "D":
+        raise PreconditionError("basis_pair must be ordered (C family, D family)")
+    if bc_c.k_max < n or bc_d.k_max < n:
+        raise PreconditionError(
+            "eigenbasis too small: need %d pairs, have (%d, %d)"
+            % (n, bc_c.k_max, bc_d.k_max))
+    if bc_c.grid != bc_d.grid:
+        raise PreconditionError(
+            "the two family bases use different grids: C on %d points, "
+            "D on %d" % (bc_c.grid.count, bc_d.grid.count))
+    return bc_c, bc_d
+
+
 def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
                  deriv=True):
     """The table of process kinds: `kind` at the points x as rows.
 
-    x=None means the points of `grid`; there the eigenfunction kinds
-    take their stored samples as rows, elsewhere they interpolate them
-    with the cubic Hermite rule.  Without deriv the slope rows and the
-    factor's derivative are left out.  Preconditions are build_process's.
+    x=None means the points of `grid`, on which the X kinds tabulate
+    Omega too; there the eigenfunction kinds take their stored samples
+    as rows, elsewhere they interpolate them with the cubic Hermite rule.
+    Without deriv the slope rows and the factor's derivative are left
+    out.  The basis pair is checked by _family_pair.
     """
     on_grid = x is None
     if on_grid:
         x = grid.points
     k = np.arange(1, n + 1, dtype=float)
     if kind in ("F_n", "f_n"):
-        bc_c, bc_d = basis_pair
+        bc_c, bc_d = _family_pair(kind, basis_pair, n)
         if on_grid:
             rows = ProcessRows(bc_c.funcs[:n], bc_d.funcs[:n],
                                bc_c.dfuncs[:n], bc_d.dfuncs[:n])
@@ -398,12 +418,12 @@ class RandomProcess(_RowsProcess):
     vectorized and deterministic given the fields.
     """
 
-    def __init__(self, kind, n, draw, weight=None, basis=None, grid=None):
+    def __init__(self, kind, n, draw, weight, basis, grid):
         super().__init__(draw, n)
         self.kind = kind
         self.weight = weight
         self.basis = basis
-        self.grid = grid if grid is not None else default_grid()
+        self.grid = grid
 
     def rows(self, x, deriv=True):
         """This process at the points x as rows (see process_rows)."""
@@ -424,7 +444,7 @@ class RandomProcess(_RowsProcess):
         return _HalfFreqPoly(self.draw, self.n)
 
 
-def build_process(kind, n, draw, weight=None, basis_pair=None, grid=None):
+def build_process(kind, n, draw, weight=None, basis_pair=None):
     """Construct a RandomProcess, checking the preconditions of the
     requested kind."""
     if kind not in KINDS:
@@ -433,22 +453,11 @@ def build_process(kind, n, draw, weight=None, basis_pair=None, grid=None):
     if draw.n != n:
         raise PreconditionError("draw has n=%d but the process wants n=%d"
                                 % (draw.n, n))
-    basis = None
+    basis, grid = None, default_grid()
     if kind in ("F_n", "f_n"):
-        if basis_pair is None:
-            raise PreconditionError("kind %r needs the (C, D) eigenbasis pair" % kind)
-        bc_c, bc_d = basis_pair
-        if bc_c.bc.value != "C" or bc_d.bc.value != "D":
-            raise PreconditionError("basis_pair must be ordered (C family, D family)")
-        if bc_c.k_max < n or bc_d.k_max < n:
-            raise PreconditionError(
-                "eigenbasis too small: need %d pairs, have (%d, %d)"
-                % (n, bc_c.k_max, bc_d.k_max))
-        if bc_c.grid.count != bc_d.grid.count:
-            raise PreconditionError("the two family bases use different grids")
-        weight = weight if weight is not None else bc_c.weight
-        basis = (bc_c, bc_d)
-        grid = bc_c.grid
+        basis = _family_pair(kind, basis_pair, n)
+        weight = weight if weight is not None else basis[0].weight
+        grid = basis[0].grid
     if kind in ("X_n", "X_n_raw", "f_n") and weight is None:
         raise PreconditionError("kind %r needs a weight" % kind)
-    return RandomProcess(kind, n, draw, weight=weight, basis=basis, grid=grid)
+    return RandomProcess(kind, n, draw, weight, basis, grid)

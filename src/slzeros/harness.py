@@ -5,15 +5,16 @@ in this process and D in a forked child beside it, and returns D's
 arrays through an anonymous shared mapping, with the bits of a solo
 eigen_solve call for each family.
 
-run_experiment() builds each configured kind's rows on the storage
-grid once, at max(n_list); each n takes the first n of them.  A task is
-one n and a fixed-size chunk of replicate ids: one
+run_experiment() builds each configured kind's rows once, at
+max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
+which its basis pair must be solved; each n takes the first n rows.  A
+task is one n and a fixed-size chunk of replicate ids: one
 ensembles.sample_coefficient_block call draws the chunk, and
 zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
-interpolants exactly, cell by cell.  One pool of
-SLZEROS_THREADS workers (default 1), forked once per run, maps the
-tasks in order, and one record per (n, replicate) streams to CSV, so
-the records keep their order and draws for any worker count.  A
+interpolants exactly, cell by cell.  One pool of SLZEROS_THREADS
+workers (default 1), forked once per run, maps the tasks in order, and
+one record per (n, replicate) streams to CSV, so the records keep
+their order and draws for any worker count.  A
 replicate whose count holds an unresolved tangency is logged at WARNING
 and, for f_n and X_n, recorded with stable_* = 0.  Each record's fields,
 in order, are the columns of records.csv, then a millis column, always 0.
@@ -123,7 +124,7 @@ class ExperimentConfig:
                 "k_max=%d is smaller than max(n_list)=%d"
                 % (self.k_max, max(self.n_list)))
         # refuse frequencies the storage grid cannot resolve
-        grid, top = default_grid(), max(self.n_list)
+        grid, top = self.grid, max(self.n_list)
         if self.needs_basis or "X_n" in self.process_kinds:
             k = self.basis_k_max if self.needs_basis else top
             check_resolution(grid, "n" if k == top else "k_max", k,
@@ -132,6 +133,11 @@ class ExperimentConfig:
             check_resolution(grid, "n", top, shift=1)
         elif "T_n" in self.process_kinds:
             check_resolution(grid, "n", top)
+
+    @property
+    def grid(self):
+        """The run's one storage grid, for its rows and its basis pair."""
+        return default_grid()
 
     @property
     def needs_basis(self):
@@ -225,12 +231,13 @@ def write_json(path, obj):
 
 class _RunContext:
     """Everything a worker needs to turn draws into records: each
-    simulated kind's rows on the storage grid, built once at max(n_list)
+    simulated kind's rows on config.grid, built once at max(n_list)
     and cut to rows[n][kind], the first n, which has the bits of rows
     built for n since row k-1 depends on k alone; and the chunk buffers
     that combine fills with each kind's values and the slopes."""
 
-    def __init__(self, config, weight, basis_pair, grid):
+    def __init__(self, config, weight, basis_pair):
+        grid = config.grid
         self.master_seed = config.master_seed
         self.h = grid.h
         top = {kind: process_rows(kind, max(config.n_list), weight=weight,
@@ -297,7 +304,7 @@ def _one_blas_thread():
             setter(1)
 
 
-def build_basis_pair(weight, k_max, grid=None):
+def build_basis_pair(weight, k_max, grid):
     """Solve both boundary families once; shared by every n.
 
     Neither solve reads the other, so where the platform forks, a child
@@ -314,7 +321,6 @@ def build_basis_pair(weight, k_max, grid=None):
     if not hasattr(os, "fork"):
         return (eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid),
                 eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid))
-    grid = grid if grid is not None else default_grid()
     k_max = check_k_max(k_max, weight, grid)
     omega_map(weight, grid)
     size = k_max * grid.count
@@ -379,8 +385,9 @@ def _pickled_exception(exc):
 def run_experiment(config, basis_pair=None):
     """Run the configured experiment; returns all records, and streams
     them to <output_path>/records.csv as chunks complete when an output
-    path is set.  SLZEROS_THREADS is read, and refused if it is not an
-    integer, before the basis solve and before records.csv exists."""
+    path is set.  Every refusal comes before records.csv exists: of a
+    basis_pair solved off config.grid, misordered or too small, and,
+    before the basis solve, of a SLZEROS_THREADS that is not an integer."""
     global _WORKER_CTX
     tasks = [(n, list(range(lo, min(lo + CHUNK, config.replicates))))
              for n in config.n_list
@@ -388,16 +395,17 @@ def run_experiment(config, basis_pair=None):
     workers = _worker_count(len(tasks))
     fork = workers > 1 and hasattr(os, "fork")
     weight = builtin_weights(config.weight_name)
-    grid = default_grid()
+    grid = config.grid
     if config.needs_basis:
         if basis_pair is None:
             basis_pair = build_basis_pair(weight, config.basis_k_max, grid)
-        short = min(basis_pair[0].k_max, basis_pair[1].k_max)
-        if short < max(config.n_list):
-            raise PreconditionError(
-                "eigenbasis has %d pairs but max(n_list)=%d"
-                % (short, max(config.n_list)))
-        grid = basis_pair[0].grid
+        for basis in basis_pair:
+            if basis.grid != grid:
+                raise PreconditionError(
+                    "basis_pair's %s family was solved on %d points, not on "
+                    "the run's %d-point storage grid"
+                    % (basis.bc.value, basis.grid.count, grid.count))
+    ctx = _RunContext(config, weight, basis_pair)
 
     rec_fh = None
     if config.output_path is not None:
@@ -407,7 +415,7 @@ def run_experiment(config, basis_pair=None):
 
     records = []
     try:
-        _WORKER_CTX = _RunContext(config, weight, basis_pair, grid)
+        _WORKER_CTX = ctx
         # the pool forks here, so its workers inherit the run's context
         with (multiprocessing.get_context("fork").Pool(
                 workers, initializer=_one_blas_thread)
@@ -621,20 +629,16 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
     exactly, so only eigenfunction samples and the closed-form kernel
     enter.
     """
-    bc_c, bc_d = basis_pair
-    if bc_c.k_max < n or bc_d.k_max < n:
-        raise PreconditionError("eigenbasis has %d pairs, need %d"
-                                % (min(bc_c.k_max, bc_d.k_max), n))
     if x_grid is None:
         x_grid = np.linspace(0.0, TWO_PI, 257)
     x = np.asarray(x_grid, dtype=float)
     f_rows = process_rows("F_n", n, x, basis_pair=basis_pair, deriv=False)
-    x_rows = process_rows("X_n", n, x, weight=weight, grid=bc_c.grid,
-                          deriv=False)
+    grid = basis_pair[0].grid
+    x_rows = process_rows("X_n", n, x, weight=weight, grid=grid, deriv=False)
     u, v = f_rows.ra, f_rows.rb
     C, S, mu = x_rows.ra, x_rows.rb, x_rows.freq
     om = x_rows.dphase  # Omega' = omega
-    omap = omega_map(weight, bc_c.grid)
+    omap = omega_map(weight, grid)
 
     var_f = om * np.sum(u * u + v * v, axis=0) / n
     cov_xp_f = om * np.sqrt(om) * np.sum(mu[:, None] * (C * v - S * u), axis=0) / n
@@ -668,17 +672,18 @@ def check_covariance_draws(m):
 
 
 def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
-                     master_seed=20260819, grid=None):
+                     master_seed=20260819):
     """Empirical spot check of the closed-form covariances.
 
     Draws m coefficient vectors, evaluates X_n at n_pairs random point
     pairs, and compares the sample covariance with
-    r_n((Omega(x) - Omega(y))/2).  When a basis pair is supplied the
-    empirical variance of f_n is checked against 1 at the same points.
-    Returns a dict with the max absolute errors and the raw tables.
+    r_n((Omega(x) - Omega(y))/2), Omega tabulated on default_grid().
+    When a basis pair is supplied the empirical variance of f_n is
+    checked against 1 at the same points.  Returns a dict with the max
+    absolute errors and the raw tables.
     """
     check_covariance_draws(m)
-    grid = grid if grid is not None else default_grid()
+    grid = default_grid()
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
     xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)

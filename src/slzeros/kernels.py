@@ -92,9 +92,9 @@ def r_n_closed(n, t):
     return r, r1, r2
 
 
-def covariance_X(n, weight, x, y, grid=None):
+def covariance_X(n, weight, x, y, grid):
     """Covariance of the weighted comparison process at (x, y):
-    r_n((Omega(x) - Omega(y))/2)."""
+    r_n((Omega(x) - Omega(y))/2), with Omega tabulated on the grid."""
     om = omega_map(weight, grid)
     return r_n_closed(n, 0.5 * (om.forward(x) - om.forward(y)))[0]
 

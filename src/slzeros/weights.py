@@ -11,15 +11,18 @@ built on two derived objects:
 * the potential q = omega''/(2 omega^3) - (3/4) omega'^2 / omega^4
   of the transformed operator.
 
-Omega is tabulated once per (weight, grid) pair with per-cell
-Gauss-Legendre quadrature and then evaluated anywhere by adding a
+A Grid is its point count: equal counts give equal grids with the same
+np.linspace points.  Omega is tabulated with per-cell Gauss-Legendre
+quadrature once per (weight, grid) pair, which omega_map keeps in an
+lru_cache of 64 maps, and then evaluated anywhere by adding a
 partial-cell integral; the inverse map is bracketed Newton on that
 table.  check_resolution refuses a frequency that a grid samples with
 fewer than 16 points per wavelength.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,35 +50,27 @@ _GL_WEIGHTS = np.array([
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling grid on [0, 2*pi]."""
+    """The uniform grid of `count` points on [0, 2*pi], the ends included.
 
-    points: np.ndarray
+    A grid is its count: points are np.linspace(0, 2*pi, count), and two
+    grids are equal, and hash alike, exactly when their counts match.
+    """
+
+    count: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 17:
-            raise DomainError("grid needs at least 17 points, got shape %s" % (pts.shape,))
-        h = (pts[-1] - pts[0]) / (pts.size - 1)
-        if abs(pts[0]) > 1e-12 or abs(pts[-1] - TWO_PI) > 1e-12:
-            raise DomainError(
-                "grid must span [0, 2*pi], got [%r, %r]" % (pts[0], pts[-1]))
-        if np.max(np.abs(np.diff(pts) - h)) > 1e-12 * max(h, 1.0):
-            raise DomainError("grid spacing is not uniform")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, count=8192):
-        if count < 17:
-            raise DomainError("grid count must be >= 17, got %r" % (count,))
-        return cls(np.linspace(0.0, TWO_PI, int(count)))
-
-    @property
-    def count(self):
-        return self.points.size
+        if not isinstance(self.count, (int, np.integer)) or self.count < 17:
+            raise DomainError("grid count must be an integer >= 17, got %r"
+                              % (self.count,))
+        points = np.linspace(0.0, TWO_PI, self.count)
+        points.flags.writeable = False
+        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "points", points)
 
     @property
     def n_cells(self):
-        return self.points.size - 1
+        return self.count - 1
 
     @property
     def h(self):
@@ -142,9 +137,9 @@ def _partial_integral(f, a, x):
 class OmegaMap:
     """Cumulative weight Omega and its inverse, tabulated on a grid."""
 
-    def __init__(self, weight, grid=None):
+    def __init__(self, weight, grid):
         self.weight = weight
-        self.grid = grid if grid is not None else default_grid()
+        self.grid = grid
         _check_positive(weight, "OmegaMap")
         cells = _cell_integrals(weight.eval, self.grid)
         self.table = np.concatenate(([0.0], np.cumsum(cells)))
@@ -199,15 +194,10 @@ class OmegaMap:
         return float(x[0]) if scalar else x
 
 
-_DEFAULT_GRID = None
-_MAP_CACHE = {}
-
-
+@functools.cache
 def default_grid():
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        _DEFAULT_GRID = Grid.uniform()
-    return _DEFAULT_GRID
+    """The storage grid of every run: 8192 points."""
+    return Grid(8192)
 
 
 MIN_POINTS_PER_WAVELENGTH = 16
@@ -233,29 +223,20 @@ def check_resolution(grid, name, value, weight=None, shift=0):
                name, top))
 
 
-def omega_map(weight, grid=None):
+@functools.lru_cache(maxsize=64)
+def omega_map(weight, grid):
     """Cached OmegaMap for (weight, grid); maps are immutable."""
-    grid = grid if grid is not None else default_grid()
-    key = (id(weight), id(grid))
-    hit = _MAP_CACHE.get(key)
-    # guard against id reuse after garbage collection
-    if hit is not None and hit.weight is weight and hit.grid is grid:
-        return hit
-    m = OmegaMap(weight, grid)
-    if len(_MAP_CACHE) > 64:
-        _MAP_CACHE.clear()
-    _MAP_CACHE[key] = m
-    return m
+    return OmegaMap(weight, grid)
 
 
-def normalize_weight(raw, grid=None):
+def normalize_weight(raw):
     """Rescale a weight to total mass 2*pi, preserving its shape.
 
     The cumulative map of the result is a bijection of [0, 2*pi] onto
     itself, which is what the rest of the package assumes.
     """
     _check_positive(raw, "normalize_weight")
-    total = OmegaMap(raw, grid).total
+    total = OmegaMap(raw, default_grid()).total
     c = TWO_PI / total
     if abs(c - 1.0) < 1e-14:
         return raw

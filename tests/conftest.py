@@ -13,7 +13,7 @@ import pytest
 
 import slzeros
 from slzeros import (ExperimentConfig, build_basis_pair, builtin_weights,
-                     run_experiment)
+                     default_grid, run_experiment)
 
 MASTER_SEED = 20260819
 
@@ -42,19 +42,19 @@ def sine2_weight():
 @pytest.fixture(scope="session")
 def unit_basis(unit_weight):
     """(C, D) eigenbasis pair for the unit weight, 100 pairs each."""
-    return build_basis_pair(unit_weight, 100)
+    return build_basis_pair(unit_weight, 100, default_grid())
 
 
 @pytest.fixture(scope="session")
 def sine2_basis(sine2_weight):
     """(C, D) eigenbasis pair for the sine2 weight, 400 pairs each."""
-    return build_basis_pair(sine2_weight, 400)
+    return build_basis_pair(sine2_weight, 400, default_grid())
 
 
 @pytest.fixture(scope="session")
 def sine2_basis_200(sine2_weight):
     """Smaller sine2 pair for tests that only need 200 modes."""
-    return build_basis_pair(sine2_weight, 200)
+    return build_basis_pair(sine2_weight, 200, default_grid())
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from slzeros import (BoundaryCondition, Eigenpair, NumericError,
 from slzeros import eigen
 from slzeros.eigen import _brent, _chain_reduce, _chain_scan, _Propagator
 from slzeros.weights import (TWO_PI, Grid, WeightFunction, builtin_weights,
-                             omega_map)
+                             default_grid, omega_map)
 
 C = BoundaryCondition.C
 D = BoundaryCondition.D
@@ -90,7 +90,7 @@ def prufer_phase(q, lam, bc, rtol=1e-10):
     return float(sol.y[0, -1])
 
 
-def normal_form_potential(weight, grid=None):
+def normal_form_potential(weight, grid):
     """Q(y) = q(Omega^{-1}(y)), the potential of weight_to_potential in
     the phase variable y = Omega(x): psi'' = -lambda omega^2 psi becomes
     g'' = (Q - lambda) g for g = sqrt(omega) psi."""
@@ -103,14 +103,14 @@ def test_normal_form_potential_is_composition():
     # Q(Omega(x)) == q(x): the phase-frame potential is q dragged
     # through the inverse phase map
     w = builtin_weights("sine2")
-    Q = normal_form_potential(w)
+    Q = normal_form_potential(w, default_grid())
     x = np.linspace(0.0, TWO_PI, 41)
-    np.testing.assert_allclose(Q(omega_map(w).forward(x)),
+    np.testing.assert_allclose(Q(omega_map(w, default_grid()).forward(x)),
                                weight_to_potential(w)(x), atol=1e-10)
 
 
 def test_normal_form_potential_unit_weight():
-    Q = normal_form_potential(builtin_weights("unit"))
+    Q = normal_form_potential(builtin_weights("unit"), default_grid())
     y = np.linspace(0.0, TWO_PI, 33)
     np.testing.assert_allclose(Q(y), 0.0, atol=1e-14)
 
@@ -256,7 +256,7 @@ def test_eigen_solve_refuses_unresolved_k_max():
 
 def test_eigen_solve_prefix_stable():
     w = builtin_weights("sine2")
-    g = Grid.uniform(2049)
+    g = Grid(2049)
     small = eigen_solve(w, D, 5, grid=g)
     large = eigen_solve(w, D, 9, grid=g)
     np.testing.assert_array_equal(large.eigenvalues[:5], small.eigenvalues)
@@ -372,7 +372,7 @@ def _oracle_solve(weight, bc, k_max, grid):
 @pytest.mark.parametrize("name", ["sine2", "expcos", "unit"])
 def test_eigen_solve_bit_equal_to_full_scan_oracle(name, bc):
     w = builtin_weights(name)
-    g = Grid.uniform(2049)
+    g = Grid(2049)
     basis = eigen_solve(w, bc, 40, grid=g)
     lambdas, funcs, dfuncs = _oracle_solve(w, bc, 40, g)
     np.testing.assert_array_equal(basis.eigenvalues, lambdas)

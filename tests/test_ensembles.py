@@ -166,7 +166,7 @@ def test_default_perturbation_satisfies_bounds():
 
 
 def test_hermite_rows_exact_at_nodes_and_for_cubics():
-    grid = Grid.uniform(33)
+    grid = Grid(33)
     p = grid.points
     f = np.vstack([p ** 3 - 2.0 * p ** 2 + p, np.ones_like(p)])
     df = np.vstack([3.0 * p ** 2 - 4.0 * p + 1.0, np.zeros_like(p)])
@@ -209,7 +209,7 @@ def test_build_process_rejects_bad_requests(sine2_weight, unit_basis):
 
 def test_build_process_rejects_mismatched_grids(unit_weight, unit_basis):
     small = eigen_solve(unit_weight, BoundaryCondition.D, 3,
-                        grid=Grid.uniform(1025))
+                        grid=Grid(1025))
     draw = sample_coefficients(SEED, 3, 0)
     with pytest.raises(PreconditionError):
         build_process("f_n", 3, draw, basis_pair=(unit_basis[0], small))
@@ -255,7 +255,7 @@ def test_X_process_agrees_with_stationary_pullback(sine2_weight):
     n = 15
     draw = sample_coefficients(SEED, n, 4)
     x = np.linspace(0.0, TWO_PI, 29)
-    y = omega_map(sine2_weight).forward(x)
+    y = omega_map(sine2_weight, default_grid()).forward(x)
     xn = build_process("X_n", n, draw, weight=sine2_weight)
     pull = xn.stationary_pullback()
     np.testing.assert_allclose(xn.value(x), pull.value(y), atol=1e-12)

@@ -253,15 +253,15 @@ def test_grid_samples_match_process_definitions(kind, sine2_weight,
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=replicates, master_seed=SEED,
                            process_kinds=(kind,))
-    grid = sine2_basis[0].grid
-    ctx = _RunContext(cfg, sine2_weight, sine2_basis, grid)
+    grid = cfg.grid
+    ctx = _RunContext(cfg, sine2_weight, sine2_basis)
     draws = [sample_coefficients(SEED, n, rid) for rid in range(replicates)]
     A = np.stack([d.a for d in draws]) / math.sqrt(n)
     B = np.stack([d.b for d in draws]) / math.sqrt(n)
     vals, ders = combine(ctx.rows[n][kind], A, B)
     for i, draw in enumerate(draws):
         proc = build_process(kind, n, draw, weight=sine2_weight,
-                             basis_pair=sine2_basis, grid=grid)
+                             basis_pair=sine2_basis)
         for got, want in ((vals[i], proc.value(grid.points)),
                           (ders[i], proc.deriv(grid.points))):
             scale = np.max(np.abs(got))
@@ -294,7 +294,7 @@ def test_context_buffers_bit_equal_to_plain_expressions(kind, sine2_weight,
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=70, master_seed=SEED,
                            process_kinds=(kind,))
-    ctx = _RunContext(cfg, sine2_weight, sine2_basis, sine2_basis[0].grid)
+    ctx = _RunContext(cfg, sine2_weight, sine2_basis)
     rows = ctx.rows[n][kind]
     for ids in (list(range(64)), list(range(64, 70)), list(range(5))):
         A, B, _ = sample_coefficient_block(SEED, n, ids)
@@ -314,11 +314,12 @@ def test_context_rows_bit_equal_to_fresh_rows(kind, sine2_weight,
                                               sine2_basis):
     # a run builds each kind's rows once, at max(n_list); the rows it
     # gives a smaller n are those that process_rows builds for that n
-    n, grid = 40, sine2_basis[0].grid
+    n = 40
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=2, master_seed=SEED,
                            process_kinds=(kind,))
-    got = _RunContext(cfg, sine2_weight, sine2_basis, grid).rows[n][kind]
+    grid = cfg.grid
+    got = _RunContext(cfg, sine2_weight, sine2_basis).rows[n][kind]
     want = process_rows(kind, n, weight=sine2_weight, basis_pair=sine2_basis,
                         grid=grid)
     assert got.ra.shape == (n, grid.count)
@@ -384,6 +385,75 @@ def test_run_experiment_worker_invariance(monkeypatch):
     assert len(serial) == 130
 
 
+def test_counts_at_n400_independent_of_workers(monkeypatch, sine2_basis):
+    # 128 replicates are two tasks, so two workers both fork.  A forked
+    # worker sets OpenBLAS to one thread and a one-worker run keeps the
+    # library's default, so sup_eps may move in its last bits at n = 400;
+    # no count or flag may move
+    def run(threads):
+        monkeypatch.setenv("SLZEROS_THREADS", threads)
+        return run_experiment(ExperimentConfig(
+            weight_name="sine2", n_list=(400,), replicates=128,
+            master_seed=SEED), basis_pair=sine2_basis)
+
+    one, two = run("1"), run("2")
+    assert len(one) == 128
+    for name in ("n_fn", "n_xn", "stable_fn", "stable_xn"):
+        assert [getattr(r, name) for r in one] == \
+            [getattr(r, name) for r in two], name
+    np.testing.assert_allclose([r.sup_eps for r in one],
+                               [r.sup_eps for r in two], rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def split_pair(sine2_weight):
+    """A sine2 (C, D) pair of 20 modes each, C solved on 1025 points and
+    D on 2049."""
+    return tuple(eigen_solve(sine2_weight, bc, 20, grid=Grid(count))
+                 for bc, count in ((BoundaryCondition.C, 1025),
+                                   (BoundaryCondition.D, 2049)))
+
+
+@pytest.mark.parametrize("use", ["build_process", "gap_diagnostics",
+                                 "run_experiment"])
+def test_pair_on_two_grids_refused(use, split_pair, sine2_weight):
+    n = 20
+    with pytest.raises(PreconditionError):
+        if use == "build_process":
+            build_process("f_n", n, sample_coefficients(SEED, n, 0),
+                          basis_pair=split_pair)
+        elif use == "gap_diagnostics":
+            gap_diagnostics(split_pair, sine2_weight, n)
+        else:
+            run_experiment(ExperimentConfig(
+                weight_name="sine2", n_list=(n,), replicates=2,
+                master_seed=SEED), basis_pair=split_pair)
+
+
+def test_basis_off_the_run_grid_refused_before_records(sine2_weight,
+                                                       tmp_path):
+    # 70 modes on 1025 points: n = 70 would leave T_n 14.6 points per
+    # wavelength there, but the run samples on config.grid alone
+    pair = build_basis_pair(sine2_weight, 70, Grid(1025))
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(70,), replicates=2,
+                           master_seed=SEED, process_kinds=("f_n", "T_n"),
+                           output_path=str(out))
+    with pytest.raises(PreconditionError,
+                       match="C family was solved on 1025 points"):
+        run_experiment(cfg, basis_pair=pair)
+    assert not out.exists()
+
+
+def test_short_basis_refused_before_records(sine2_basis_200, tmp_path):
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(300,), replicates=2,
+                           master_seed=SEED, output_path=str(out))
+    with pytest.raises(PreconditionError, match="eigenbasis too small"):
+        run_experiment(cfg, basis_pair=sine2_basis_200)
+    assert not out.exists()
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SLZEROS_THREADS", "8")
     assert _worker_count(3) == 3
@@ -417,7 +487,7 @@ def test_run_experiment_unknown_weight():
 
 
 def test_build_basis_pair_is_ordered(unit_weight):
-    pair = build_basis_pair(unit_weight, 3, grid=Grid.uniform(1025))
+    pair = build_basis_pair(unit_weight, 3, grid=Grid(1025))
     assert pair[0].bc.value == "C"
     assert pair[1].bc.value == "D"
     assert pair[0].k_max == pair[1].k_max == 3
@@ -456,7 +526,7 @@ def _assert_basis_equal(basis, solo):
 @pytest.mark.parametrize("name", ["sine2", "expcos"])
 def test_build_basis_pair_bit_equal_to_solo_solves(name):
     w = builtin_weights(name)
-    g = Grid.uniform(1025)
+    g = Grid(1025)
     pair = build_basis_pair(w, 24, grid=g)
     _no_child_left()
     for basis, bc in zip(pair, (BoundaryCondition.C, BoundaryCondition.D)):
@@ -464,7 +534,7 @@ def test_build_basis_pair_bit_equal_to_solo_solves(name):
 
 
 def test_build_basis_pair_d_arrays_live_in_a_shared_mapping(unit_weight):
-    c, d = build_basis_pair(unit_weight, 6, grid=Grid.uniform(257))
+    c, d = build_basis_pair(unit_weight, 6, grid=Grid(257))
     for arr in (d.funcs, d.dfuncs):
         owner = arr
         while isinstance(owner, np.ndarray):
@@ -475,7 +545,7 @@ def test_build_basis_pair_d_arrays_live_in_a_shared_mapping(unit_weight):
 
 def test_build_basis_pair_without_fork_solves_in_turn(monkeypatch):
     w = builtin_weights("sine2")
-    g = Grid.uniform(1025)
+    g = Grid(1025)
     forked = build_basis_pair(w, 12, grid=g)
     monkeypatch.delattr(os, "fork")
     for basis, solo in zip(build_basis_pair(w, 12, grid=g), forked):
@@ -490,7 +560,7 @@ def test_build_basis_pair_raises_the_childs_error(monkeypatch, unit_weight):
 
     _solve_d_with(monkeypatch, failing)
     with pytest.raises(NumericError) as info:
-        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+        build_basis_pair(unit_weight, 5, grid=Grid(257))
     assert type(info.value) is NumericError
     assert str(info.value) == message
     _no_child_left()
@@ -505,7 +575,7 @@ def test_build_basis_pair_names_an_unpicklable_error(monkeypatch, unit_weight):
 
     _solve_d_with(monkeypatch, failing)
     with pytest.raises(RuntimeError, match="^LocalError: lost in the child$"):
-        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+        build_basis_pair(unit_weight, 5, grid=Grid(257))
     _no_child_left()
 
 
@@ -515,7 +585,7 @@ def test_build_basis_pair_child_that_dies_silently(monkeypatch, unit_weight):
 
     _solve_d_with(monkeypatch, dying)
     with pytest.raises(ChildProcessError, match="exit code 3 and sent no error"):
-        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+        build_basis_pair(unit_weight, 5, grid=Grid(257))
     _no_child_left()
 
 
@@ -530,7 +600,7 @@ def test_build_basis_pair_kills_and_reaps_the_child_when_c_fails(
     _solve_d_with(monkeypatch, slow, c_solve=failing)
     start = time.monotonic()
     with pytest.raises(NumericError, match="^C failed$"):
-        build_basis_pair(unit_weight, 5, grid=Grid.uniform(257))
+        build_basis_pair(unit_weight, 5, grid=Grid(257))
     assert time.monotonic() - start < 30
     _no_child_left()
 
@@ -542,7 +612,7 @@ def test_build_basis_pair_kills_and_reaps_the_child_when_c_fails(
 ])
 def test_build_basis_pair_refuses_bad_k_max(unit_weight, k_max, match):
     with pytest.raises(PreconditionError, match=match):
-        build_basis_pair(unit_weight, k_max, grid=Grid.uniform(257))
+        build_basis_pair(unit_weight, k_max, grid=Grid(257))
     _no_child_left()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from slzeros import (DomainError, covariance_X, expected_count_closed,
                      kac_rice_expected, r_n_closed)
-from slzeros.weights import TWO_PI, builtin_weights, omega_map
+from slzeros.weights import TWO_PI, builtin_weights, default_grid, omega_map
 
 
 def _direct_sums(n, t):
@@ -85,20 +85,21 @@ def test_kernel_rejects_bad_order():
 def test_covariance_X_unit_weight_is_stationary():
     unit = builtin_weights("unit")
     x = np.linspace(0.0, TWO_PI, 33)
-    got = covariance_X(12, unit, x, np.zeros_like(x))
+    got = covariance_X(12, unit, x, np.zeros_like(x), default_grid())
     want = r_n_closed(12, 0.5 * x)[0]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_covariance_X_sine2_uses_cumulative_map():
     w = builtin_weights("sine2")
-    got = covariance_X(8, w, math.pi, 0.0)
+    got = covariance_X(8, w, math.pi, 0.0, default_grid())
     want = r_n_closed(8, 0.5 * (math.pi + 1.0))[0]
     np.testing.assert_allclose(got, want, atol=1e-10)
     # symmetric and 1 on the diagonal
-    np.testing.assert_allclose(covariance_X(8, w, 0.0, math.pi), got,
-                               atol=1e-12)
-    np.testing.assert_allclose(covariance_X(8, w, 1.3, 1.3), 1.0, atol=1e-12)
+    np.testing.assert_allclose(
+        covariance_X(8, w, 0.0, math.pi, default_grid()), got, atol=1e-12)
+    np.testing.assert_allclose(
+        covariance_X(8, w, 1.3, 1.3, default_grid()), 1.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +193,8 @@ def test_expected_count_closed_values():
 def test_omega_cumulative_consistency_with_covariance():
     # the covariance depends on x only through the cumulative map
     w = builtin_weights("expcos")
-    om = omega_map(w)
+    om = omega_map(w, default_grid())
     x, y = 2.0, 0.7
     t = 0.5 * (om.forward(x) - om.forward(y))
-    np.testing.assert_allclose(covariance_X(5, w, x, y),
+    np.testing.assert_allclose(covariance_X(5, w, x, y, default_grid()),
                                r_n_closed(5, t)[0], atol=1e-12)

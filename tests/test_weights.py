@@ -17,22 +17,28 @@ from slzeros.weights import TWO_PI, OmegaMap, omega_map
 
 
 def test_grid_uniform_basics():
-    g = Grid.uniform(129)
+    g = Grid(129)
     assert g.count == 129
     assert g.n_cells == 128
     np.testing.assert_allclose(g.h, TWO_PI / 128, rtol=1e-15)
     np.testing.assert_allclose(g.points[0], 0.0, atol=1e-15)
     np.testing.assert_allclose(g.points[-1], TWO_PI, rtol=1e-15)
+    np.testing.assert_array_equal(g.points, np.linspace(0.0, TWO_PI, 129))
+
+
+def test_grid_is_its_count():
+    # equal, and hashed alike, exactly when the counts match
+    assert Grid(129) == Grid(np.int64(129))
+    assert hash(Grid(129)) == hash(Grid(129))
+    assert Grid(129) != Grid(130)
+    assert len({Grid(129), Grid(129), Grid(130)}) == 2
 
 
 def test_grid_rejects_bad_input():
-    with pytest.raises(DomainError):
-        Grid(np.linspace(0.0, 3.0, 64))  # wrong span
-    with pytest.raises(DomainError):
-        Grid(np.concatenate([np.linspace(0.0, 3.0, 30),
-                             np.linspace(3.1, TWO_PI, 34)]))  # nonuniform
-    with pytest.raises(DomainError):
-        Grid.uniform(8)  # too coarse
+    with pytest.raises(DomainError, match="count must be an integer >= 17"):
+        Grid(8)  # too coarse
+    with pytest.raises(DomainError, match="count must be an integer >= 17"):
+        Grid(129.0)
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +50,7 @@ def test_builtin_weights_positive_with_mass_2pi(name):
     w = builtin_weights(name)
     x = np.linspace(0.0, TWO_PI, 1001)
     assert np.all(w.eval(x) > 0.0)
-    total = OmegaMap(w).total
+    total = OmegaMap(w, default_grid()).total
     np.testing.assert_allclose(total, TWO_PI, rtol=1e-10)
 
 
@@ -71,7 +77,8 @@ def test_normalize_weight_rescales_to_2pi():
         deriv1=lambda x: 3.0 * builtin_weights("sine2").deriv1(x),
         deriv2=lambda x: 3.0 * builtin_weights("sine2").deriv2(x))
     w = normalize_weight(raw)
-    np.testing.assert_allclose(OmegaMap(w).total, TWO_PI, rtol=1e-12)
+    np.testing.assert_allclose(OmegaMap(w, default_grid()).total, TWO_PI,
+                               rtol=1e-12)
     # shape preserved: ratio to the raw weight is constant
     x = np.linspace(0.0, TWO_PI, 57)
     ratio = np.asarray(w.eval(x)) / np.asarray(raw.eval(x))
@@ -96,7 +103,7 @@ def test_nonpositive_weight_rejected():
 
 def test_omega_cumulative_sine2_at_pi():
     # integral_0^pi (2 + sin x)/2 dx = pi + 1
-    om = omega_map(builtin_weights("sine2"))
+    om = omega_map(builtin_weights("sine2"), default_grid())
     np.testing.assert_allclose(om.forward(math.pi), math.pi + 1.0, rtol=1e-12)
     np.testing.assert_allclose(om.forward(0.0), 0.0, atol=1e-14)
     np.testing.assert_allclose(om.forward(TWO_PI), TWO_PI, rtol=1e-12)
@@ -105,37 +112,37 @@ def test_omega_cumulative_sine2_at_pi():
 def test_omega_cumulative_unit_is_identity():
     w = builtin_weights("unit")
     x = np.linspace(0.0, TWO_PI, 97)
-    np.testing.assert_allclose(omega_map(w).forward(x), x, atol=1e-13)
+    np.testing.assert_allclose(omega_map(w, default_grid()).forward(x), x,
+                               atol=1e-13)
 
 
 def test_omega_forward_strictly_increasing():
     w = builtin_weights("expcos")
     x = np.linspace(0.0, TWO_PI, 513)
-    y = omega_map(w).forward(x)
+    y = omega_map(w, default_grid()).forward(x)
     assert np.all(np.diff(y) > 0.0)
 
 
 def test_omega_inverse_round_trip():
-    om = omega_map(builtin_weights("sine2"))
+    om = omega_map(builtin_weights("sine2"), default_grid())
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, TWO_PI, 200)
     np.testing.assert_allclose(om.inverse(om.forward(x)), x, atol=1e-11)
 
 
 def test_omega_map_default_grid_is_one_cache_entry():
-    # grid=None means default_grid(): one map, built once, either way
+    # a freshly built grid of default_grid()'s count is the same key
     w = builtin_weights("expcos")
-    m = omega_map(w)
+    m = omega_map(w, default_grid())
+    assert omega_map(w, Grid(8192)) is m
     assert omega_map(w, default_grid()) is m
-    assert omega_map(w) is m
-    assert m.grid is default_grid()
-    v = builtin_weights("sine2")
-    assert omega_map(v, default_grid()) is omega_map(v)
+    assert m.grid == default_grid()
+    assert omega_map(w, Grid(1025)) is not m
 
 
 def test_omega_map_rejects_out_of_range():
     w = builtin_weights("sine2")
-    m = omega_map(w)
+    m = omega_map(w, default_grid())
     with pytest.raises(DomainError):
         m.forward(-0.5)
     with pytest.raises(DomainError):
@@ -152,7 +159,7 @@ def test_omega_map_rejects_out_of_range():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=TWO_PI))
 def test_omega_inverse_is_right_inverse(y):
-    om = omega_map(builtin_weights("sine2"))
+    om = omega_map(builtin_weights("sine2"), default_grid())
     x = om.inverse(y)
     assert 0.0 <= x <= TWO_PI
     assert abs(om.forward(x) - y) < 1e-10
