@@ -136,18 +136,45 @@ def _id_words(ids):
     return ids.astype(np.uint32)
 
 
-def sample_coefficient_block(master_seed, n, replicate_ids):
+def _check_block_out(out, m, n):
+    """out=(A, B, seeds) refused by name unless A and B are writable
+    C-contiguous float64 arrays of shape (m, n) and seeds one of uint64
+    and shape (m,)."""
+    for name, arr, dtype, shape in zip(("A", "B", "seeds"), out,
+                                       (np.float64, np.float64, np.uint64),
+                                       ((m, n), (m, n), (m,))):
+        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                and arr.shape == shape and arr.flags.c_contiguous
+                and arr.flags.writeable):
+            raise PreconditionError(
+                "out's %s must be a writable C-contiguous %s array of shape "
+                "%s, got %r" % (name, np.dtype(dtype).name, shape,
+                                getattr(arr, "shape", arr)))
+
+
+def sample_coefficient_block(master_seed, n, replicate_ids, out=None):
     """The draws of a block of replicate ids: (A, B, seeds), row i of the
     (m, n) arrays A and B holding a and b of replicate_ids[i], and seeds
     its uint64 record seed, the first uint64 of
     SeedSequence(master_seed, spawn_key=(n, rid)).generate_state.  The
     keys are derived as the module docstring says; every id must lie in
-    [0, 2**32)."""
+    [0, 2**32).
+
+    out=(A, B, seeds) are writable C-contiguous arrays of those shapes
+    and dtypes (float64, float64, uint64) to fill, such as views of a
+    mapping that another process reads; by default they are allocated.
+    Either way they get the same bits."""
     if n < 1 or int(n) != n:
         raise PreconditionError("n must be a positive integer, got %r" % (n,))
     master_seed = _non_negative_int("master_seed", master_seed)
     n = int(n)
     m = len(replicate_ids)
+    if out is None:
+        out = (np.empty((m, n)), np.empty((m, n)),
+               np.empty(m, dtype=np.uint64))
+    else:
+        _check_block_out(out, m, n)
+    A, B, seeds = out
 
     prefix = np.random.SeedSequence(entropy=master_seed, spawn_key=(n,))
     # mix_entropy advanced its hash constant 16 times over the first
@@ -160,8 +187,6 @@ def sample_coefficient_block(master_seed, n, replicate_ids):
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     state["state"]["counter"][:] = 0
-    out = (np.empty((m, n)), np.empty((m, n)))
-    seeds = np.empty(m, dtype=np.uint64)
     for lo in range(0, m, _KEY_BLOCK):
         # the ids and keys of _KEY_BLOCK draws at a time, so they never
         # sit beside every row of a large block
@@ -170,12 +195,12 @@ def sample_coefficient_block(master_seed, n, replicate_ids):
         seeds[lo:lo + block.size] = _uint64_state(pool, 1)[0]
         streams, _ = _mix_word(pool, tags, block_const)
         keys = _uint64_state(streams, 2).transpose(0, 2, 1).tolist()
-        for rows, stream_keys in zip(out, keys):
+        for rows, stream_keys in zip((A, B), keys):
             for row, key in zip(rows[lo:], stream_keys):
                 state["state"]["key"] = key
                 bitgen.state = state
                 gen.standard_normal(out=row)
-    return out[0], out[1], seeds
+    return A, B, seeds
 
 
 def sample_coefficients(master_seed, n, replicate_id):
@@ -287,6 +312,10 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
     out.  The basis pair is checked by _family_pair.
     """
     on_grid = x is None
+    if grid is None and (on_grid or kind in ("X_n", "X_n_raw")):
+        why = ("x=None means the grid's points" if on_grid
+               else "the X kinds tabulate Omega on it")
+        raise PreconditionError("kind %r needs a grid: %s" % (kind, why))
     if on_grid:
         x = grid.points
     k = np.arange(1, n + 1, dtype=float)

@@ -3,7 +3,10 @@
 build_basis_pair() solves the two boundary families that f_n sums, C
 in this process and D in a forked child beside it, and returns D's
 arrays through an anonymous shared mapping, with the bits of a solo
-eigen_solve call for each family.
+eigen_solve call for each family.  covariance_check() draws its
+coefficient block the same way, the lower half of the ids here and the
+upper half in the child, with the bits of one serial draw.  Both fork
+through _beside_child, the package's one fork of a single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
@@ -304,30 +307,24 @@ def _one_blas_thread():
             setter(1)
 
 
-def build_basis_pair(weight, k_max, grid):
-    """Solve both boundary families once; shared by every n.
+def _beside_child(nbytes, child, parent):
+    """Run child(shared) in a forked child process while this process
+    runs parent(shared); returns (shared, what parent returned).
 
-    Neither solve reads the other, so where the platform forks, a child
-    process solves D while this one solves C.  The child writes D's
-    funcs, dfuncs and eigenvalues into an anonymous shared mapping made
-    before the fork, and the D basis is built over that mapping without
-    a copy.  The omega map is built before the fork, so the child
-    inherits it.  A child that fails sends its exception back pickled,
-    and it is raised here with its type and message.  The child is
-    always reaped, and killed first if the C solve raises.  Each family
-    has the bits that eigen_solve gives it alone, and both solves go
-    through this module's name eigen_solve.
+    shared is a float64 array over an anonymous shared mapping of nbytes
+    made before the fork, so what the child writes there is read here
+    without a copy.  The child leaves only through os._exit.  A child
+    that fails sends its exception back pickled, and it is raised here
+    with its type and message; one that exits non-zero and sends nothing
+    raises ChildProcessError.  The child is always reaped, and killed
+    first if parent raises.  Without os.fork, parent and then child run
+    here, one after the other.
     """
+    shared = np.frombuffer(mmap.mmap(-1, nbytes))
     if not hasattr(os, "fork"):
-        return (eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid),
-                eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid))
-    k_max = check_k_max(k_max, weight, grid)
-    omega_map(weight, grid)
-    size = k_max * grid.count
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + k_max)))
-    funcs = shared[:size].reshape(k_max, grid.count)
-    dfuncs = shared[size:2 * size].reshape(k_max, grid.count)
-    lambdas = shared[2 * size:]
+        result = parent(shared)
+        child(shared)
+        return shared, result
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -341,10 +338,7 @@ def build_basis_pair(weight, k_max, grid):
         os.close(read_fd)
         code = 1
         try:
-            basis = eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid)
-            funcs[...] = basis.funcs
-            dfuncs[...] = basis.dfuncs
-            lambdas[...] = basis.eigenvalues
+            child(shared)
             code = 0
         except BaseException as exc:
             with os.fdopen(write_fd, "wb") as pipe:
@@ -354,7 +348,7 @@ def build_basis_pair(weight, k_max, grid):
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            basis_c = eigen_solve(weight, BoundaryCondition.C, k_max, grid=grid)
+            result = parent(shared)
             failure = pipe.read()  # empty when the child succeeds
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -364,11 +358,44 @@ def build_basis_pair(weight, k_max, grid):
     if failure:
         raise pickle.loads(failure)
     if status != 0:
-        raise ChildProcessError("the D-family solve ended with exit code %d "
+        raise ChildProcessError("the forked child ended with exit code %d "
                                 "and sent no error"
                                 % os.waitstatus_to_exitcode(status))
+    return shared, result
+
+
+def build_basis_pair(weight, k_max, grid):
+    """Solve both boundary families once; shared by every n.
+
+    Neither solve reads the other, so _beside_child solves D in a forked
+    child while this process solves C.  The child writes D's
+    eigenvalues, funcs and dfuncs into the shared mapping, and the D
+    basis is built over that mapping without a copy.  The omega map is
+    built before the fork, so the child inherits it.  Each family has
+    the bits that eigen_solve gives it alone, and both solves go through
+    this module's name eigen_solve.
+    """
+    k_max = check_k_max(k_max, weight, grid)
+    omega_map(weight, grid)
+    size = k_max * grid.count
+
+    def d_arrays(shared):
+        """D's eigenvalues, funcs and dfuncs in the shared mapping."""
+        return (shared[2 * size:], shared[:size].reshape(k_max, grid.count),
+                shared[size:2 * size].reshape(k_max, grid.count))
+
+    def solve_d(shared):
+        basis = eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid)
+        for dst, src in zip(d_arrays(shared), (basis.eigenvalues, basis.funcs,
+                                               basis.dfuncs)):
+            dst[...] = src
+
+    shared, basis_c = _beside_child(
+        8 * (2 * size + k_max), solve_d,
+        lambda shared: eigen_solve(weight, BoundaryCondition.C, k_max,
+                                   grid=grid))
     return basis_c, basis_from_arrays(BoundaryCondition.D, weight, grid,
-                                      lambdas, funcs, dfuncs)
+                                      *d_arrays(shared))
 
 
 def _pickled_exception(exc):
@@ -671,6 +698,29 @@ def check_covariance_draws(m):
                                 "replicate id, got %d" % m)
 
 
+def _draw_in_halves(master_seed, n, m):
+    """sample_coefficient_block(master_seed, n, range(m)), bit for bit,
+    drawn by _beside_child: a forked child fills ids [m//2, m) and this
+    process ids [0, m//2), each with one call into the shared mapping.
+    Each row's bits depend on its own key alone, so the split moves none."""
+    size = m * n
+
+    def block(shared):
+        """A, B and seeds in the shared mapping."""
+        return (shared[:size].reshape(m, n),
+                shared[size:2 * size].reshape(m, n),
+                shared[2 * size:].view(np.uint64))
+
+    def half(lo, hi):
+        return lambda shared: sample_coefficient_block(
+            master_seed, n, range(lo, hi),
+            out=tuple(arr[lo:hi] for arr in block(shared)))
+
+    shared, _ = _beside_child(8 * (2 * size + m), half(m // 2, m),
+                              half(0, m // 2))
+    return block(shared)
+
+
 def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
                      master_seed=20260819):
     """Empirical spot check of the closed-form covariances.
@@ -678,6 +728,10 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     Draws m coefficient vectors, evaluates X_n at n_pairs random point
     pairs, and compares the sample covariance with
     r_n((Omega(x) - Omega(y))/2), Omega tabulated on default_grid().
+    The draws are those of one sample_coefficient_block call over ids
+    0..m-1, made in two processes whatever SLZEROS_THREADS is: a forked
+    child draws the upper half of the ids while this process draws the
+    lower (_draw_in_halves).
     When a basis pair is supplied the empirical variance of f_n is
     checked against 1 at the same points.  Returns a dict with the max
     absolute errors and the raw tables.
@@ -687,7 +741,7 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
     xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)
-    A, B, _ = sample_coefficient_block(master_seed, n, range(m))
+    A, B, _ = _draw_in_halves(master_seed, n, m)
     A /= math.sqrt(n)
     B /= math.sqrt(n)
 

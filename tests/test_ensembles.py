@@ -87,6 +87,34 @@ def test_sample_coefficient_block_refuses_bad_ids(ids):
         sample_coefficient_block(SEED, 5, ids)
 
 
+def test_sample_coefficient_block_fills_out_with_its_bits():
+    # 600 ids span three key blocks of 256; the views start mid-array
+    ids = range(100, 700)
+    A, B = np.zeros((3, 700, 9)), np.zeros((3, 700, 9))
+    seeds = np.zeros((3, 700), dtype=np.uint64)
+    out = (A[1, 100:], B[1, 100:], seeds[1, 100:])
+    got = sample_coefficient_block(SEED, 9, ids, out=out)
+    assert all(g is o for g, o in zip(got, out))
+    for filled, allocated in zip(out, sample_coefficient_block(SEED, 9, ids)):
+        assert np.array_equal(filled, allocated)
+    for arr in (A, B, seeds):  # nothing outside the views is written
+        assert not (arr[1, :100].any() or arr[[0, 2]].any())
+
+
+@pytest.mark.parametrize("which, arr", [
+    (0, np.zeros((4, 5))), (1, np.zeros((3, 6))), (2, np.zeros(3)),
+    (0, np.zeros((3, 5), dtype=np.float32)), (1, np.zeros((5, 3)).T),
+    (2, np.zeros(3, dtype=np.int64))], ids=[
+        "A shape", "B shape", "seeds dtype", "A dtype", "B order",
+        "seeds signed"])
+def test_sample_coefficient_block_refuses_bad_out_by_name(which, arr):
+    out = [np.empty((3, 5)), np.empty((3, 5)), np.empty(3, dtype=np.uint64)]
+    out[which] = arr
+    label = ("A", "B", "seeds")[which]
+    with pytest.raises(PreconditionError, match="^out's %s must be" % label):
+        sample_coefficient_block(SEED, 5, range(3), out=tuple(out))
+
+
 # the per-draw derivation the block kernel must reproduce bit for bit:
 # one SeedSequence and one Philox per stream, and the record seed from
 # spawn_key=(n, replicate_id)
@@ -159,6 +187,16 @@ def test_default_perturbation_satisfies_bounds():
     assert np.all(np.abs(rows.rb - s) <= 1.0 / (2.0 * k) + slack)
     assert np.all(np.abs(rows.da + k * s) <= 1.0 + slack)
     assert np.all(np.abs(rows.db - k * c) <= 1.0 + slack)
+
+
+@pytest.mark.parametrize("kind, x, match", [
+    ("X_n", np.linspace(0.0, 1.0, 3), "the X kinds tabulate Omega on it"),
+    ("T_n", None, "x=None means the grid's points")])
+def test_process_rows_without_a_grid_refused_by_name(kind, x, match,
+                                                     sine2_weight):
+    with pytest.raises(PreconditionError,
+                       match="^kind '%s' needs a grid: %s$" % (kind, match)):
+        process_rows(kind, 5, x, weight=sine2_weight)
 
 
 # ----------------------------------------------------------------------

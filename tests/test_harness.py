@@ -605,6 +605,57 @@ def test_build_basis_pair_kills_and_reaps_the_child_when_c_fails(
     _no_child_left()
 
 
+@pytest.mark.parametrize("m", [1001, 1000])  # unequal and equal halves
+def test_draw_in_halves_bit_equal_to_one_serial_draw(m):
+    A, B, seeds = harness._draw_in_halves(SEED, 13, m)
+    _no_child_left()
+    serial = sample_coefficient_block(SEED, 13, range(m))
+    for got, want in zip((A, B, seeds), serial):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_draw_in_halves_without_fork_draws_in_turn(monkeypatch):
+    forked = harness._draw_in_halves(SEED, 13, 1001)
+    monkeypatch.delattr(os, "fork")
+    for got, want in zip(harness._draw_in_halves(SEED, 13, 1001), forked):
+        assert np.array_equal(got, want)
+
+
+def _draw_halves_with(monkeypatch, lower, upper):
+    """Route harness.sample_coefficient_block's calls for the lower half
+    of the ids (first id 0, drawn here) and the upper half (drawn in the
+    child) to stand-ins."""
+    def draw(master_seed, n, ids, out=None):
+        return (lower if ids[0] == 0 else upper)()
+
+    monkeypatch.setattr(harness, "sample_coefficient_block", draw)
+
+
+def test_draw_in_halves_raises_the_childs_error(monkeypatch):
+    def failing():
+        raise DomainError("the upper half failed")
+
+    _draw_halves_with(monkeypatch, lambda: None, failing)
+    with pytest.raises(DomainError) as info:
+        harness._draw_in_halves(SEED, 13, 1001)
+    assert type(info.value) is DomainError
+    assert str(info.value) == "the upper half failed"
+    _no_child_left()
+
+
+def test_draw_in_halves_kills_and_reaps_the_child_when_its_half_fails(
+        monkeypatch):
+    def failing():
+        raise DomainError("the lower half failed")
+
+    _draw_halves_with(monkeypatch, failing, lambda: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(DomainError, match="^the lower half failed$"):
+        harness._draw_in_halves(SEED, 13, 1001)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
 @pytest.mark.parametrize("k_max, match", [
     (0, "k_max must be a positive integer, got 0"),
     (2.5, "k_max must be a positive integer, got 2.5"),
@@ -777,6 +828,7 @@ def test_gap_diagnostics_needs_basis(unit_basis, unit_weight):
 def test_covariance_check_small(unit_basis, unit_weight):
     out = covariance_check(unit_weight, 20, basis_pair=unit_basis,
                            n_pairs=10, m=1500)
+    _no_child_left()
     assert out["draws"] == 1500
     assert out["x_pairs"].shape == (10, 2)
     assert out["cov_empirical"].shape == (10,)
