@@ -3,10 +3,12 @@
 build_basis_pair() solves the two boundary families that f_n sums, C
 in this process and D in a forked child beside it, and returns D's
 arrays through an anonymous shared mapping, with the bits of a solo
-eigen_solve call for each family.  covariance_check() draws its
-coefficient block the same way, the lower half of the ids here and the
-upper half in the child, with the bits of one serial draw.  Both fork
-through _beside_child, the package's one fork of a single child.
+eigen_solve call for each family.  covariance_check() streams its
+draws the same way, in fixed blocks of ids, the lower half of the
+blocks here and the upper half in the child, each at one OpenBLAS
+thread; only the values at its sampled points are shared, and their
+bits do not depend on the number of cores.  Both fork through
+_beside_child, the package's one fork of a single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
@@ -80,6 +82,9 @@ SIMULATED_KINDS = ("f_n", "X_n", "T_n", "perturbed")
 RECORD_COLUMNS = ("n", "replicate_id", "seed", "N_fn", "N_Xn", "N_Tn",
                   "N_pert", "sup_eps", "stable_fn", "stable_Xn", "millis")
 CHUNK = 64  # replicates per batch; fixed so results never depend on workers
+# covariance_check's ids per draw block, a multiple of the ids whose keys
+# sample_coefficient_block derives at once; fixed, so the bits are too
+_DRAW_BLOCK = 2048
 
 _COUNT_FIELD = {"f_n": "n_fn", "X_n": "n_xn", "T_n": "n_tn",
                 "perturbed": "n_pert"}
@@ -294,17 +299,23 @@ def _worker_count(n_tasks):
     return max(1, min(workers, n_tasks))
 
 
-def _one_blas_thread():
-    """Pool initializer: a forked worker keeps numpy's bundled OpenBLAS
-    at one thread, so the workers do not oversubscribe the cores.  Does
-    nothing when that library or its setter is not found."""
+def _set_blas_threads(count):
+    """Set numpy's bundled OpenBLAS to count threads; returns the count
+    it had, or None, having done nothing, when that library or its
+    thread-count functions are not found.  The pool's initializer sets
+    each forked worker to one thread, so the workers do not
+    oversubscribe the cores."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
                         "numpy.libs", "libscipy_openblas*")
     for path in glob.glob(libs):
-        setter = getattr(ctypes.CDLL(path),
-                         "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter(1)
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            old = get()
+            put(count)
+            return old
+    return None
 
 
 def _beside_child(nbytes, child, parent):
@@ -445,7 +456,7 @@ def run_experiment(config, basis_pair=None):
         _WORKER_CTX = ctx
         # the pool forks here, so its workers inherit the run's context
         with (multiprocessing.get_context("fork").Pool(
-                workers, initializer=_one_blas_thread)
+                workers, initializer=_set_blas_threads, initargs=(1,))
               if fork else nullcontext()) as pool:
             for batch in (pool.imap if fork else map)(_process_chunk, tasks):
                 records.extend(batch)
@@ -698,27 +709,59 @@ def check_covariance_draws(m):
                                 "replicate id, got %d" % m)
 
 
-def _draw_in_halves(master_seed, n, m):
-    """sample_coefficient_block(master_seed, n, range(m)), bit for bit,
-    drawn by _beside_child: a forked child fills ids [m//2, m) and this
-    process ids [0, m//2), each with one call into the shared mapping.
-    Each row's bits depend on its own key alone, so the split moves none."""
-    size = m * n
+def _sampled_in_halves(master_seed, n, m, row_sets):
+    """The values of each deriv=False ProcessRows of row_sets at the
+    draws of ids 0..m-1: one (m, points) table per row set, whose row i
+    is combine(rows, a_i / sqrt(n), b_i / sqrt(n), deriv=False)[0].
 
-    def block(shared):
-        """A, B and seeds in the shared mapping."""
-        return (shared[:size].reshape(m, n),
-                shared[size:2 * size].reshape(m, n),
-                shared[2 * size:].view(np.uint64))
+    The ids go in blocks of _DRAW_BLOCK, aligned at multiples of it from
+    id 0.  _beside_child runs the upper half of the blocks in a forked
+    child and the lower half here, each at one OpenBLAS thread (this
+    process gets its count back after).  A block is one
+    sample_coefficient_block call into buffers the half reuses, then one
+    combine per row set into the block's rows of that set's table; only
+    the tables are shared.  A row's draw depends on its own key alone
+    and, at one thread, its values on its block alone, so the bits are
+    the same for any split and any number of cores.
+    """
+    widths = [rows.ra.shape[1] for rows in row_sets]
+    ends = np.cumsum([0] + widths) * m
+    starts = range(0, m, _DRAW_BLOCK)
+    size = min(m, _DRAW_BLOCK)
+    root = math.sqrt(n)
 
-    def half(lo, hi):
-        return lambda shared: sample_coefficient_block(
-            master_seed, n, range(lo, hi),
-            out=tuple(arr[lo:hi] for arr in block(shared)))
+    def tables(shared):
+        return [shared[lo:hi].reshape(m, width)
+                for lo, hi, width in zip(ends, ends[1:], widths)]
 
-    shared, _ = _beside_child(8 * (2 * size + m), half(m // 2, m),
-                              half(0, m // 2))
-    return block(shared)
+    def half(block_starts):
+        def fill(shared):
+            threads = _set_blas_threads(1)
+            try:
+                A, B = np.empty((2, size, n))
+                seeds = np.empty(size, dtype=np.uint64)
+                scratch = np.empty(size * max(widths))
+                out = tables(shared)
+                for lo in block_starts:
+                    hi = min(lo + _DRAW_BLOCK, m)
+                    a, b = A[:hi - lo], B[:hi - lo]
+                    sample_coefficient_block(master_seed, n, range(lo, hi),
+                                             out=(a, b, seeds[:hi - lo]))
+                    a /= root
+                    b /= root
+                    for rows, table in zip(row_sets, out):
+                        vals = table[lo:hi]
+                        tmp = scratch[:vals.size].reshape(vals.shape)
+                        combine(rows, a, b, deriv=False, out=(vals, None, tmp))
+            finally:
+                if threads is not None:
+                    _set_blas_threads(threads)
+        return fill
+
+    split = len(starts) // 2
+    shared, _ = _beside_child(8 * int(ends[-1]), half(starts[split:]),
+                              half(starts[:split]))
+    return tables(shared)
 
 
 def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
@@ -728,25 +771,34 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     Draws m coefficient vectors, evaluates X_n at n_pairs random point
     pairs, and compares the sample covariance with
     r_n((Omega(x) - Omega(y))/2), Omega tabulated on default_grid().
-    The draws are those of one sample_coefficient_block call over ids
-    0..m-1, made in two processes whatever SLZEROS_THREADS is: a forked
-    child draws the upper half of the ids while this process draws the
-    lower (_draw_in_halves).
     When a basis pair is supplied the empirical variance of f_n is
-    checked against 1 at the same points.  Returns a dict with the max
-    absolute errors and the raw tables.
+    checked against 1 at the first n_pairs of those points.  The draws are
+    those of ids 0..m-1, streamed in blocks by _sampled_in_halves in two
+    processes whatever SLZEROS_THREADS is, and only the values at the
+    sampled points are kept: m rows of 2 * n_pairs, plus n_pairs for
+    f_n, whatever n is.  Each half runs at one OpenBLAS thread, so the
+    bits do not depend on the host's core count.  Refuses an n_pairs
+    that is not a positive integer, and m as check_covariance_draws
+    does, before any draw.  Returns a dict with the max absolute errors
+    and the raw tables.
     """
+    if n_pairs < 1 or int(n_pairs) != n_pairs:
+        raise PreconditionError("n_pairs must be a positive integer, got %r"
+                                % (n_pairs,))
+    n_pairs = int(n_pairs)
     check_covariance_draws(m)
     grid = default_grid()
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
     xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)
-    A, B, _ = _draw_in_halves(master_seed, n, m)
-    A /= math.sqrt(n)
-    B /= math.sqrt(n)
-
-    vals_x, _ = combine(process_rows("X_n", n, xs, weight=weight, grid=grid,
-                                     deriv=False), A, B, deriv=False)
+    pts = xs[:n_pairs]
+    row_sets = [process_rows("X_n", n, xs, weight=weight, grid=grid,
+                             deriv=False)]
+    if basis_pair is not None:
+        row_sets.append(process_rows("f_n", n, pts, weight=weight,
+                                     basis_pair=basis_pair, deriv=False))
+    tables = _sampled_in_halves(master_seed, n, m, row_sets)
+    vals_x = tables[0]
 
     cov_emp = np.empty(n_pairs)
     cov_exact = np.empty(n_pairs)
@@ -763,11 +815,7 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
         "draws": m,
     }
     if basis_pair is not None:
-        pts = xs[:n_pairs]
-        f_vals, _ = combine(process_rows("f_n", n, pts, weight=weight,
-                                         basis_pair=basis_pair, deriv=False),
-                            A, B, deriv=False)
-        var_emp = np.var(f_vals, axis=0, ddof=1)
+        var_emp = np.var(tables[1], axis=0, ddof=1)
         out["var_f_points"] = pts
         out["var_f_empirical"] = var_emp
         out["var_f_max_error"] = float(np.max(np.abs(var_emp - 1.0)))

@@ -605,55 +605,157 @@ def test_build_basis_pair_kills_and_reaps_the_child_when_c_fails(
     _no_child_left()
 
 
-@pytest.mark.parametrize("m", [1001, 1000])  # unequal and equal halves
-def test_draw_in_halves_bit_equal_to_one_serial_draw(m):
-    A, B, seeds = harness._draw_in_halves(SEED, 13, m)
+def _sample_row_sets():
+    """Two deriv=False row sets of different widths at n = 13: X_n
+    (sine2) at 6 points and T_n at 3."""
+    xs = np.linspace(0.3, 6.0, 6)
+    return [process_rows("X_n", 13, xs, weight=builtin_weights("sine2"),
+                         grid=Grid(1025), deriv=False),
+            process_rows("T_n", 13, xs[:3], deriv=False)]
+
+
+@pytest.fixture
+def small_draw_blocks(monkeypatch):
+    """Blocks of 256 ids, so that m = 1000 or 1001 gives each half two
+    blocks, the child's last one short."""
+    monkeypatch.setattr(harness, "_DRAW_BLOCK", 256)
+
+
+def _block_loop(n, m, row_sets):
+    """_sampled_in_halves's tables from one process, block by block, at
+    one OpenBLAS thread."""
+    threads = harness._set_blas_threads(1)
+    try:
+        tables = [np.empty((m, rows.ra.shape[1])) for rows in row_sets]
+        for lo in range(0, m, harness._DRAW_BLOCK):
+            hi = min(lo + harness._DRAW_BLOCK, m)
+            A, B, _ = sample_coefficient_block(SEED, n, range(lo, hi))
+            A /= math.sqrt(n)
+            B /= math.sqrt(n)
+            for rows, table in zip(row_sets, tables):
+                table[lo:hi] = combine(rows, A, B, deriv=False)[0]
+    finally:
+        if threads is not None:
+            harness._set_blas_threads(threads)
+    return tables
+
+
+@pytest.mark.parametrize("m", [1001, 1000])  # odd and even m
+def test_sampled_in_halves_bit_equal_to_one_process_block_loop(
+        small_draw_blocks, m):
+    row_sets = _sample_row_sets()
+    tables = harness._sampled_in_halves(SEED, 13, m, row_sets)
     _no_child_left()
-    serial = sample_coefficient_block(SEED, 13, range(m))
-    for got, want in zip((A, B, seeds), serial):
+    for got, want in zip(tables, _block_loop(13, m, row_sets)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_draw_in_halves_without_fork_draws_in_turn(monkeypatch):
-    forked = harness._draw_in_halves(SEED, 13, 1001)
+def test_sampled_in_halves_agrees_with_one_plain_combine():
+    row_sets = _sample_row_sets()
+    A, B, _ = sample_coefficient_block(SEED, 13, range(5000))
+    A /= math.sqrt(13)
+    B /= math.sqrt(13)
+    tables = harness._sampled_in_halves(SEED, 13, 5000, row_sets)
+    assert len(tables) == 2
+    for rows, table in zip(row_sets, tables):
+        np.testing.assert_allclose(table, combine(rows, A, B, deriv=False)[0],
+                                   rtol=1e-12, atol=0)
+
+
+def test_sampled_in_halves_without_fork_runs_in_turn(small_draw_blocks,
+                                                     monkeypatch):
+    row_sets = _sample_row_sets()
+    forked = harness._sampled_in_halves(SEED, 13, 1001, row_sets)
     monkeypatch.delattr(os, "fork")
-    for got, want in zip(harness._draw_in_halves(SEED, 13, 1001), forked):
+    for got, want in zip(harness._sampled_in_halves(SEED, 13, 1001, row_sets),
+                         forked):
         assert np.array_equal(got, want)
 
 
 def _draw_halves_with(monkeypatch, lower, upper):
     """Route harness.sample_coefficient_block's calls for the lower half
-    of the ids (first id 0, drawn here) and the upper half (drawn in the
-    child) to stand-ins."""
+    of the blocks (first id below 512, drawn here) and the upper half
+    (drawn in the child) to stand-ins; with 256-id blocks and m = 1001
+    the halves are ids [0, 512) and [512, 1001)."""
     def draw(master_seed, n, ids, out=None):
-        return (lower if ids[0] == 0 else upper)()
+        return (lower if ids[0] < 512 else upper)()
 
     monkeypatch.setattr(harness, "sample_coefficient_block", draw)
 
 
-def test_draw_in_halves_raises_the_childs_error(monkeypatch):
+def test_sampled_in_halves_raises_the_childs_error(small_draw_blocks,
+                                                   monkeypatch):
     def failing():
         raise DomainError("the upper half failed")
 
     _draw_halves_with(monkeypatch, lambda: None, failing)
     with pytest.raises(DomainError) as info:
-        harness._draw_in_halves(SEED, 13, 1001)
+        harness._sampled_in_halves(SEED, 13, 1001, _sample_row_sets())
     assert type(info.value) is DomainError
     assert str(info.value) == "the upper half failed"
     _no_child_left()
 
 
-def test_draw_in_halves_kills_and_reaps_the_child_when_its_half_fails(
-        monkeypatch):
+def test_sampled_in_halves_kills_and_reaps_the_child_when_its_half_fails(
+        small_draw_blocks, monkeypatch):
     def failing():
         raise DomainError("the lower half failed")
 
     _draw_halves_with(monkeypatch, failing, lambda: time.sleep(60))
     start = time.monotonic()
     with pytest.raises(DomainError, match="^the lower half failed$"):
-        harness._draw_in_halves(SEED, 13, 1001)
+        harness._sampled_in_halves(SEED, 13, 1001, _sample_row_sets())
     assert time.monotonic() - start < 30
     _no_child_left()
+
+
+def test_covariance_check_bits_independent_of_blas_threads(sine2_basis,
+                                                           sine2_weight):
+    # at n = 400 one plain (m, 400) @ (400, 40) matmul sums in another
+    # order under two OpenBLAS threads than under one
+    outs = []
+    for count in (1, 2):
+        before = harness._set_blas_threads(count)
+        if before is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found")
+        try:
+            outs.append(covariance_check(sine2_weight, 400,
+                                         basis_pair=sine2_basis, m=5000))
+            assert harness._set_blas_threads(count) == count  # restored
+        finally:
+            harness._set_blas_threads(before)
+    for key in ("cov_empirical", "var_f_empirical"):
+        assert np.array_equal(outs[0][key], outs[1][key])
+
+
+@pytest.mark.parametrize("with_basis, columns", [(True, 3), (False, 2)])
+def test_covariance_check_shares_only_the_sampled_columns(
+        monkeypatch, unit_basis, unit_weight, with_basis, columns):
+    sizes = []
+    beside_child = harness._beside_child
+
+    def spy(nbytes, child, parent):
+        sizes.append(nbytes)
+        return beside_child(nbytes, child, parent)
+
+    monkeypatch.setattr(harness, "_beside_child", spy)
+    for n in (20, 80):
+        covariance_check(unit_weight, n, n_pairs=7, m=1200,
+                         basis_pair=unit_basis if with_basis else None)
+    assert sizes == [8 * 1200 * columns * 7] * 2
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5])
+def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_weight,
+                                              n_pairs):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before refusing n_pairs")
+
+    monkeypatch.setattr(harness, "sample_coefficient_block", draw)
+    with pytest.raises(PreconditionError,
+                       match="^n_pairs must be a positive integer, got %s$"
+                       % n_pairs):
+        covariance_check(unit_weight, 5, n_pairs=n_pairs, m=1000)
 
 
 @pytest.mark.parametrize("k_max, match", [
