@@ -269,21 +269,14 @@ def cmd_diagnose(cfg):
 
 
 def cmd_robustness(cfg):
-    records, _ = cmd_simulate(cfg, kinds=("T_n", "perturbed"))
-    by_n = {}
-    for rec in records:
-        by_n.setdefault(rec.n, []).append(rec)
+    _, report = cmd_simulate(cfg, kinds=("T_n", "perturbed"))
     rows = []
-    for n in sorted(by_n):
-        recs = by_n[n]
-        m = len(recs)
-        mean_t = sum(r.n_tn for r in recs) / m
-        mean_p = sum(r.n_pert for r in recs) / m
-        var_p = sum((r.n_pert - mean_p) ** 2 for r in recs) / (m - 1)
-        se_p = math.sqrt(var_p / m)
+    for n, block in report.per_n.items():
+        t_n, pert = block.kinds["T_n"], block.kinds["perturbed"]
+        se_p = math.sqrt(pert.var / pert.replicates)
         closed = expected_count_closed(n, "T_n")
-        rows.append((n, mean_t, mean_p, closed, se_p,
-                     abs(mean_p - closed) / se_p if se_p > 0 else 0.0))
+        rows.append((n, t_n.mean, pert.mean, closed, se_p,
+                     abs(pert.mean - closed) / se_p if se_p > 0 else 0.0))
     _write_table(os.path.join(cfg["out"], "robustness.csv"),
                  ("n", "mean_T", "mean_perturbed", "closed_form_T",
                   "se_perturbed", "gap_over_se"), rows)

@@ -190,17 +190,12 @@ class _Propagator:
         """Node samples (g, g') for the shot solution whose transfer
         chain residual() kept."""
         pa, pb, pc, pd = _chain_scan(*chain)
+        # the start values are (0, 1) for D and (1, 0) for C, so the
+        # solution is the chain's second or first column
         if bc is BoundaryCondition.D:
-            v0, dv0 = 0.0, 1.0
-            g = pb * dv0
-            dg = pd * dv0
-        else:
-            v0, dv0 = 1.0, 0.0
-            g = pa * v0
-            dg = pc * v0
-        g = np.concatenate(([v0], g))
-        dg = np.concatenate(([dv0], dg))
-        return g, dg
+            return (np.concatenate(([0.0], pb)),
+                    np.concatenate(([1.0], pd)))
+        return np.concatenate(([1.0], pa)), np.concatenate(([0.0], pc))
 
 
 def _brent(f, xa, xb, fa, fb, xtol, rtol, maxiter):

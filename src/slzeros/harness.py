@@ -5,10 +5,11 @@ in this process and D in a forked child beside it, and returns D's
 arrays through an anonymous shared mapping, with the bits of a solo
 eigen_solve call for each family.  covariance_check() streams its
 draws the same way, in fixed blocks of ids, the lower half of the
-blocks here and the upper half in the child, each at one OpenBLAS
-thread; only the values at its sampled points are shared, and their
-bits do not depend on the number of cores.  Both fork through
-_beside_child, the package's one fork of a single child.
+blocks here and the upper half in the child (a single block runs here
+alone), each at one OpenBLAS thread; only the values at its sampled
+points are shared, and their bits do not depend on the number of
+cores.  Both fork through _beside_child, the package's one fork of a
+single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
@@ -482,10 +483,7 @@ def ks_statistic(sample, mean, sd):
         raise PreconditionError("KS needs a sample of size >= 2, got %d" % m)
     if not sd > 0:
         raise DomainError("reference sd must be positive, got %r" % (sd,))
-    # imported here: scipy takes 0.25 s to import, and math.erfc's
-    # bits differ from scipy's, which would move ks_fitted
-    from scipy.special import erfc
-    cdf = 0.5 * erfc(-z / (sd * math.sqrt(2.0)))
+    cdf = 0.5 * np.array([math.erfc(v) for v in -z / (sd * math.sqrt(2.0))])
     grid = np.arange(1, m + 1) / m
     d_plus = np.max(grid - cdf)
     d_minus = np.max(cdf - (grid - 1.0 / m))
@@ -717,7 +715,8 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
     The ids go in blocks of _DRAW_BLOCK, aligned at multiples of it from
     id 0.  _beside_child runs the upper half of the blocks in a forked
     child and the lower half here, each at one OpenBLAS thread (this
-    process gets its count back after).  A block is one
+    process gets its count back after); a single block runs here, at one
+    thread, without a fork.  A block is one
     sample_coefficient_block call into buffers the half reuses, then one
     combine per row set into the block's rows of that set's table; only
     the tables are shared.  A row's draw depends on its own key alone
@@ -758,9 +757,13 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
                     _set_blas_threads(threads)
         return fill
 
-    split = len(starts) // 2
-    shared, _ = _beside_child(8 * int(ends[-1]), half(starts[split:]),
-                              half(starts[:split]))
+    if len(starts) == 1:
+        shared = np.empty(int(ends[-1]))
+        half(starts)(shared)
+    else:
+        split = len(starts) // 2
+        shared, _ = _beside_child(8 * int(ends[-1]), half(starts[split:]),
+                                  half(starts[:split]))
     return tables(shared)
 
 
@@ -774,7 +777,7 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     When a basis pair is supplied the empirical variance of f_n is
     checked against 1 at the first n_pairs of those points.  The draws are
     those of ids 0..m-1, streamed in blocks by _sampled_in_halves in two
-    processes whatever SLZEROS_THREADS is, and only the values at the
+    processes (one for a single block) whatever SLZEROS_THREADS is, and only the values at the
     sampled points are kept: m rows of 2 * n_pairs, plus n_pairs for
     f_n, whatever n is.  Each half runs at one OpenBLAS thread, so the
     bits do not depend on the host's core count.  Refuses an n_pairs

@@ -451,14 +451,25 @@ _coef = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=150, deadline=None)
-@given(c=st.lists(_coef, min_size=4, max_size=4), a=_coef, width=st.floats(
-    1e-6, 20.0))
-def test_brent_matches_brentq_on_cubics(c, a, width):
-    def f(x):
-        return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+@given(c=st.lists(_coef, min_size=3, max_size=3), a=_coef, width=st.floats(
+    1e-6, 20.0), t=st.floats(2.0 ** -20, 1.0 - 2.0 ** -20))
+def test_brent_matches_brentq_on_cubics(c, a, width, t):
+    # f = p + c0 changes sign on [a, b] exactly when -c0 lies between
+    # p(a) and p(b), so -c0 is drawn there.  f(x) rounds p(x) as p does
+    # and then adds c0, a sum whose sign is exact, so only a -c0 that
+    # rounds onto p(a) or p(b) leaves a zero end
+    def p(x):
+        return ((c[2] * x + c[1]) * x + c[0]) * x
 
     b = a + width
-    assume(b > a and (f(a) < 0.0) != (f(b) < 0.0) and f(a) * f(b) != 0.0)
+    lo, hi = sorted((p(a), p(b)))
+    c0 = -min(max(lo + t * (hi - lo), lo), hi)
+
+    def f(x):
+        return p(x) + c0
+
+    assume(f(a) != 0.0 and f(b) != 0.0)
+    assert (f(a) < 0.0) != (f(b) < 0.0)
     _check_against_brentq(f, a, b)
 
 

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import erfc, ndtri
 
 from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
                      NumericError, PreconditionError, ReplicateRecord,
@@ -672,6 +672,18 @@ def test_sampled_in_halves_without_fork_runs_in_turn(small_draw_blocks,
         assert np.array_equal(got, want)
 
 
+def test_sampled_in_halves_runs_one_block_here(monkeypatch):
+    # m = 1000 is one block at the default _DRAW_BLOCK: no fork
+    def no_fork():
+        raise AssertionError("forked for a one-block draw")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    row_sets = _sample_row_sets()
+    tables = harness._sampled_in_halves(SEED, 13, 1000, row_sets)
+    for got, want in zip(tables, _block_loop(13, 1000, row_sets)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _draw_halves_with(monkeypatch, lower, upper):
     """Route harness.sample_coefficient_block's calls for the lower half
     of the blocks (first id below 512, drawn here) and the upper half
@@ -730,7 +742,9 @@ def test_covariance_check_bits_independent_of_blas_threads(sine2_basis,
 
 @pytest.mark.parametrize("with_basis, columns", [(True, 3), (False, 2)])
 def test_covariance_check_shares_only_the_sampled_columns(
-        monkeypatch, unit_basis, unit_weight, with_basis, columns):
+        small_draw_blocks, monkeypatch, unit_basis, unit_weight, with_basis,
+        columns):
+    # 256-id blocks: m = 1200 is five blocks, so the draw forks
     sizes = []
     beside_child = harness._beside_child
 
@@ -786,6 +800,19 @@ def test_ks_statistic_gaussian_quantiles():
     sample = 5.0 + 2.0 * ndtri((np.arange(1, m + 1) - 0.5) / m)
     ks = ks_statistic(sample, 5.0, 2.0)
     np.testing.assert_allclose(ks, 1.0 / (2 * m), atol=1e-10)
+
+
+def test_ks_statistic_matches_scipy_erfc_reference():
+    # math.erfc in place of scipy.special.erfc moves only the last bits
+    rng = np.random.default_rng(5)
+    sample = rng.normal(size=500).round(1) * 3.0
+    mean, sd = float(np.mean(sample)), float(np.std(sample, ddof=1))
+    z = np.sort(sample - mean)
+    cdf = 0.5 * erfc(-z / (sd * math.sqrt(2.0)))
+    grid = np.arange(1, z.size + 1) / z.size
+    want = max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / z.size)))
+    np.testing.assert_allclose(ks_statistic(sample, mean, sd), want,
+                               rtol=1e-14, atol=0)
 
 
 def test_ks_statistic_validation():

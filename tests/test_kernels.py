@@ -107,17 +107,15 @@ def test_covariance_X_sine2_uses_cumulative_map():
 
 
 def test_kac_rice_matches_closed_forms():
-    unit = builtin_weights("unit")
-    sine2 = builtin_weights("sine2")
     for n in (1, 5, 50):
         want_x = expected_count_closed(n, "X_n")
-        np.testing.assert_allclose(kac_rice_expected(n, "X_n", unit),
-                                   want_x, rtol=1e-8)
         # mass normalization makes the expected count weight-independent
-        np.testing.assert_allclose(kac_rice_expected(n, "X_n", sine2),
-                                   want_x, rtol=1e-8)
+        for name in ("unit", "sine2", "expcos"):
+            np.testing.assert_allclose(
+                kac_rice_expected(n, "X_n", builtin_weights(name)), want_x,
+                rtol=1e-14)
         np.testing.assert_allclose(kac_rice_expected(n, "T_n"),
-                                   expected_count_closed(n, "T_n"), rtol=1e-8)
+                                   expected_count_closed(n, "T_n"), rtol=1e-14)
 
 
 def test_kac_rice_pinned_small_orders():
@@ -130,16 +128,16 @@ def test_kac_rice_pinned_small_orders():
 @pytest.mark.parametrize("n, kind, weight, bits", [
     (1, "X_n", "unit", "0x1.0000000000000p+0"),
     (1, "X_n", "sine2", "0x1.0000000000000p+0"),
-    (1, "X_n", "expcos", "0x1.0000000000000p+0"),
+    (1, "X_n", "expcos", "0x1.ffffffffffffap-1"),
     (1, "T_n", None, "0x1.0000000000000p+1"),
-    (50, "X_n", "unit", "0x1.d4cd7fbcc3d03p+4"),
-    (50, "X_n", "sine2", "0x1.d4cd7fbcc3d03p+4"),
-    (50, "X_n", "expcos", "0x1.d4cd7fbcc3d06p+4"),
-    (50, "T_n", None, "0x1.d4cd7fbcc3d03p+5"),
-    (400, "X_n", "unit", "0x1.cebf03bbaf9efp+7"),
-    (400, "X_n", "sine2", "0x1.cebf03bbaf9efp+7"),
-    (400, "X_n", "expcos", "0x1.cebf03bbaf9f1p+7"),
-    (400, "T_n", None, "0x1.cebf03bbaf9efp+8"),
+    (50, "X_n", "unit", "0x1.d4cd7fbcc3d05p+4"),
+    (50, "X_n", "sine2", "0x1.d4cd7fbcc3d05p+4"),
+    (50, "X_n", "expcos", "0x1.d4cd7fbcc3d00p+4"),
+    (50, "T_n", None, "0x1.d4cd7fbcc3d05p+5"),
+    (400, "X_n", "unit", "0x1.cebf03bbaf9f1p+7"),
+    (400, "X_n", "sine2", "0x1.cebf03bbaf9f1p+7"),
+    (400, "X_n", "expcos", "0x1.cebf03bbaf9ecp+7"),
+    (400, "T_n", None, "0x1.cebf03bbaf9f1p+8"),
 ])
 def test_kac_rice_expected_pinned_bits(n, kind, weight, bits):
     # the expected_count column of kac_table.csv, to the last bit

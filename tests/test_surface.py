@@ -76,11 +76,25 @@ def test_readme_flags_match_the_parser():
             assert _parses([sub, flag, "1"]) == 2, (sub, flag)
 
 
-def test_import_loads_no_scipy(module_cli_env):
-    # scipy takes 0.5-0.9 s to import; only the kac subcommand (quad) and
-    # the summary's KS distance (erfc) load it, inside the functions
+def test_import_loads_no_scipy(module_cli_env, tmp_path):
+    # numpy is the only runtime dependency: importing the package loads no
+    # scipy, and the subcommands that once did (the summary's KS distance,
+    # kac's quadrature) run with scipy made unimportable
     code = ("import slzeros, slzeros.cli, sys; print(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=module_cli_env, check=True)
     assert out.stdout == "[]\n"
+    runs = [["simulate", "--weight", "unit", "--n-list", "8,16",
+             "--replicates", "6"],
+            ["robustness", "--n-list", "8,16", "--replicates", "6"],
+            ["kac", "--n-list", "8,16"]]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from slzeros.cli import main\n"
+            "for argv in %r:\n"
+            "    assert main(argv) == 0, argv\n"
+            % [argv + ["--out", str(tmp_path / argv[0])] for argv in runs])
+    subprocess.run([sys.executable, "-c", code], env=module_cli_env,
+                   check=True)
+    for argv in runs:
+        assert (tmp_path / argv[0] / "manifest.json").exists()
