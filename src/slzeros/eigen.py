@@ -12,11 +12,11 @@ attached to the weight.  The solver works entirely in the phase frame:
 it propagates (g, g') across the image cells [Omega(x_j), Omega(x_{j+1})]
 with the exact transfer matrix of a piecewise-constant approximation of
 Q (midpoint value per cell), root-finds the boundary residual in lambda
-inside asymptotic brackets (scanning upward from the previous root so no
-eigenvalue can be skipped, and evaluating no scan node below the Sturm
-comparison bound j^2/4 + min Q but the last) with Brent's method, and
-then pulls the samples back to the x grid, reusing the transfer chain
-that the root finder evaluated at the root:
+inside asymptotic brackets (scanning upward from the previous root, and
+evaluating no scan node below the Sturm comparison bound j^2/4 + min Q
+but the last) with Brent's method, and then pulls the samples back to
+the x grid, reusing the transfer chain that the root finder evaluated
+at the root:
 
     psi  = omega^{-1/2} g(Omega(x)),
     psi' = omega^{1/2} g'(Omega(x)) - (omega'/(2 omega^{3/2})) g(Omega(x)).
@@ -27,7 +27,12 @@ The approximation error is O(h^2) uniformly in lambda — a few 1e-8 for
 the builtin weights at the default grid — and vanishes for the unit
 weight, where the transfer matrices are exact.  Every accepted
 eigenfunction is verified against the Sturm oscillation count (exact
-integer equality).
+integer equality).  Where a scan step passes over a close pair of roots,
+whose residual shows no net sign change, the root it finds has too many
+zeros; the skipped root is then isolated by bisecting on the Sturm count
+of the shot solution (_sturm_count) and refined by Brent inside its own
+sign-change bracket.  A weight whose shot solution overflows the float
+range is refused by name.
 
 Boundary conditions are imposed in the phase frame: family D pins
 g(0) = g(2*pi) = 0 (equivalently psi itself vanishes at the ends) and
@@ -164,6 +169,7 @@ class _Propagator:
 
     def __init__(self, weight, grid):
         self.grid = grid
+        self.weight_name = weight.name
         omap = omega_map(weight, grid)
         if abs(omap.total - TWO_PI) > 1e-8:
             raise PreconditionError(
@@ -181,10 +187,19 @@ class _Propagator:
         """Boundary residual at lambda; its transfer chain is kept in
         chains[lam] for recover."""
         chain = chains[lam] = _transfer_chain(lam, self.qbar, self.hy)
-        ta, tb, tc, td = _chain_reduce(*chain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ta, tb, tc, td = _chain_reduce(*chain)
         # D shoots from (0, 1) and needs g(end) = 0: entry b.
         # C shoots from (1, 0) and needs g'(end) = 0: entry c.
-        return tb if bc is BoundaryCondition.D else tc
+        res = tb if bc is BoundaryCondition.D else tc
+        if not math.isfinite(res):
+            # a deep well below the scan's start grows the shot solution
+            # past the float range, and no residual sign can be read
+            raise PreconditionError(
+                "weight %r is too strong for the solver: the transfer "
+                "matrices overflow at lambda=%r (%s family)"
+                % (self.weight_name, lam, bc.value))
+        return res
 
     def recover(self, chain, bc):
         """Node samples (g, g') for the shot solution whose transfer
@@ -282,6 +297,45 @@ def _interior_sign_changes(values):
     return int(np.count_nonzero(v[:-1] * v[1:] < 0.0))
 
 
+def _sturm_count(g, dg, bc):
+    """How many eigenvalues of family bc lie below the lambda at which
+    (g, g') was shot, for lambda not itself one.  With g = r sin(theta)
+    and g' = r cos(theta), theta starts at 0 (D) or pi/2 (C), passes
+    each multiple of pi upward where g changes sign, and the k-th
+    eigenvalue sits where theta(2*pi) reaches k*pi (D) or
+    (k - 1/2)*pi (C): so the count is g's sign changes after the start
+    node, a zero in the last cell included, plus one for C when theta
+    ends past pi/2 modulo pi, that is g*g' < 0 at the end."""
+    sign = np.signbit(g[g != 0.0])
+    count = int(np.count_nonzero(sign[:-1] != sign[1:]))
+    if bc is BoundaryCondition.C and (g[-1] < 0.0) != (dg[-1] < 0.0):
+        count += 1
+    return count
+
+
+def _isolate(sturm, a, b, below):
+    """Bisect [a, b] on the Sturm count, where sturm(z) is (count,
+    residual) at z, until exactly one eigenvalue, the one with `below`
+    under it, lies in (a, b): (a, b, f(a), f(b)) then, or None when
+    sturm(a) does not count `below`, sturm(b) counts no more, or 200
+    bisections do not isolate it."""
+    (n_a, f_a), (n_b, f_b) = sturm(a), sturm(b)
+    if n_a != below or n_b <= below:
+        return None
+    for _ in range(200):
+        if n_b == below + 1:
+            return a, b, f_a, f_b
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return None
+        n_mid, f_mid = sturm(mid)
+        if n_mid <= below:
+            a, f_a = mid, f_mid
+        else:
+            b, n_b, f_b = mid, n_mid, f_mid
+    return None
+
+
 def _weighted_norm(psi, dpsi, weight, grid):
     """integral psi^2 omega dx by trapezoid with the h^2 Euler-Maclaurin
     end correction; spectrally accurate for these near-periodic
@@ -362,6 +416,15 @@ def eigen_solve(weight, bc, k_max, grid=None):
     chain is kept for the ordinal, so the eigenfunction is recovered
     from the chain at the returned lambda, which the scan or Brent
     evaluated, instead of a new one.
+
+    When the scan steps over a close pair of roots to a higher one, as
+    for make_expcos(a) with a >= 1.4, whose wells at both ends pair the
+    low eigenvalues, that root's eigenfunction has too many zeros: the
+    ordinal's root is then isolated by bisection on the Sturm count
+    between the scan's start and that root, and Brent refines it inside
+    the bracket so found.  This runs only where the count is wrong, so
+    it moves no other eigenvalue's bits.  A weight whose residual
+    overflows (make_expcos(a) with a >= 4) is refused by name.
     """
     if not isinstance(bc, BoundaryCondition):
         raise PreconditionError("bc must be a BoundaryCondition, got %r" % (bc,))
@@ -448,6 +511,22 @@ def eigen_solve(weight, bc, k_max, grid=None):
         g, dg = prop.recover(chains[lam], bc)
         zeros = _interior_sign_changes(g)
         expected = j - 1 if bc is BoundaryCondition.D else j
+        if zeros > expected:
+            # the scan stepped over a close pair of roots, whose residual
+            # shows no net sign change, to a higher root: isolate this
+            # ordinal's root by Sturm count between lo and that root
+            def sturm(z):
+                f = residual(z)
+                return _sturm_count(*prop.recover(chains[z], bc), bc), f
+
+            found = _isolate(sturm, lo, lam, expected)
+            if found is not None:
+                root_lo, root_hi, flo, f_hi = found
+                lam = _brent(residual, root_lo, root_hi, flo, f_hi,
+                             1e-13, 1e-15, 200)
+                hi_prev, f_hi_prev = root_hi, f_hi
+                g, dg = prop.recover(chains[lam], bc)
+                zeros = _interior_sign_changes(g)
         if zeros != expected:
             raise NumericError(
                 "oscillation mismatch at ordinal %d (%s family): lambda=%r has "

@@ -32,8 +32,10 @@ take their stored (psi, psi') samples as rows on the storage grid and
 interpolate them with a cubic Hermite rule elsewhere; the trigonometric
 kinds are cosine/sine rows in closed form, whose slopes follow from the
 same rows; perturbed adds its family, itself cosine/sine rows, to T_n's
-and stores the slopes.  RandomProcess, the harness's grid samples and
-the second-order diagnostics all read this one table.
+and stores the slopes, building them in place from T_n's rows of
+frequencies 1..n+1 (_perturbed_rows), which a run with both kinds
+tabulates once for the two.  RandomProcess, the harness's grid samples
+and the second-order diagnostics all read this one table.
 """
 
 import math
@@ -279,7 +281,40 @@ class ProcessRows:
 
 def _trig_rows(freq, phase, **fields):
     ph = freq[:, None] * phase[None, :]
-    return ProcessRows(np.cos(ph), np.sin(ph), freq=freq, **fields)
+    ra = np.cos(ph)
+    return ProcessRows(ra, np.sin(ph, out=ph), freq=freq, **fields)
+
+
+def _perturbed_rows(table, deriv=True, reuse=False):
+    """perturbed's rows at n = len(table.freq) - 1 from `table`, T_n's
+    rows of frequencies 1..n+1 at the same points: cos(kx) + eps_k(x)
+    and sin(kx) + eta_k(x) for the fixed family eps_k = sin((k+1)x)/(2k),
+    eta_k = cos((k+1)x)/(2k), rows 2..n+1 read for eps_k and eta_k.
+
+    Built in place, the rows not yet written serving as scratch, so no
+    full-size temporary is held; each entry has the bits of the plain
+    expressions c + s1/(2k), s + c1/(2k), -k*s + (k+1)*c1/(2k) and
+    k*c - (k+1)*s1/(2k), since IEEE addition commutes.  The table is
+    left as it is, unless reuse, which turns its cosine rows into rb."""
+    c_all, s_all = table.ra, table.rb
+    n = len(table.freq) - 1
+    kc = table.freq[:n, None]
+    two_k = 2.0 * kc
+    c, s, c1, s1 = c_all[:n], s_all[:n], c_all[1:], s_all[1:]
+    ra = np.empty_like(c)  # the slopes' scratch until it holds ra
+    da = db = None
+    if deriv:
+        db = np.multiply(-(kc + 1), s1)
+        db /= two_k
+        db += np.multiply(kc, c, out=ra)
+        da = np.multiply(kc + 1, c1)
+        da /= two_k
+        da += np.multiply(-kc, s, out=ra)
+    np.divide(s1, two_k, out=ra)
+    ra += c
+    rb = np.divide(c1, two_k, out=c1 if reuse else None)
+    rb += s
+    return ProcessRows(ra, rb, da, db)
 
 
 def _family_pair(kind, basis_pair, n):
@@ -348,23 +383,8 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
     if kind == "T_n":
         return _trig_rows(k, x)
     if kind == "perturbed":
-        # cos(kx) + eps_k(x) and sin(kx) + eta_k(x) for the fixed family
-        # eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k): the rows of
-        # frequencies 1..n+1 once, rows 2..n+1 reused for eps_k and eta_k
-        kc = k[:, None]
-        ph = np.arange(1, n + 2, dtype=float)[:, None] * x[None, :]
-        cos_all, sin_all = np.cos(ph), np.sin(ph)
-        del ph
-        c, s, c1, s1 = cos_all[:n], sin_all[:n], cos_all[1:], sin_all[1:]
-        da = db = None
-        if deriv:
-            db = kc * c
-            db += -(kc + 1) * s1 / (2.0 * kc)
-            da = (-kc) * s
-            da += (kc + 1) * c1 / (2.0 * kc)
-        ra = c + s1 / (2.0 * kc)
-        s += c1 / (2.0 * kc)  # in place only after ra: s and s1 share rows
-        return ProcessRows(ra, s, da, db)
+        return _perturbed_rows(_trig_rows(np.arange(1, n + 2, dtype=float), x),
+                               deriv, reuse=True)
     raise DomainError("unknown process kind %r (choose from %s)"
                       % (kind, ", ".join(KINDS)))
 

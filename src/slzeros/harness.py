@@ -18,10 +18,11 @@ task is one n and a fixed-size chunk of replicate ids: one
 ensembles.sample_coefficient_block call draws the chunk, and
 zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
 interpolants exactly, cell by cell.  One pool of SLZEROS_THREADS
-workers (default 1), forked once per run, maps the tasks in order, and
-one record per (n, replicate) streams to CSV, so the records keep
-their order and draws for any worker count.  A
-replicate whose count holds an unresolved tangency is logged at WARNING
+workers (default 1), forked once per run, each at one OpenBLAS thread
+and with glibc's malloc keeping the memory it frees (_init_worker),
+maps the tasks in order, and one record per (n, replicate) streams to
+CSV, so the records keep their order and draws for any worker count.
+A replicate whose count holds an unresolved tangency is logged at WARNING
 and, for f_n and X_n, recorded with stable_* = 0.  Each record's fields,
 in order, are the columns of records.csv, then a millis column, always 0.
 ExperimentConfig refuses at construction what a run could not do (an
@@ -64,8 +65,8 @@ import numpy as np
 
 from .eigen import (BoundaryCondition, basis_from_arrays, check_k_max,
                     eigen_solve)
-from .ensembles import (ID_LIMIT, _non_negative_int, combine, process_rows,
-                        sample_coefficient_block)
+from .ensembles import (ID_LIMIT, _non_negative_int, _perturbed_rows,
+                        combine, process_rows, sample_coefficient_block)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
 # not called here; the benchmark's traced run (perfbench/tracing.py)
 # looks it up in this module by name
@@ -243,15 +244,29 @@ class _RunContext:
     simulated kind's rows on config.grid, built once at max(n_list)
     and cut to rows[n][kind], the first n, which has the bits of rows
     built for n since row k-1 depends on k alone; and the chunk buffers
-    that combine fills with each kind's values and the slopes."""
+    that combine fills with each kind's values and the slopes.
+
+    When the run has both T_n and perturbed, one cos/sin table of
+    frequencies 1..max(n_list)+1 serves both: T_n's rows are views of
+    its first max(n_list) rows, and perturbed's are built from it in
+    place, leaving it as it is."""
 
     def __init__(self, config, weight, basis_pair):
         grid = config.grid
         self.master_seed = config.master_seed
         self.h = grid.h
-        top = {kind: process_rows(kind, max(config.n_list), weight=weight,
-                                  basis_pair=basis_pair, grid=grid)
-               for kind in SIMULATED_KINDS if kind in config.process_kinds}
+        n_top = max(config.n_list)
+        kinds = [kind for kind in SIMULATED_KINDS
+                 if kind in config.process_kinds]
+        shared = {}
+        if "T_n" in kinds and "perturbed" in kinds:
+            table = process_rows("T_n", n_top + 1, grid=grid)
+            shared = {"T_n": table.prefix(n_top),
+                      "perturbed": _perturbed_rows(table)}
+        top = {kind: shared[kind] if kind in shared
+               else process_rows(kind, n_top, weight=weight,
+                                 basis_pair=basis_pair, grid=grid)
+               for kind in kinds}
         self.rows = {n: {kind: rows.prefix(n) for kind, rows in top.items()}
                      for n in config.n_list}
         # one block holds every buffer, reused by every chunk
@@ -283,8 +298,10 @@ def _process_chunk(task):
         if kind in _STABLE_FIELD:
             columns[_STABLE_FIELD[kind]] = certified.tolist()
     if "f_n" in ctx.values and "X_n" in ctx.values:
-        columns["sup_eps"] = np.max(np.abs(
-            ctx.values["f_n"][:m] - ctx.values["X_n"][:m]), axis=1).tolist()
+        # both kinds are counted, so the scratch rows are free for f_n - X_n
+        eps = np.subtract(ctx.values["f_n"][:m], ctx.values["X_n"][:m],
+                          out=ctx.scratch[:m])
+        columns["sup_eps"] = np.abs(eps, out=eps).max(axis=1).tolist()
     unset = [None] * m
     return [ReplicateRecord(*row) for row in zip(
         *(columns.get(f.name, unset) for f in _RECORD_FIELDS))]
@@ -317,6 +334,29 @@ def _set_blas_threads(count):
             put(count)
             return old
     return None
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _init_worker():
+    """A pool worker's set-up: one OpenBLAS thread, and glibc's malloc
+    told to keep the memory a chunk frees for the next chunk.  glibc
+    hands memory back to the system when it frees a block above its
+    mmap threshold, or when more than its trim threshold lies free at
+    the top of its heap: 128 KiB each, until a freed mapped block raises
+    both.  The next chunk's temporaries, such as the zero
+    counter's 0.5 MB row blocks at 8192 points, then fault in again page
+    by page; at 32 and 64 MiB they are reused.  Nothing is set where the
+    C library has no mallopt."""
+    _set_blas_threads(1)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _beside_child(nbytes, child, parent):
@@ -457,7 +497,7 @@ def run_experiment(config, basis_pair=None):
         _WORKER_CTX = ctx
         # the pool forks here, so its workers inherit the run's context
         with (multiprocessing.get_context("fork").Pool(
-                workers, initializer=_set_blas_threads, initargs=(1,))
+                workers, initializer=_init_worker)
               if fork else nullcontext()) as pool:
             for batch in (pool.imap if fork else map)(_process_chunk, tasks):
                 records.extend(batch)

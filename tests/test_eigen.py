@@ -1,6 +1,7 @@
 """Eigen solver: pinned unit-weight spectra, invariants, cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from slzeros import (BoundaryCondition, Eigenpair, NumericError,
 from slzeros import eigen
 from slzeros.eigen import _brent, _chain_reduce, _chain_scan, _Propagator
 from slzeros.weights import (TWO_PI, Grid, WeightFunction, builtin_weights,
-                             default_grid, omega_map)
+                             default_grid, make_expcos, omega_map)
 
 C = BoundaryCondition.C
 D = BoundaryCondition.D
@@ -378,6 +379,74 @@ def test_eigen_solve_bit_equal_to_full_scan_oracle(name, bc):
     np.testing.assert_array_equal(basis.eigenvalues, lambdas)
     np.testing.assert_array_equal(basis.funcs, funcs)
     np.testing.assert_array_equal(basis.dfuncs, dfuncs)
+
+
+# ----------------------------------------------------------------------
+# close eigenvalue pairs: expcos(a) has a potential well at each end of
+# [0, 2*pi], so for a >= 1.4 its low eigenvalues come in pairs closer
+# than the scan's step, which the residual's sign cannot see
+
+
+@pytest.fixture(scope="module")
+def expcos2_bases():
+    w = make_expcos(2.0)
+    return {bc: eigen_solve(w, bc, 20) for bc in (C, D)}
+
+
+@pytest.mark.parametrize("bc", [C, D])
+def test_close_pairs_match_prufer_phase(expcos2_bases, bc):
+    # the lowest pair, k = 2, 3 for C and 1, 2 for D, lies closer than
+    # the scan's step at its upper ordinal; its members and the nearest
+    # eigenvalues are those of the independent Prufer phase integration
+    basis = expcos2_bases[bc]
+    lam = basis.eigenvalues
+    k = 3 if bc is C else 2
+    assert lam[k - 1] - lam[k - 2] < 0.25 * (2 * k + 1) / 4.0
+    Q = normal_form_potential(basis.weight, basis.grid)
+    for k in (1, 2, 3, 4):
+        target = k * math.pi + (0.5 * math.pi if bc is C else 0.0)
+        assert abs(prufer_phase(Q, lam[k - 1], bc) - target) < 1e-6, k
+
+
+@pytest.mark.parametrize("bc", [C, D])
+def test_close_pairs_oscillation_counts(expcos2_bases, bc):
+    basis = expcos2_bases[bc]
+    assert np.all(np.diff(basis.eigenvalues) > 0.0)
+    for k in range(1, basis.k_max + 1):
+        assert _sign_changes(basis.funcs[k - 1]) == (k if bc is C else k - 1)
+
+
+def test_doublet_closer_than_scan_step_matches_fine_scan():
+    # expcos(3.8)'s first two D eigenvalues lie 0.10 apart, where the
+    # scan steps by 0.3125 at ordinal 2: a scan of the residual in steps
+    # of 0.0047 finds every root up to the sixth eigenvalue, and they
+    # are the solver's
+    w = make_expcos(3.8)
+    lam = eigen_solve(w, D, 6).eigenvalues
+    assert lam[1] - lam[0] < 0.25 * (2 * 2 + 1) / 4.0 / 3.0
+    prop = _Propagator(w, default_grid())
+
+    def residual(z):
+        return prop.residual(z, D, {})
+
+    nodes = np.arange(0.0, lam[-1] + 0.05, 0.1875 / 40)
+    values = [residual(z) for z in nodes]
+    roots = [brentq(residual, a, b, xtol=1e-13, rtol=1e-15)
+             for a, b, fa, fb in zip(nodes, nodes[1:], values, values[1:])
+             if fa * fb < 0.0]
+    np.testing.assert_allclose(lam, roots, rtol=1e-12)
+
+
+def test_overflowing_weight_refused_by_name():
+    # expcos(4)'s wells are deep enough that the shot solution overflows
+    # below the lowest eigenvalue: refused, with no warning and no NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bc in (C, D):
+            with pytest.raises(PreconditionError,
+                               match="weight 'expcos' is too strong .* "
+                                     "overflow"):
+                eigen_solve(make_expcos(4.0), bc, 20)
 
 
 def test_eigen_solve_residual_evaluations(monkeypatch):

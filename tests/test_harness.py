@@ -6,7 +6,10 @@ import math
 import mmap
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -25,7 +28,7 @@ from slzeros import harness
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
                              _RunContext, _worker_count,
                              check_covariance_draws, record_row)
-from slzeros.weights import Grid
+from slzeros.weights import Grid, omega_map
 
 SEED = 20260819
 
@@ -284,8 +287,44 @@ def _plain_combine(rows, A, B):
     return vals, ders
 
 
-@pytest.mark.parametrize("kind", SIMULATED_KINDS)
-def test_context_buffers_bit_equal_to_plain_expressions(kind, sine2_weight,
+# each simulated kind alone, and T_n beside perturbed, whose table it shares
+_CONTEXT_KINDS = ([pytest.param((kind,), id=kind) for kind in SIMULATED_KINDS]
+                  + [pytest.param(("T_n", "perturbed"), id="T_n+perturbed")])
+
+
+def _spied_context(monkeypatch, cfg, weight, basis_pair):
+    """A _RunContext and the tables its perturbed rows were built from."""
+    tables = []
+    real = harness._perturbed_rows
+
+    def spy(table, *args, **kwargs):
+        tables.append(table)
+        return real(table, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_perturbed_rows", spy)
+    return _RunContext(cfg, weight, basis_pair), tables
+
+
+def _assert_shares_perturbed_table(ctx, tables, kinds):
+    # with perturbed, T_n's rows are views of the cos/sin table that
+    # perturbed's rows were built from, and perturbed's are arrays of
+    # their own; without it, T_n builds its own rows
+    if set(kinds) != {"T_n", "perturbed"}:
+        assert tables == []
+        return
+    [table] = tables
+    n_top = table.ra.shape[0] - 1
+    t_rows, p_rows = ctx.rows[n_top]["T_n"], ctx.rows[n_top]["perturbed"]
+    assert np.shares_memory(t_rows.ra, table.ra)
+    assert np.shares_memory(t_rows.rb, table.rb)
+    for name in ("ra", "rb", "da", "db"):
+        assert not np.shares_memory(getattr(p_rows, name), table.ra), name
+        assert not np.shares_memory(getattr(p_rows, name), table.rb), name
+
+
+@pytest.mark.parametrize("kinds", _CONTEXT_KINDS)
+def test_context_buffers_bit_equal_to_plain_expressions(kinds, monkeypatch,
+                                                        sine2_weight,
                                                         sine2_basis):
     # the chunk buffers a _RunContext reuses give the bits of fresh arrays,
     # for a full chunk and for a short last one, filled again and again,
@@ -293,56 +332,113 @@ def test_context_buffers_bit_equal_to_plain_expressions(kind, sine2_weight,
     n = 40
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=70, master_seed=SEED,
-                           process_kinds=(kind,))
-    ctx = _RunContext(cfg, sine2_weight, sine2_basis)
-    rows = ctx.rows[n][kind]
+                           process_kinds=kinds)
+    ctx, tables = _spied_context(monkeypatch, cfg, sine2_weight, sine2_basis)
+    _assert_shares_perturbed_table(ctx, tables, kinds)
     for ids in (list(range(64)), list(range(64, 70)), list(range(5))):
         A, B, _ = sample_coefficient_block(SEED, n, ids)
         A *= 1.0 / math.sqrt(n)
         B *= 1.0 / math.sqrt(n)
         m = len(ids)
-        got = combine(rows, A, B, out=(
-            ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
-        assert np.shares_memory(got[0], ctx.values[kind])
-        assert np.shares_memory(got[1], ctx.slopes)
-        for g, want in zip(got, _plain_combine(rows, A, B)):
-            np.testing.assert_array_equal(g, want)
+        for kind in kinds:
+            rows = ctx.rows[n][kind]
+            got = combine(rows, A, B, out=(
+                ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
+            assert np.shares_memory(got[0], ctx.values[kind])
+            assert np.shares_memory(got[1], ctx.slopes)
+            for g, want in zip(got, _plain_combine(rows, A, B)):
+                np.testing.assert_array_equal(g, want)
 
 
-@pytest.mark.parametrize("kind", SIMULATED_KINDS)
-def test_context_rows_bit_equal_to_fresh_rows(kind, sine2_weight,
-                                              sine2_basis):
+@pytest.mark.parametrize("kinds", _CONTEXT_KINDS)
+def test_context_rows_bit_equal_to_fresh_rows(kinds, monkeypatch,
+                                              sine2_weight, sine2_basis):
     # a run builds each kind's rows once, at max(n_list); the rows it
-    # gives a smaller n are those that process_rows builds for that n
+    # gives a smaller n are those that process_rows builds for that n,
+    # and T_n's and perturbed's keep those bits when they share a table
     n = 40
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=2, master_seed=SEED,
-                           process_kinds=(kind,))
+                           process_kinds=kinds)
     grid = cfg.grid
-    got = _RunContext(cfg, sine2_weight, sine2_basis).rows[n][kind]
-    want = process_rows(kind, n, weight=sine2_weight, basis_pair=sine2_basis,
-                        grid=grid)
-    assert got.ra.shape == (n, grid.count)
-    for f in fields(want):
-        if getattr(want, f.name) is None:
-            assert getattr(got, f.name) is None, f.name
-        else:
-            np.testing.assert_array_equal(getattr(got, f.name),
-                                          getattr(want, f.name),
-                                          err_msg=f.name)
+    ctx, tables = _spied_context(monkeypatch, cfg, sine2_weight, sine2_basis)
+    _assert_shares_perturbed_table(ctx, tables, kinds)
+    for n_rows in (n, 400):
+        for kind in kinds:
+            got = ctx.rows[n_rows][kind]
+            want = process_rows(kind, n_rows, weight=sine2_weight,
+                                basis_pair=sine2_basis, grid=grid)
+            assert got.ra.shape == (n_rows, grid.count)
+            for f in fields(want):
+                if getattr(want, f.name) is None:
+                    assert getattr(got, f.name) is None, f.name
+                else:
+                    np.testing.assert_array_equal(getattr(got, f.name),
+                                                  getattr(want, f.name),
+                                                  err_msg=f.name)
+
+
+def _traced_context(cfg, weight):
+    """(peak, kept): the bytes numpy allocates while building a
+    _RunContext, at their peak and once it is built, as tracemalloc
+    sees them."""
+    omega_map(weight, cfg.grid)  # the cached phase map is not the rows'
+    tracemalloc.start()
+    try:
+        ctx = _RunContext(cfg, weight, None)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del ctx
+    return peak, kept
+
+
+def test_context_build_peak_with_shared_table(sine2_weight):
+    # T_n beside perturbed: one cos/sin table of 401 rows and perturbed's
+    # four 400-row arrays, built with no full-size temporary, so the
+    # build peaks at what it keeps: at most six tables and the chunk block
+    n_top = 400
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(50, n_top),
+                           replicates=2, master_seed=SEED,
+                           process_kinds=("T_n", "perturbed"))
+    table = (n_top + 1) * cfg.grid.count * 8
+    block = 4 * harness.CHUNK * cfg.grid.count * 8
+    peak, kept = _traced_context(cfg, sine2_weight)
+    assert kept >= 6 * table * n_top / (n_top + 1) + block
+    assert peak <= 6 * table + block
+
+
+@pytest.mark.parametrize("kind, extra", [("T_n", 0), ("X_n", 0),
+                                         ("perturbed", 1)])
+def test_context_build_holds_no_full_size_temporaries(kind, extra,
+                                                      sine2_weight):
+    # a kind alone: T_n and X_n write their sines into the phase buffer,
+    # and perturbed holds its sine table beside its rows, one table more
+    # than the context keeps; a few rows' slack covers per-point vectors
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(50, 400),
+                           replicates=2, master_seed=SEED,
+                           process_kinds=(kind,))
+    row = cfg.grid.count * 8
+    peak, kept = _traced_context(cfg, sine2_weight)
+    assert peak <= kept + (extra * 401 + 4) * row
 
 
 def test_run_records_independent_of_n_list_and_workers(monkeypatch,
                                                        unit_basis):
     # each n of a run gets the records of a run of that n alone, for one
     # worker and for two; 130 replicates leave each n a short last chunk.
-    # A run builds each kind's rows once and forks at most one pool.
+    # A run builds each kind's rows once and forks at most one pool;
+    # perturbed's rows come from T_n's table, which has one row more.
     calls, pools = [], []
-    real_rows = harness.process_rows
+    real_rows, real_perturbed = harness.process_rows, harness._perturbed_rows
 
     def counted_rows(kind, n, **kwargs):
         calls.append((kind, n))
         return real_rows(kind, n, **kwargs)
+
+    def counted_perturbed(table):
+        calls.append(("perturbed", len(table.freq) - 1))
+        return real_perturbed(table)
 
     fork_ctx = multiprocessing.get_context("fork")
     real_pool = fork_ctx.Pool
@@ -352,6 +448,7 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "process_rows", counted_rows)
+    monkeypatch.setattr(harness, "_perturbed_rows", counted_perturbed)
     monkeypatch.setattr(fork_ctx, "Pool", counted_pool)
 
     def run(n_list, threads):
@@ -362,7 +459,9 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
         del calls[:], pools[:]
         rows = [record_row(r) for r in run_experiment(cfg,
                                                       basis_pair=unit_basis)]
-        assert calls == [(kind, max(n_list)) for kind in SIMULATED_KINDS]
+        top = max(n_list)
+        assert calls == [("T_n", top + 1), ("perturbed", top), ("f_n", top),
+                         ("X_n", top)]
         assert pools == ([] if threads == "1" else [2])
         return rows
 
@@ -452,6 +551,39 @@ def test_short_basis_refused_before_records(sine2_basis_200, tmp_path):
     with pytest.raises(PreconditionError, match="eigenbasis too small"):
         run_experiment(cfg, basis_pair=sine2_basis_200)
     assert not out.exists()
+
+
+# a fresh process writes four (64, 1024) float arrays (0.5 MB, 128 pages
+# each) and frees them, 20 times, after a pool worker's set-up or without
+# it, and prints its minor page faults
+_FRESH_BLOCKS = """
+import resource, sys
+import numpy as np
+from slzeros import harness
+if sys.argv[1] == "worker":
+    harness._init_worker()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    blocks = [np.ones((64, 1024)) for _ in range(4)]
+    del blocks
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc's mallopt")
+def test_pool_worker_reuses_freed_blocks(module_cli_env):
+    # by default glibc hands the 2 MB freed at the top of its heap back to
+    # the system, and the next round faults it in again page by page; a
+    # pool worker keeps it, so only the first round faults
+    def faults(role):
+        out = subprocess.run([sys.executable, "-c", _FRESH_BLOCKS, role],
+                             capture_output=True, text=True,
+                             env=module_cli_env, check=True)
+        return int(out.stdout)
+
+    assert faults("plain") >= 10 * 4 * 128
+    assert faults("worker") < 2 * 4 * 128
 
 
 def test_worker_count_env(monkeypatch):
