@@ -18,8 +18,7 @@ task is one n and a fixed-size chunk of replicate ids: one
 ensembles.sample_coefficient_block call draws the chunk, and
 zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
 interpolants exactly, cell by cell.  One pool of SLZEROS_THREADS
-workers (default 1), forked once per run, each at one OpenBLAS thread
-and with glibc's malloc keeping the memory it frees (_init_worker),
+workers (default 1), forked once per run, each at one OpenBLAS thread,
 maps the tasks in order, and one record per (n, replicate) streams to
 CSV, so the records keep their order and draws for any worker count.
 A replicate whose count holds an unresolved tangency is logged at WARNING
@@ -336,29 +335,6 @@ def _set_blas_threads(count):
     return None
 
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _init_worker():
-    """A pool worker's set-up: one OpenBLAS thread, and glibc's malloc
-    told to keep the memory a chunk frees for the next chunk.  glibc
-    hands memory back to the system when it frees a block above its
-    mmap threshold, or when more than its trim threshold lies free at
-    the top of its heap: 128 KiB each, until a freed mapped block raises
-    both.  The next chunk's temporaries, such as the zero
-    counter's 0.5 MB row blocks at 8192 points, then fault in again page
-    by page; at 32 and 64 MiB they are reused.  Nothing is set where the
-    C library has no mallopt."""
-    _set_blas_threads(1)
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def _beside_child(nbytes, child, parent):
     """Run child(shared) in a forked child process while this process
     runs parent(shared); returns (shared, what parent returned).
@@ -497,7 +473,7 @@ def run_experiment(config, basis_pair=None):
         _WORKER_CTX = ctx
         # the pool forks here, so its workers inherit the run's context
         with (multiprocessing.get_context("fork").Pool(
-                workers, initializer=_init_worker)
+                workers, initializer=_set_blas_threads, initargs=(1,))
               if fork else nullcontext()) as pool:
             for batch in (pool.imap if fork else map)(_process_chunk, tasks):
                 records.extend(batch)
@@ -737,14 +713,27 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
         delta_sup=float(np.max(delta)), beta_sup=float(np.max(np.abs(beta))))
 
 
+def _integral(value):
+    """Whether value is a number with an integer value (2000.0 is)."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def check_covariance_draws(m):
-    """covariance_check's precondition on its number of draws m: at
-    least 1000, and at most one per 32-bit replicate id."""
+    """covariance_check's precondition on its number of draws m: an
+    integer (2000.0 counts as 2000), at least 1000, and at most one per
+    32-bit replicate id.  Returns m as an int."""
+    if not _integral(m):
+        raise PreconditionError("m must be a positive integer, got %r" % (m,))
+    m = int(m)
     if m < 1000:
         raise PreconditionError("need at least 1000 draws, got %d" % m)
     if m > ID_LIMIT:
         raise PreconditionError("need at most 2**32 draws, one per 32-bit "
                                 "replicate id, got %d" % m)
+    return m
 
 
 def _sampled_in_halves(master_seed, n, m, row_sets):
@@ -825,11 +814,11 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     does, before any draw.  Returns a dict with the max absolute errors
     and the raw tables.
     """
-    if n_pairs < 1 or int(n_pairs) != n_pairs:
+    if not _integral(n_pairs) or n_pairs < 1:
         raise PreconditionError("n_pairs must be a positive integer, got %r"
                                 % (n_pairs,))
     n_pairs = int(n_pairs)
-    check_covariance_draws(m)
+    m = check_covariance_draws(m)
     grid = default_grid()
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))

@@ -147,18 +147,24 @@ def count_hermite_zeros(vals, ders, h, label="row", row_ids=None):
     third = h / 3.0
     counts = np.zeros(rows, dtype=np.int64)
     found_rows, found_cells, found = [], [], []
-    # row blocks keep the temporaries to a few MB on long grids
+    # row blocks keep the temporaries to a few MB on long grids; every
+    # block writes b1, b2, p01, p12 and p23 into this one buffer, so the
+    # blocks take no fresh pages from the system
+    work = np.empty((5, min(rows, _ROW_BLOCK), vals.shape[1] - 1))
     for lo in range(0, rows, _ROW_BLOCK):
         v = vals[lo:lo + _ROW_BLOCK]
         d = ders[lo:lo + _ROW_BLOCK]
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise DomainError("non-finite value or slope in row block at %d" % lo)
         b0, b3 = v[:, :-1], v[:, 1:]
-        b1 = d[:, :-1] * third
+        b1, b2, p01, p12, p23 = work[:, :len(v)]
+        np.multiply(d[:, :-1], third, out=b1)
         b1 += b0
-        b2 = d[:, 1:] * -third
+        np.multiply(d[:, 1:], -third, out=b2)
         b2 += b3
-        p01, p12, p23 = b0 * b1, b1 * b2, b2 * b3
+        np.multiply(b0, b1, out=p01)
+        np.multiply(b1, b2, out=p12)
+        np.multiply(b2, b3, out=p23)
         changes = (p01 < 0.0).view(np.int8) + (p12 < 0.0).view(np.int8)
         changes += (p23 < 0.0).view(np.int8)
         # cells with a zero control point or 2-3 variations are resolved

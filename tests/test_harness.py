@@ -6,6 +6,7 @@ import math
 import mmap
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -553,37 +554,37 @@ def test_short_basis_refused_before_records(sine2_basis_200, tmp_path):
     assert not out.exists()
 
 
-# a fresh process writes four (64, 1024) float arrays (0.5 MB, 128 pages
-# each) and frees them, 20 times, after a pool worker's set-up or without
-# it, and prints its minor page faults
-_FRESH_BLOCKS = """
+# a fresh process builds a run's context at n = 400 for the given kinds,
+# counts one chunk, then prints the minor page faults of 11 more chunks
+_CHUNK_LOOP = """
 import resource, sys
-import numpy as np
-from slzeros import harness
-if sys.argv[1] == "worker":
-    harness._init_worker()
+from slzeros import ExperimentConfig, builtin_weights, harness
+cfg = ExperimentConfig(weight_name="sine2", n_list=(400,), replicates=768,
+                       master_seed=1, process_kinds=tuple(sys.argv[1:]))
+harness._WORKER_CTX = harness._RunContext(cfg, builtin_weights("sine2"), None)
+tasks = [(400, list(range(lo, lo + harness.CHUNK)))
+         for lo in range(0, cfg.replicates, harness.CHUNK)]
+harness._process_chunk(tasks[0])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    blocks = [np.ones((64, 1024)) for _ in range(4)]
-    del blocks
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+for task in tasks[1:]:
+    harness._process_chunk(task)
+print(len(tasks) - 1, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="glibc's mallopt")
-def test_pool_worker_reuses_freed_blocks(module_cli_env):
-    # by default glibc hands the 2 MB freed at the top of its heap back to
-    # the system, and the next round faults it in again page by page; a
-    # pool worker keeps it, so only the first round faults
-    def faults(role):
-        out = subprocess.run([sys.executable, "-c", _FRESH_BLOCKS, role],
-                             capture_output=True, text=True,
-                             env=module_cli_env, check=True)
-        return int(out.stdout)
-
-    assert faults("plain") >= 10 * 4 * 128
-    assert faults("worker") < 2 * 4 * 128
+                    reason="minor page faults as Linux counts them")
+@pytest.mark.parametrize("kinds", [("X_n",), ("T_n", "perturbed")])
+def test_chunk_loop_reuses_its_memory(module_cli_env, kinds):
+    # with the allocator's defaults, a chunk after the first faults in
+    # fewer than 128 pages: combine writes into the context's buffers and
+    # the zero counter's row blocks into one buffer per call
+    out = subprocess.run([sys.executable, "-c", _CHUNK_LOOP, *kinds],
+                         capture_output=True, text=True,
+                         env=module_cli_env, check=True)
+    chunks, faults = map(int, out.stdout.split())
+    assert chunks == 11
+    assert faults < chunks * 128
 
 
 def test_worker_count_env(monkeypatch):
@@ -891,7 +892,8 @@ def test_covariance_check_shares_only_the_sampled_columns(
     assert sizes == [8 * 1200 * columns * 7] * 2
 
 
-@pytest.mark.parametrize("n_pairs", [0, -1, 2.5])
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, float("nan"), float("inf"),
+                                     "3"])
 def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_weight,
                                               n_pairs):
     def draw(*args, **kwargs):
@@ -900,8 +902,28 @@ def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_weight,
     monkeypatch.setattr(harness, "sample_coefficient_block", draw)
     with pytest.raises(PreconditionError,
                        match="^n_pairs must be a positive integer, got %s$"
-                       % n_pairs):
+                       % re.escape(repr(n_pairs))):
         covariance_check(unit_weight, 5, n_pairs=n_pairs, m=1000)
+
+
+@pytest.mark.parametrize("m", [1000.5, float("nan"), float("inf"), "2000"])
+def test_covariance_check_refuses_bad_m(monkeypatch, unit_weight, m):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before refusing m")
+
+    monkeypatch.setattr(harness, "sample_coefficient_block", draw)
+    with pytest.raises(PreconditionError,
+                       match=r"^m must be a positive integer, got %s$"
+                       % re.escape(repr(m))):
+        covariance_check(unit_weight, 4, m=m)
+
+
+def test_covariance_check_takes_integral_float_m(unit_weight):
+    assert check_covariance_draws(2000.0) == 2000
+    whole = covariance_check(unit_weight, 4, m=2000)
+    out = covariance_check(unit_weight, 4, m=2000.0)
+    assert type(out["draws"]) is int and out["draws"] == 2000
+    np.testing.assert_array_equal(out["cov_empirical"], whole["cov_empirical"])
 
 
 @pytest.mark.parametrize("k_max, match", [

@@ -123,7 +123,7 @@ def test_hermite_counts_agree_with_sign_change_oracle(kind, sine2_basis):
     procs = [build_process(kind, n, sample_coefficients(2024, n, rid),
                            weight=builtin_weights("sine2"),
                            basis_pair=sine2_basis)
-             for rid in range(6)]
+             for rid in range(13)]
     vals = np.stack([p.value(x) for p in procs])
     ders = np.stack([p.deriv(x) for p in procs])
     counts, certified = count_hermite_zeros(vals, ders, grid.h)
