@@ -336,12 +336,12 @@ def _isolate(sturm, a, b, below):
     return None
 
 
-def _weighted_norm(psi, dpsi, weight, grid):
+def _weighted_norm(psi, dpsi, weight, grid, om):
     """integral psi^2 omega dx by trapezoid with the h^2 Euler-Maclaurin
     end correction; spectrally accurate for these near-periodic
-    integrands, and the correction handles the non-periodic ends."""
+    integrands, and the correction handles the non-periodic ends.  om
+    is omega at the grid's points."""
     x = grid.points
-    om = np.asarray(weight.eval(x), dtype=float)
     f = psi * psi * om
     h = grid.h
     total = h * (np.sum(f) - 0.5 * (f[0] + f[-1]))
@@ -355,7 +355,14 @@ def normalize_eigenfunction(pair, weight, grid, bc):
     """Scale so integral psi^2 omega dx = pi on the grid and fix the
     sign so the leading asymptotic coefficient is +1 (psi(0) > 0 for
     family C, psi'(0) > 0 for family D)."""
-    norm = _weighted_norm(pair.func, pair.dfunc, weight, grid)
+    return _normalized(pair, weight, grid, bc,
+                       np.asarray(weight.eval(grid.points), dtype=float))
+
+
+def _normalized(pair, weight, grid, bc, om):
+    """normalize_eigenfunction with omega at the grid's points, om,
+    evaluated once by the caller."""
+    norm = _weighted_norm(pair.func, pair.dfunc, weight, grid, om)
     scale_ref = float(np.max(np.abs(pair.func)))
     if not (norm > 1e-28 * max(scale_ref, 1.0) ** 2):
         raise InvariantViolation("cannot normalize eigenfunction with zero norm "
@@ -540,7 +547,7 @@ def eigen_solve(weight, bc, k_max, grid=None):
         psi = g / rtw
         dpsi = rtw * dg - pull_d * g
         pair = Eigenpair(index=k, eigenvalue=float(lam), func=psi, dfunc=dpsi)
-        pair = normalize_eigenfunction(pair, weight, grid, bc)
+        pair = _normalized(pair, weight, grid, bc, om)
         funcs[stored] = pair.func
         dfuncs[stored] = pair.dfunc
         lambdas[stored] = lam

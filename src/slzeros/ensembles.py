@@ -34,12 +34,15 @@ kinds are cosine/sine rows in closed form, whose slopes follow from the
 same rows; perturbed adds its family, itself cosine/sine rows, to T_n's
 and stores the slopes, building them in place from T_n's rows of
 frequencies 1..n+1 (_perturbed_rows), which a run with both kinds
-tabulates once for the two.  RandomProcess, the harness's grid samples
+tabulates once for the two.  A large table is filled by row halves in
+two threads, joined before its build returns (_in_row_halves), with the
+bits of a one-thread fill.  RandomProcess, the harness's grid samples
 and the second-order diagnostics all read this one table.
 """
 
 import math
 import operator
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -279,10 +282,52 @@ class ProcessRows:
                                 if getattr(self, f) is not None})
 
 
+# entries (2 MB) from which a table's rows are filled in two threads
+_SPLIT_MIN = 1 << 18
+
+
+def _in_row_halves(rows, cols, fill):
+    """fill(lo, hi) over the rows of a rows x cols table: the lower half
+    in this thread and the upper half in a second one, joined before
+    this returns, so no thread outlives the call.  numpy's elementwise
+    loops release the GIL, and each entry gets the bits a one-thread
+    fill gives it.  A table of fewer than _SPLIT_MIN entries, such as
+    the diagnostics' few hundred points, is filled here alone.  An
+    exception in either half is raised here."""
+    if rows < 2 or rows * cols < _SPLIT_MIN:
+        fill(0, rows)
+        return
+    mid = rows // 2
+    failed = []
+
+    def upper():
+        try:
+            fill(mid, rows)
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=upper)
+    thread.start()
+    try:
+        fill(0, mid)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _trig_rows(freq, phase, **fields):
-    ph = freq[:, None] * phase[None, :]
-    ra = np.cos(ph)
-    return ProcessRows(ra, np.sin(ph, out=ph), freq=freq, **fields)
+    """The cosine and sine rows of freq * phase, filled by row halves."""
+    rb = np.empty((len(freq), len(phase)))  # the phases, then their sines
+    ra = np.empty_like(rb)
+
+    def fill(lo, hi):
+        ph = np.multiply(freq[lo:hi, None], phase[None, :], out=rb[lo:hi])
+        np.cos(ph, out=ra[lo:hi])
+        np.sin(ph, out=ph)
+
+    _in_row_halves(len(freq), len(phase), fill)
+    return ProcessRows(ra, rb, freq=freq, **fields)
 
 
 def _perturbed_rows(table, deriv=True, reuse=False):
@@ -295,7 +340,9 @@ def _perturbed_rows(table, deriv=True, reuse=False):
     full-size temporary is held; each entry has the bits of the plain
     expressions c + s1/(2k), s + c1/(2k), -k*s + (k+1)*c1/(2k) and
     k*c - (k+1)*s1/(2k), since IEEE addition commutes.  The table is
-    left as it is, unless reuse, which turns its cosine rows into rb."""
+    left as it is, unless reuse, which turns its cosine rows into rb.
+    Both passes go by row halves (_in_row_halves); rb comes second, since
+    with reuse it overwrites the cosine rows the first pass reads."""
     c_all, s_all = table.ra, table.rb
     n = len(table.freq) - 1
     kc = table.freq[:n, None]
@@ -304,16 +351,27 @@ def _perturbed_rows(table, deriv=True, reuse=False):
     ra = np.empty_like(c)  # the slopes' scratch until it holds ra
     da = db = None
     if deriv:
-        db = np.multiply(-(kc + 1), s1)
-        db /= two_k
-        db += np.multiply(kc, c, out=ra)
-        da = np.multiply(kc + 1, c1)
-        da /= two_k
-        da += np.multiply(-kc, s, out=ra)
-    np.divide(s1, two_k, out=ra)
-    ra += c
-    rb = np.divide(c1, two_k, out=c1 if reuse else None)
-    rb += s
+        db, da = np.empty_like(c), np.empty_like(c)
+    rb = c1 if reuse else np.empty_like(c)
+
+    def sines(lo, hi):
+        k, half, out = kc[lo:hi], two_k[lo:hi], ra[lo:hi]
+        if deriv:
+            dbh = np.multiply(-(k + 1), s1[lo:hi], out=db[lo:hi])
+            dbh /= half
+            dbh += np.multiply(k, c[lo:hi], out=out)
+            dah = np.multiply(k + 1, c1[lo:hi], out=da[lo:hi])
+            dah /= half
+            dah += np.multiply(-k, s[lo:hi], out=out)
+        np.divide(s1[lo:hi], half, out=out)
+        out += c[lo:hi]
+
+    def cosines(lo, hi):
+        np.divide(c1[lo:hi], two_k[lo:hi], out=rb[lo:hi])
+        rb[lo:hi] += s[lo:hi]
+
+    _in_row_halves(n, c.shape[1], sines)
+    _in_row_halves(n, c.shape[1], cosines)
     return ProcessRows(ra, rb, da, db)
 
 

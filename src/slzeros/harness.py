@@ -13,12 +13,15 @@ single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
-which its basis pair must be solved; each n takes the first n rows.  A
+which its basis pair must be solved; each n takes the first n rows.
+Each large table is filled in two threads whatever SLZEROS_THREADS is,
+joined before its build returns, so the pool forks from one thread.  A
 task is one n and a fixed-size chunk of replicate ids: one
 ensembles.sample_coefficient_block call draws the chunk, and
 zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
-interpolants exactly, cell by cell.  One pool of SLZEROS_THREADS
-workers (default 1), forked once per run, each at one OpenBLAS thread,
+interpolants exactly, cell by cell, from the sign bits of each cell's
+Bernstein control points.  One pool of SLZEROS_THREADS workers
+(default 1), forked once per run, each at one OpenBLAS thread,
 maps the tasks in order, and one record per (n, replicate) streams to
 CSV, so the records keep their order and draws for any worker count.
 A replicate whose count holds an unresolved tangency is logged at WARNING

@@ -5,8 +5,10 @@ Hermite interpolants given by their grid values and slopes, for a whole
 batch of rows at once; it is the package's one counter.  On each grid
 cell the cubic is written in Bernstein form, and Descartes' rule of
 signs in that basis settles the cell when its control polygon has 0 or
-1 sign variations (no zero, or exactly one).  The rare cells with more
-are halved by de Casteljau subdivision until every piece is settled
+1 sign variations (no zero, or exactly one).  The rule reads only the
+control points' sign bits, so a row's count is the sign changes between
+its nodes, corrected on the few cells that need more.  Those with more
+variations are halved by de Casteljau subdivision until every piece is settled
 (Lane & Riesenfeld 1981; Mourrain & Pavone 2009); a piece that is still
 ambiguous at the depth limit is an unresolved tangency, which the row's
 `certified` flag reports instead of counting it silently.
@@ -126,7 +128,11 @@ def count_hermite_zeros(vals, ders, h, label="row", row_ids=None):
     Every cell is written in Bernstein form with control points
     v0, v0 + h*d0/3, v1 - h*d1/3, v1.  By Descartes' rule in the
     Bernstein basis, 0 sign variations mean no zero inside the cell and
-    1 means exactly one.  Cells with more variations are halved by de
+    1 means exactly one, so such a cell holds a zero exactly when its
+    nodes' signs differ; only the control points' sign bits are read.
+    Cells with more variations, or with a zero node, are special, and
+    each row's count of node sign changes is corrected on them.  Cells
+    with more variations are halved by de
     Casteljau subdivision until every piece has at most one; a piece
     still ambiguous after _SUBDIVISION_DEPTH halvings is an unresolved
     tangency.  Returns (counts, certified): int64 counts and a boolean
@@ -134,49 +140,78 @@ def count_hermite_zeros(vals, ders, h, label="row", row_ids=None):
     a row is counted as if every unresolved piece held as many zeros as
     its sign variations mod 2, so the parity stays exact, and is logged
     at WARNING as "<label> <row id>", with row_ids[i] (default i) as the
-    id of row i.
+    id of row i; a row_ids of another length than the rows is refused.
     """
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
     ders = np.atleast_2d(np.asarray(ders, dtype=float))
     if vals.shape != ders.shape or vals.shape[1] < 2:
         raise DomainError("values and slopes need one shape (rows, points >= 2), "
                           "got %r and %r" % (vals.shape, ders.shape))
-    if not h > 0.0:
-        raise DomainError("grid spacing must be positive, got %r" % (h,))
+    if not (h > 0.0 and math.isfinite(h)):
+        raise DomainError("grid spacing must be positive and finite, got %r"
+                          % (h,))
     rows = vals.shape[0]
+    if row_ids is not None and len(row_ids) != rows:
+        raise DomainError("row_ids names %d rows, but there are %d"
+                          % (len(row_ids), rows))
     third = h / 3.0
     counts = np.zeros(rows, dtype=np.int64)
     found_rows, found_cells, found = [], [], []
     # row blocks keep the temporaries to a few MB on long grids; every
-    # block writes b1, b2, p01, p12 and p23 into this one buffer, so the
-    # blocks take no fresh pages from the system
-    work = np.empty((5, min(rows, _ROW_BLOCK), vals.shape[1] - 1))
+    # block carves b1 and b2 and five 1-byte masks from this one buffer,
+    # so the blocks take no fresh pages from the system
+    cells = vals.shape[1] - 1
+    work = np.empty(min(rows, _ROW_BLOCK) * (21 * cells + 2), dtype=np.uint8)
     for lo in range(0, rows, _ROW_BLOCK):
         v = vals[lo:lo + _ROW_BLOCK]
         d = ders[lo:lo + _ROW_BLOCK]
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
-            raise DomainError("non-finite value or slope in row block at %d" % lo)
+        m = len(v)
         b0, b3 = v[:, :-1], v[:, 1:]
-        b1, b2, p01, p12, p23 = work[:, :len(v)]
+        b12 = work[:16 * m * cells].view(np.float64)
+        b1, b2 = b12.reshape(2, m, cells)
         np.multiply(d[:, :-1], third, out=b1)
         b1 += b0
         np.multiply(d[:, 1:], -third, out=b2)
         b2 += b3
-        np.multiply(b0, b1, out=p01)
-        np.multiply(b1, b2, out=p12)
-        np.multiply(b2, b3, out=p23)
-        changes = (p01 < 0.0).view(np.int8) + (p12 < 0.0).view(np.int8)
-        changes += (p23 < 0.0).view(np.int8)
-        # cells with a zero control point or 2-3 variations are resolved
-        # below; every other cell holds exactly `changes` simple zeros
-        special = (p01 == 0.0) | (p12 == 0.0) | (p23 == 0.0) | (changes >= 2)
-        counts[lo:lo + len(v)] = np.sum(changes, axis=1, dtype=np.int64)
-        r, c = np.nonzero(special)
-        if r.size:
-            np.subtract.at(counts, lo + r, changes[r, c])
+        # b1 and b2 read every value and slope, so a finite sum proves
+        # them finite; an overflowing sum of finite ones is checked again
+        if not math.isfinite(np.sum(b12)) and not (
+                np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
+            raise DomainError("non-finite value or slope in row block at %d" % lo)
+        masks = work[16 * m * cells:m * (21 * cells + 2)].view(bool)
+        sv, zv = masks[:2 * m * (cells + 1)].reshape(2, m, cells + 1)
+        d01, d12, d23 = masks[2 * m * (cells + 1):].reshape(3, m, cells)
+        # Descartes' rule needs only the control points' signs: d01, d12
+        # and d23 flag the sign changes between neighbours
+        np.signbit(v, out=sv)
+        np.signbit(b1, out=d12)
+        np.signbit(b2, out=d23)
+        np.not_equal(sv[:, :-1], d12, out=d01)
+        np.not_equal(d12, d23, out=d12)
+        np.not_equal(d23, sv[:, 1:], out=d23)
+        variations = d01.view(np.int8)
+        variations += d12.view(np.int8)
+        variations += d23.view(np.int8)
+        # cells with a zero node or 2-3 variations are resolved below;
+        # every other cell holds exactly one simple zero if its nodes'
+        # signs differ and none if not.  A zero b1 or b2 needs no test:
+        # whatever sign it takes, the polygon varies at least as often as
+        # with the zero skipped, so 0 or 1 variations stay exact.
+        special = np.greater_equal(variations, 2, out=d23)
+        np.equal(v, 0.0, out=zv)
+        special |= zv[:, :-1]
+        special |= zv[:, 1:]
+        changes = np.not_equal(sv[:, :-1], sv[:, 1:], out=d01)
+        # a count per row is several times faster than one along axis 1
+        counts[lo:lo + m] = [np.count_nonzero(row) for row in changes]
+        if special.any():
+            cell = np.flatnonzero(special)
+            r, c = np.divmod(cell, cells)
+            np.subtract.at(counts, lo + r, changes.ravel()[cell])
             found_rows.append(lo + r)
             found_cells.append(c)
-            found.append(np.stack((b0[r, c], b1[r, c], b2[r, c], b3[r, c]), axis=1))
+            found.append(np.stack((b0[r, c], b1.ravel()[cell], b2.ravel()[cell],
+                                   b3[r, c]), axis=1))
     certified = np.ones(rows, dtype=bool)
     if found:
         r = np.concatenate(found_rows)

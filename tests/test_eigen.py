@@ -381,6 +381,31 @@ def test_eigen_solve_bit_equal_to_full_scan_oracle(name, bc):
     np.testing.assert_array_equal(basis.dfuncs, dfuncs)
 
 
+@pytest.mark.parametrize("bc", [C, D])
+def test_eigen_solve_evaluates_the_weight_a_fixed_number_of_times(bc):
+    # omega on the grid is evaluated once per solve and shared by every
+    # pair's normalization, so the count does not grow with k_max (a
+    # first solve builds the weight's cached Omega map)
+    base = builtin_weights("sine2")
+    calls = []
+
+    def counted_eval(x):
+        calls.append(np.size(x))
+        return base.eval(x)
+
+    w = WeightFunction(base.name, counted_eval, base.deriv1, base.deriv2)
+    g = Grid(1025)
+    eigen_solve(w, bc, 1, grid=g)
+    counts = []
+    for k_max in (5, 20):
+        del calls[:]
+        basis = eigen_solve(w, bc, k_max, grid=g)
+        counts.append(len(calls))
+        np.testing.assert_array_equal(basis.funcs,
+                                      eigen_solve(base, bc, k_max, grid=g).funcs)
+    assert counts[0] == counts[1]
+
+
 # ----------------------------------------------------------------------
 # close eigenvalue pairs: expcos(a) has a potential well at each end of
 # [0, 2*pi], so for a >= 1.4 its low eigenvalues come in pairs closer

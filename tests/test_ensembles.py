@@ -1,6 +1,7 @@
 """Coefficient draws, the perturbed rows' bounds, process construction and algebra."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from slzeros import (BoundaryCondition, DomainError, PreconditionError,
                      build_process, eigen_solve, sample_coefficient_block,
                      sample_coefficients)
-from slzeros.ensembles import hermite_rows, process_rows
+from slzeros import ensembles
+from slzeros.ensembles import _perturbed_rows, hermite_rows, process_rows
 from slzeros.weights import TWO_PI, Grid, default_grid, omega_map
 
 SEED = 777
@@ -251,6 +253,51 @@ def test_build_process_rejects_mismatched_grids(unit_weight, unit_basis):
     draw = sample_coefficients(SEED, 3, 0)
     with pytest.raises(PreconditionError):
         build_process("f_n", 3, draw, basis_pair=(unit_basis[0], small))
+
+
+def _row_tables(grid, weight, n):
+    """Every array of the row builds the harness makes, at n on grid:
+    T_n, X_n and perturbed alone, and perturbed from T_n's table of
+    n + 1 rows, kept (with slopes) and reused (without), with the table
+    as each build leaves it."""
+    kept = process_rows("T_n", n + 1, grid=grid)
+    reused = process_rows("T_n", n + 1, grid=grid)
+    builds = [process_rows("T_n", n, grid=grid),
+              process_rows("X_n", n, grid=grid, weight=weight),
+              process_rows("perturbed", n, grid=grid),
+              _perturbed_rows(kept), kept,
+              _perturbed_rows(reused, deriv=False, reuse=True), reused]
+    return [getattr(rows, f) for rows in builds
+            for f in ("ra", "rb", "da", "db", "dphase")
+            if getattr(rows, f) is not None]
+
+
+@pytest.mark.parametrize("count", [8192, 8191])
+def test_row_tables_in_two_threads_bit_equal_to_one(count, monkeypatch,
+                                                    sine2_weight):
+    # each table large enough is filled by row halves in a second thread,
+    # joined before the build returns; perturbed's two passes split twice
+    grid, n = Grid(count), 400
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(ensembles.threading, "Thread", CountedThread)
+    alive = threading.active_count()
+    split = _row_tables(grid, sine2_weight, n)
+    assert threading.active_count() == alive
+    assert len(started) == 11
+    monkeypatch.setattr(ensembles, "_SPLIT_MIN", math.inf)
+    del started[:]
+    whole = _row_tables(grid, sine2_weight, n)
+    assert started == []
+    assert len(split) == len(whole) == 19
+    for a, b in zip(split, whole):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------------------

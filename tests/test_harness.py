@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import fields
@@ -25,7 +26,7 @@ from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
                      sup_eps_diagnostic, write_records, write_summary)
 from slzeros.ensembles import (build_process, combine, process_rows,
                                 sample_coefficient_block, sample_coefficients)
-from slzeros import harness
+from slzeros import ensembles, harness
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
                              _RunContext, _worker_count,
                              check_covariance_draws, record_row)
@@ -577,14 +578,35 @@ print(len(tasks) - 1, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - befor
 @pytest.mark.parametrize("kinds", [("X_n",), ("T_n", "perturbed")])
 def test_chunk_loop_reuses_its_memory(module_cli_env, kinds):
     # with the allocator's defaults, a chunk after the first faults in
-    # fewer than 128 pages: combine writes into the context's buffers and
-    # the zero counter's row blocks into one buffer per call
+    # fewer than 32 pages: combine writes into the context's buffers and
+    # the zero counter's row blocks, masks included, into one buffer per
+    # call
     out = subprocess.run([sys.executable, "-c", _CHUNK_LOOP, *kinds],
                          capture_output=True, text=True,
                          env=module_cli_env, check=True)
     chunks, faults = map(int, out.stdout.split())
     assert chunks == 11
-    assert faults < chunks * 128
+    assert faults < chunks * 32
+
+
+def test_run_context_leaves_no_thread_alive(monkeypatch, sine2_weight):
+    # the row builds fill their large tables in two threads, and join
+    # them before they return, so a pool or a child forks from one thread
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(ensembles.threading, "Thread", CountedThread)
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(50, 400),
+                           replicates=70, master_seed=SEED,
+                           process_kinds=("X_n", "T_n", "perturbed"))
+    alive = threading.active_count()
+    _RunContext(cfg, sine2_weight, None)
+    assert threading.active_count() == alive
+    assert len(started) == 4  # X_n's table, T_n's, perturbed's two passes
 
 
 def test_worker_count_env(monkeypatch):

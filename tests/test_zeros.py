@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from slzeros import (CoefficientDraw, DomainError, build_process,
-                     count_hermite_zeros, count_zeros,
+from slzeros import (CoefficientDraw, DomainError, InvariantViolation,
+                     build_process, count_hermite_zeros, count_zeros,
                      count_zeros_changed_variable, default_grid,
                      sample_coefficients)
+from slzeros.ensembles import combine, process_rows, sample_coefficient_block
 from slzeros.weights import TWO_PI, builtin_weights
+from slzeros.zeros import _resolve_cells
 
 
 def _single_mode(kind, n, weight=None):
@@ -189,6 +191,131 @@ def test_hermite_double_root_is_unresolved(caplog):
     assert "T_n at n=1, replicate 7" in warned[0]
 
 
+def test_hermite_refuses_mismatched_row_ids():
+    # two rows with a double root each: a warning names both, so row_ids
+    # must name exactly two rows, refused before any counting
+    vals, ders = _cubic_cell(lambda s: (s - 0.3) ** 2, lambda s: 2.0 * (s - 0.3))
+    vals, ders = np.vstack([vals, vals]), np.vstack([ders, ders])
+    for row_ids in ([7], [7, 8, 9], []):
+        with pytest.raises(DomainError, match="row_ids names %d rows, but "
+                           "there are 2" % len(row_ids)):
+            count_hermite_zeros(vals, ders, 1.0, row_ids=row_ids)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _product_rule_counts(vals, ders, h):
+    """The counter's results by the product rule: a cell is settled by
+    the signs of b0*b1, b1*b2 and b2*b3, its neighbouring control points'
+    products, and a cell with a zero product or two or more negative
+    ones goes to _resolve_cells and the zero-node rule.  It refuses a
+    non-finite value or slope as the counter does, and checks the same
+    parity, so its outcome is (counts, certified) or the error's type."""
+    vals = np.atleast_2d(np.asarray(vals, dtype=float))
+    ders = np.atleast_2d(np.asarray(ders, dtype=float))
+    rows, third = len(vals), h / 3.0
+    counts = np.zeros(rows, dtype=np.int64)
+    found_rows, found_cells, found = [], [], []
+    for lo in range(0, rows, 8):
+        v, d = vals[lo:lo + 8], ders[lo:lo + 8]
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
+            return DomainError
+        b0, b3 = v[:, :-1], v[:, 1:]
+        b1 = b0 + d[:, :-1] * third
+        b2 = b3 + d[:, 1:] * -third
+        p01, p12, p23 = b0 * b1, b1 * b2, b2 * b3
+        changes = ((p01 < 0.0).astype(int) + (p12 < 0.0).astype(int)
+                   + (p23 < 0.0).astype(int))
+        special = (p01 == 0.0) | (p12 == 0.0) | (p23 == 0.0) | (changes >= 2)
+        counts[lo:lo + len(v)] = changes.sum(axis=1)
+        r, c = np.nonzero(special)
+        np.subtract.at(counts, lo + r, changes[r, c])
+        found_rows.append(lo + r)
+        found_cells.append(c)
+        found.append(np.stack((b0[r, c], b1[r, c], b2[r, c], b3[r, c]), axis=1))
+    certified = np.ones(rows, dtype=bool)
+    r, c = np.concatenate(found_rows), np.concatenate(found_cells)
+    P = np.concatenate(found)
+    if len(P):
+        inside, unresolved, first, last = _resolve_cells(P)
+        np.add.at(counts, r, inside)
+        certified[r[unresolved]] = False
+        node = np.nonzero((c > 0) & (P[:, 0] == 0.0))[0]
+        np.add.at(counts, r[node], last[node - 1] != first[node])
+    ends = vals[:, 0] * vals[:, -1]
+    if np.any(certified & (ends != 0.0) & ((ends > 0.0) != (counts % 2 == 0))):
+        return InvariantViolation
+    return counts.tolist(), certified.tolist()
+
+
+def _sign_rule_counts(vals, ders, h):
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            counts, certified = count_hermite_zeros(vals, ders, h)
+    except (DomainError, InvariantViolation) as exc:
+        return type(exc)
+    return counts.tolist(), certified.tolist()
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_sign_rule_matches_product_rule_on_process_rows(n, sine2_basis):
+    # 20 draws span two full 8-row blocks and a partial one
+    grid = default_grid()
+    A, B, _ = sample_coefficient_block(2024, n, range(20))
+    for kind in ("f_n", "X_n", "T_n", "perturbed"):
+        rows = process_rows(kind, n, grid=grid, weight=builtin_weights("sine2"),
+                            basis_pair=sine2_basis)
+        vals, ders = combine(rows, A / math.sqrt(n), B / math.sqrt(n))
+        expected = _product_rule_counts(vals, ders, grid.h)
+        assert isinstance(expected, tuple)
+        assert _sign_rule_counts(vals, ders, grid.h) == expected
+
+
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e308,
+                      -1e308, 1.7e308, -1.7e308])
+
+
+def _extreme_rows(rng, rows, points):
+    """Values or slopes drawn from the extremes above and from normals
+    scaled by 10**e for e in [-320, 300], which underflow and overflow
+    the control points and their products."""
+    scaled = rng.standard_normal((rows, points)) * 10.0 ** rng.integers(
+        -320, 301, size=(rows, points))
+    return np.where(rng.random((rows, points)) < 0.4,
+                    rng.choice(_EXTREMES, size=(rows, points)), scaled)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.5, 1.0, 3.0])
+def test_sign_rule_matches_product_rule_on_extremes(h):
+    # 4 grid sizes x 200 rows per h, 3,200 rows over the four cases; each
+    # grid size is counted in 8 calls of 25 rows, so blocks end early too
+    rng = np.random.default_rng(int(h * 1000) + 17)
+    outcomes = set()
+    for points in (2, 3, 5, 9):
+        vals = _extreme_rows(rng, 200, points)
+        ders = _extreme_rows(rng, 200, points)
+        for lo in range(0, 200, 25):
+            v, d = vals[lo:lo + 25], ders[lo:lo + 25]
+            expected = _product_rule_counts(v, d, h)
+            assert _sign_rule_counts(v, d, h) == expected
+            outcomes.add(expected if isinstance(expected, type) else tuple)
+    assert tuple in outcomes
+
+
+def test_sign_rule_refuses_non_finite_rows_as_product_rule_does():
+    rng = np.random.default_rng(29)
+    for bad in (math.nan, math.inf, -math.inf):
+        for target in range(2):
+            vals = _extreme_rows(rng, 11, 6)
+            ders = _extreme_rows(rng, 11, 6)
+            (vals, ders)[target][rng.integers(11), rng.integers(6)] = bad
+            assert _product_rule_counts(vals, ders, 0.5) is DomainError
+            assert _sign_rule_counts(vals, ders, 0.5) is DomainError
+    # finite rows whose control points overflow are counted, not refused
+    vals, ders = np.array([[1.7e308, -1.7e308]]), np.array([[1.7e308, 1.7e308]])
+    assert _sign_rule_counts(vals, ders, 3.0) == ([1], [True])
+    assert _product_rule_counts(vals, ders, 3.0) == ([1], [True])
+
+
 def test_hermite_validation():
     with pytest.raises(DomainError):
         count_hermite_zeros([[1.0, 2.0]], [[1.0]], 0.1)
@@ -196,6 +323,8 @@ def test_hermite_validation():
         count_hermite_zeros([[1.0, math.nan]], [[1.0, 1.0]], 0.1)
     with pytest.raises(DomainError):
         count_hermite_zeros([[1.0, -1.0]], [[1.0, 1.0]], 0.0)
+    with pytest.raises(DomainError, match="positive and finite"):
+        count_hermite_zeros([[1.0, -1.0]], [[0.0, 1.0]], math.inf)
 
 
 # ----------------------------------------------------------------------
