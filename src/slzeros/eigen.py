@@ -51,7 +51,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericError, PreconditionError
+from .errors import (InvariantViolation, NumericError, PreconditionError,
+                     is_integral)
 from .weights import (TWO_PI, Grid, check_resolution, default_grid, omega_map,
                       weight_to_potential)
 
@@ -378,7 +379,7 @@ def _normalized(pair, weight, grid, bc, om):
 def check_k_max(k_max, weight, grid):
     """k_max as an int; refuses one that is not a positive integer or
     that the grid cannot resolve (check_resolution)."""
-    if k_max < 1 or int(k_max) != k_max:
+    if not is_integral(k_max) or k_max < 1:
         raise PreconditionError("k_max must be a positive integer, got %r" % (k_max,))
     k_max = int(k_max)
     check_resolution(grid, "k_max", k_max, weight=weight)

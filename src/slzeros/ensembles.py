@@ -31,10 +31,11 @@ slopes for one draw or a whole matrix of draws.  Eigenfunction sums
 take their stored (psi, psi') samples as rows on the storage grid and
 interpolate them with a cubic Hermite rule elsewhere; the trigonometric
 kinds are cosine/sine rows in closed form, whose slopes follow from the
-same rows; perturbed adds its family, itself cosine/sine rows, to T_n's
-and stores the slopes, building them in place from T_n's rows of
-frequencies 1..n+1 (_perturbed_rows), which a run with both kinds
-tabulates once for the two.  A large table is filled by row halves in
+same rows.  perturbed's family only shifts frequencies by one, so a
+draw of it is a trigonometric polynomial of frequencies 1..n+1: its
+rows are the cosine/sine rows of those frequencies, the first n of
+which are T_n's, and combine maps each draw onto their coefficients
+(_perturbed_coefficients).  A large table is filled by row halves in
 two threads, joined before its build returns (_in_row_halves), with the
 bits of a one-thread fill.  RandomProcess, the harness's grid samples
 and the second-order diagnostics all read this one table.
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, is_integral
 from .weights import default_grid, omega_map
 
 KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "T_n", "perturbed")
@@ -169,7 +170,7 @@ def sample_coefficient_block(master_seed, n, replicate_ids, out=None):
     and dtypes (float64, float64, uint64) to fill, such as views of a
     mapping that another process reads; by default they are allocated.
     Either way they get the same bits."""
-    if n < 1 or int(n) != n:
+    if not is_integral(n) or n < 1:
         raise PreconditionError("n must be a positive integer, got %r" % (n,))
     master_seed = _non_negative_int("master_seed", master_seed)
     n = int(n)
@@ -237,18 +238,16 @@ def _hermite_weights(x, h, n_cells):
     return idx, (h00, h10 * h, h01, h11 * h), (d00, d10, d01, d11)
 
 
-def hermite_rows(funcs, dfuncs, h, x, want_deriv=False):
+def hermite_rows(funcs, dfuncs, h, x):
     """Evaluate every row of (funcs, dfuncs) samples at the points x
-    with the cubic Hermite rule.  Returns (vals, derivs or None) of
-    shape (rows, len(x))."""
+    with the cubic Hermite rule.  Returns (vals, derivs) of shape
+    (rows, len(x))."""
     idx, wv, wd = _hermite_weights(x, h, funcs.shape[1] - 1)
     f0 = funcs[:, idx]
     f1 = funcs[:, idx + 1]
     g0 = dfuncs[:, idx]
     g1 = dfuncs[:, idx + 1]
     vals = wv[0] * f0 + wv[1] * g0 + wv[2] * f1 + wv[3] * g1
-    if not want_deriv:
-        return vals, None
     ders = wd[0] * f0 + wd[1] * g0 + wd[2] * f1 + wd[3] * g1
     return vals, ders
 
@@ -263,7 +262,9 @@ class ProcessRows:
     dphase * ((b*freq) @ ra - (a*freq) @ rb): ra/rb are then the cosine
     and sine rows of freq * phase(x), and dphase = phase'(x) (None for
     1).  A pointwise factor g (None for 1) enters by the product rule
-    with its derivative dfactor.
+    with its derivative dfactor.  perturbed rows hold one row more than
+    a draw has coefficients, the cosine and sine rows of frequencies
+    1..n+1, and combine maps each draw onto them first.
     """
 
     ra: np.ndarray
@@ -274,9 +275,12 @@ class ProcessRows:
     dphase: np.ndarray = None
     factor: np.ndarray = None
     dfactor: np.ndarray = None
+    perturbed: bool = False
 
     def prefix(self, n):
-        """The first n rows; dphase, factor and dfactor are per point."""
+        """The rows of the first n coefficients: n rows, or n + 1 for
+        perturbed; dphase, factor and dfactor are per point."""
+        n += self.perturbed
         return replace(self, **{f: getattr(self, f)[:n]
                                 for f in ("ra", "rb", "da", "db", "freq")
                                 if getattr(self, f) is not None})
@@ -330,49 +334,21 @@ def _trig_rows(freq, phase, **fields):
     return ProcessRows(ra, rb, freq=freq, **fields)
 
 
-def _perturbed_rows(table, deriv=True, reuse=False):
-    """perturbed's rows at n = len(table.freq) - 1 from `table`, T_n's
-    rows of frequencies 1..n+1 at the same points: cos(kx) + eps_k(x)
-    and sin(kx) + eta_k(x) for the fixed family eps_k = sin((k+1)x)/(2k),
-    eta_k = cos((k+1)x)/(2k), rows 2..n+1 read for eps_k and eta_k.
-
-    Built in place, the rows not yet written serving as scratch, so no
-    full-size temporary is held; each entry has the bits of the plain
-    expressions c + s1/(2k), s + c1/(2k), -k*s + (k+1)*c1/(2k) and
-    k*c - (k+1)*s1/(2k), since IEEE addition commutes.  The table is
-    left as it is, unless reuse, which turns its cosine rows into rb.
-    Both passes go by row halves (_in_row_halves); rb comes second, since
-    with reuse it overwrites the cosine rows the first pass reads."""
-    c_all, s_all = table.ra, table.rb
-    n = len(table.freq) - 1
-    kc = table.freq[:n, None]
-    two_k = 2.0 * kc
-    c, s, c1, s1 = c_all[:n], s_all[:n], c_all[1:], s_all[1:]
-    ra = np.empty_like(c)  # the slopes' scratch until it holds ra
-    da = db = None
-    if deriv:
-        db, da = np.empty_like(c), np.empty_like(c)
-    rb = c1 if reuse else np.empty_like(c)
-
-    def sines(lo, hi):
-        k, half, out = kc[lo:hi], two_k[lo:hi], ra[lo:hi]
-        if deriv:
-            dbh = np.multiply(-(k + 1), s1[lo:hi], out=db[lo:hi])
-            dbh /= half
-            dbh += np.multiply(k, c[lo:hi], out=out)
-            dah = np.multiply(k + 1, c1[lo:hi], out=da[lo:hi])
-            dah /= half
-            dah += np.multiply(-k, s[lo:hi], out=out)
-        np.divide(s1[lo:hi], half, out=out)
-        out += c[lo:hi]
-
-    def cosines(lo, hi):
-        np.divide(c1[lo:hi], two_k[lo:hi], out=rb[lo:hi])
-        rb[lo:hi] += s[lo:hi]
-
-    _in_row_halves(n, c.shape[1], sines)
-    _in_row_halves(n, c.shape[1], cosines)
-    return ProcessRows(ra, rb, da, db)
+def _perturbed_coefficients(A, B, freq):
+    """perturbed's scaled coefficients A and B (n per draw) as those of
+    its cosine and sine rows of frequencies freq = 1..n+1.  The family
+    eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k) moves b_k/(2k)
+    onto cos((k+1)x) and a_k/(2k) onto sin((k+1)x), so frequency j takes
+    a_j + b_{j-1}/(2(j-1)) and b_j + a_{j-1}/(2(j-1)), with a_{n+1} =
+    b_{n+1} = 0 and no shifted term at j = 1."""
+    shape = A.shape[:-1] + freq.shape
+    A_all, B_all = np.zeros(shape), np.zeros(shape)
+    A_all[..., :-1] = A
+    B_all[..., :-1] = B
+    two_k = 2.0 * freq[:-1]
+    A_all[..., 1:] += B / two_k
+    B_all[..., 1:] += A / two_k
+    return A_all, B_all
 
 
 def _family_pair(kind, basis_pair, n):
@@ -394,15 +370,13 @@ def _family_pair(kind, basis_pair, n):
     return bc_c, bc_d
 
 
-def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
-                 deriv=True):
+def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
     """The table of process kinds: `kind` at the points x as rows.
 
     x=None means the points of `grid`, on which the X kinds tabulate
     Omega too; there the eigenfunction kinds take their stored samples
     as rows, elsewhere they interpolate them with the cubic Hermite rule.
-    Without deriv the slope rows and the factor's derivative are left
-    out.  The basis pair is checked by _family_pair.
+    The basis pair is checked by _family_pair.
     """
     on_grid = x is None
     if grid is None and (on_grid or kind in ("X_n", "X_n_raw")):
@@ -419,14 +393,13 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
                                bc_c.dfuncs[:n], bc_d.dfuncs[:n])
         else:
             h = bc_c.grid.h
-            ra, da = hermite_rows(bc_c.funcs[:n], bc_c.dfuncs[:n], h, x, deriv)
-            rb, db = hermite_rows(bc_d.funcs[:n], bc_d.dfuncs[:n], h, x, deriv)
+            ra, da = hermite_rows(bc_c.funcs[:n], bc_c.dfuncs[:n], h, x)
+            rb, db = hermite_rows(bc_d.funcs[:n], bc_d.dfuncs[:n], h, x)
             rows = ProcessRows(ra, rb, da, db)
         if kind == "F_n":
             return rows
         root = np.sqrt(np.asarray(weight.eval(x), dtype=float))
-        dfactor = (0.5 * np.asarray(weight.deriv1(x), dtype=float) / root
-                   if deriv else None)
+        dfactor = 0.5 * np.asarray(weight.deriv1(x), dtype=float) / root
         return replace(rows, factor=root, dfactor=dfactor)
     if kind in ("X_n", "X_n_raw"):
         om = np.asarray(weight.eval(x), dtype=float)
@@ -436,13 +409,12 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
             return rows
         root = np.sqrt(om)
         dfactor = (-0.5 * np.asarray(weight.deriv1(x), dtype=float)
-                   / (om * root) if deriv else None)
+                   / (om * root))
         return replace(rows, factor=1.0 / root, dfactor=dfactor)
     if kind == "T_n":
         return _trig_rows(k, x)
     if kind == "perturbed":
-        return _perturbed_rows(_trig_rows(np.arange(1, n + 2, dtype=float), x),
-                               deriv, reuse=True)
+        return _trig_rows(np.arange(1, n + 2, dtype=float), x, perturbed=True)
     raise DomainError("unknown process kind %r (choose from %s)"
                       % (kind, ", ".join(KINDS)))
 
@@ -455,8 +427,11 @@ def combine(rows, A, B, deriv=True, out=None):
     out=(values, slopes, scratch) are C-contiguous float arrays of the
     result's shape to fill (slopes None without deriv); by default they
     are allocated.  Either way the bits are those of the plain
-    expressions A @ ra + B @ rb and so on.
+    expressions A @ ra + B @ rb and so on, for perturbed rows after
+    _perturbed_coefficients has mapped A and B onto them.
     """
+    if rows.perturbed:
+        A, B = _perturbed_coefficients(A, B, rows.freq)
     if out is None:
         shape = A.shape[:-1] + rows.ra.shape[1:]
         out = (np.empty(shape), np.empty(shape) if deriv else None,
@@ -483,7 +458,7 @@ def combine(rows, A, B, deriv=True, out=None):
 
 class _RowsProcess:
     """value/deriv of one draw, scaled by 1/sqrt(n) into (_a, _b), from
-    the rows that self.rows(x, deriv) gives."""
+    the rows that self.rows(x) gives."""
 
     def __init__(self, draw, n):
         self.draw = draw
@@ -505,8 +480,8 @@ class _RowsProcess:
 
     def _eval(self, x, deriv):
         xs = np.asarray(x, dtype=float)
-        vals, ders = combine(self.rows(np.atleast_1d(xs), deriv),
-                             self._a, self._b, deriv)
+        vals, ders = combine(self.rows(np.atleast_1d(xs)), self._a, self._b,
+                             deriv)
         out = ders if deriv else vals
         return float(out[0]) if xs.ndim == 0 else out
 
@@ -514,7 +489,7 @@ class _RowsProcess:
 class _HalfFreqPoly(_RowsProcess):
     """Stationary pullback: (1/sqrt n) sum a_k cos(k y/2) + b_k sin(k y/2)."""
 
-    def rows(self, y, deriv=True):
+    def rows(self, y):
         return _trig_rows(0.5 * np.arange(1, self.n + 1), y)
 
 
@@ -532,11 +507,10 @@ class RandomProcess(_RowsProcess):
         self.basis = basis
         self.grid = grid
 
-    def rows(self, x, deriv=True):
+    def rows(self, x):
         """This process at the points x as rows (see process_rows)."""
         return process_rows(self.kind, self.n, x, weight=self.weight,
-                            basis_pair=self.basis, grid=self.grid,
-                            deriv=deriv)
+                            basis_pair=self.basis, grid=self.grid)
 
     def omega(self, x):
         """Omega(x) for the kinds built on the change of variables."""

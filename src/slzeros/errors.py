@@ -3,8 +3,18 @@
 Split by who is at fault: bad input from the caller (DomainError,
 UsageError, PreconditionError) versus the library failing to deliver
 (NumericError, InvariantViolation).  The CLI maps the first group to
-exit code 2 and the second to exit code 3.
+exit code 2 and the second to exit code 3.  is_integral() is the one
+integer test of the argument checks that refuse by name.
 """
+
+
+def is_integral(value):
+    """Whether value is a number with an integer value (2000.0 is; NaN,
+    an infinity and the string "3" are not)."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 class SlzerosError(Exception):

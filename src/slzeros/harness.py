@@ -13,7 +13,9 @@ single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
-which its basis pair must be solved; each n takes the first n rows.
+which its basis pair must be solved; each n takes the first n rows
+(n + 1 for perturbed, whose cos/sin table of frequencies
+1..max(n_list)+1 holds T_n's rows too when a run has both).
 Each large table is filled in two threads whatever SLZEROS_THREADS is,
 joined before its build returns, so the pool forks from one thread.  A
 task is one n and a fixed-size chunk of replicate ids: one
@@ -61,19 +63,19 @@ import os
 import pickle
 import signal
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .eigen import (BoundaryCondition, basis_from_arrays, check_k_max,
                     eigen_solve)
-from .ensembles import (ID_LIMIT, _non_negative_int, _perturbed_rows,
-                        combine, process_rows, sample_coefficient_block)
+from .ensembles import (ID_LIMIT, _non_negative_int, combine, process_rows,
+                        sample_coefficient_block)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
 # not called here; the benchmark's traced run (perfbench/tracing.py)
 # looks it up in this module by name
 from .ensembles import sample_coefficients  # noqa: F401
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, is_integral
 from .kernels import covariance_X, r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
                       omega_map)
@@ -244,14 +246,13 @@ def write_json(path, obj):
 class _RunContext:
     """Everything a worker needs to turn draws into records: each
     simulated kind's rows on config.grid, built once at max(n_list)
-    and cut to rows[n][kind], the first n, which has the bits of rows
-    built for n since row k-1 depends on k alone; and the chunk buffers
-    that combine fills with each kind's values and the slopes.
+    and cut to rows[n][kind] (ProcessRows.prefix), which has the bits
+    of rows built for n since row k-1 depends on k alone; and the chunk
+    buffers that combine fills with each kind's values and the slopes.
 
-    When the run has both T_n and perturbed, one cos/sin table of
-    frequencies 1..max(n_list)+1 serves both: T_n's rows are views of
-    its first max(n_list) rows, and perturbed's are built from it in
-    place, leaving it as it is."""
+    perturbed's rows are the cos/sin table of frequencies
+    1..max(n_list)+1; when the run has T_n too, T_n's rows are views of
+    that table's first max(n_list) rows."""
 
     def __init__(self, config, weight, basis_pair):
         grid = config.grid
@@ -260,15 +261,13 @@ class _RunContext:
         n_top = max(config.n_list)
         kinds = [kind for kind in SIMULATED_KINDS
                  if kind in config.process_kinds]
-        shared = {}
-        if "T_n" in kinds and "perturbed" in kinds:
-            table = process_rows("T_n", n_top + 1, grid=grid)
-            shared = {"T_n": table.prefix(n_top),
-                      "perturbed": _perturbed_rows(table)}
-        top = {kind: shared[kind] if kind in shared
-               else process_rows(kind, n_top, weight=weight,
-                                 basis_pair=basis_pair, grid=grid)
-               for kind in kinds}
+        both = "T_n" in kinds and "perturbed" in kinds
+        top = {kind: process_rows(kind, n_top, weight=weight,
+                                  basis_pair=basis_pair, grid=grid)
+               for kind in kinds if not (both and kind == "T_n")}
+        if both:
+            table = replace(top["perturbed"], perturbed=False)
+            top["T_n"] = table.prefix(n_top)
         self.rows = {n: {kind: rows.prefix(n) for kind, rows in top.items()}
                      for n in config.n_list}
         # one block holds every buffer, reused by every chunk
@@ -687,9 +686,9 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
     if x_grid is None:
         x_grid = np.linspace(0.0, TWO_PI, 257)
     x = np.asarray(x_grid, dtype=float)
-    f_rows = process_rows("F_n", n, x, basis_pair=basis_pair, deriv=False)
+    f_rows = process_rows("F_n", n, x, basis_pair=basis_pair)
     grid = basis_pair[0].grid
-    x_rows = process_rows("X_n", n, x, weight=weight, grid=grid, deriv=False)
+    x_rows = process_rows("X_n", n, x, weight=weight, grid=grid)
     u, v = f_rows.ra, f_rows.rb
     C, S, mu = x_rows.ra, x_rows.rb, x_rows.freq
     om = x_rows.dphase  # Omega' = omega
@@ -716,19 +715,11 @@ def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
         delta_sup=float(np.max(delta)), beta_sup=float(np.max(np.abs(beta))))
 
 
-def _integral(value):
-    """Whether value is a number with an integer value (2000.0 is)."""
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def check_covariance_draws(m):
     """covariance_check's precondition on its number of draws m: an
     integer (2000.0 counts as 2000), at least 1000, and at most one per
     32-bit replicate id.  Returns m as an int."""
-    if not _integral(m):
+    if not is_integral(m):
         raise PreconditionError("m must be a positive integer, got %r" % (m,))
     m = int(m)
     if m < 1000:
@@ -740,9 +731,9 @@ def check_covariance_draws(m):
 
 
 def _sampled_in_halves(master_seed, n, m, row_sets):
-    """The values of each deriv=False ProcessRows of row_sets at the
-    draws of ids 0..m-1: one (m, points) table per row set, whose row i
-    is combine(rows, a_i / sqrt(n), b_i / sqrt(n), deriv=False)[0].
+    """The values of each ProcessRows of row_sets at the draws of ids
+    0..m-1: one (m, points) table per row set, whose row i is
+    combine(rows, a_i / sqrt(n), b_i / sqrt(n), deriv=False)[0].
 
     The ids go in blocks of _DRAW_BLOCK, aligned at multiples of it from
     id 0.  _beside_child runs the upper half of the blocks in a forked
@@ -817,7 +808,7 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     does, before any draw.  Returns a dict with the max absolute errors
     and the raw tables.
     """
-    if not _integral(n_pairs) or n_pairs < 1:
+    if not is_integral(n_pairs) or n_pairs < 1:
         raise PreconditionError("n_pairs must be a positive integer, got %r"
                                 % (n_pairs,))
     n_pairs = int(n_pairs)
@@ -827,11 +818,10 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
     xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)
     pts = xs[:n_pairs]
-    row_sets = [process_rows("X_n", n, xs, weight=weight, grid=grid,
-                             deriv=False)]
+    row_sets = [process_rows("X_n", n, xs, weight=weight, grid=grid)]
     if basis_pair is not None:
         row_sets.append(process_rows("f_n", n, pts, weight=weight,
-                                     basis_pair=basis_pair, deriv=False))
+                                     basis_pair=basis_pair))
     tables = _sampled_in_halves(master_seed, n, m, row_sets)
     vals_x = tables[0]
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integral
 from .weights import TWO_PI, omega_map
 
 # Switch to the Taylor branch while m*|t|/2 < _TAYLOR_MU.  The closed-form
@@ -30,7 +30,7 @@ _TAYLOR_MU = 0.2
 
 def _check_order(n):
     """n as an int, or DomainError unless it is a positive integer."""
-    if n < 1 or int(n) != n:
+    if not is_integral(n) or n < 1:
         raise DomainError("order n must be a positive integer, got %r" % (n,))
     return int(n)
 

@@ -63,12 +63,21 @@ def _bernstein_signs(P):
     return variations, first, last
 
 
+def _mean(x, y):
+    """(x + y) / 2, but x + y where that halves to zero: a sum of one
+    least subnormal would round to 0.0 and lose the sign that
+    Descartes' rule reads."""
+    total = x + y
+    half = 0.5 * total
+    return np.where(half == 0.0, total, half)
+
+
 def _halve(P):
     """de Casteljau split of every piece at its midpoint."""
     b0, b1, b2, b3 = P.T
-    c01, c12, c23 = 0.5 * (b0 + b1), 0.5 * (b1 + b2), 0.5 * (b2 + b3)
-    d0, d1 = 0.5 * (c01 + c12), 0.5 * (c12 + c23)
-    mid = 0.5 * (d0 + d1)
+    c01, c12, c23 = _mean(b0, b1), _mean(b1, b2), _mean(b2, b3)
+    d0, d1 = _mean(c01, c12), _mean(c12, c23)
+    mid = _mean(d0, d1)
     return (np.stack((b0, c01, d0, mid), axis=1),
             np.stack((mid, d1, c23, b3), axis=1))
 

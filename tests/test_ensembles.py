@@ -12,7 +12,7 @@ from slzeros import (BoundaryCondition, DomainError, PreconditionError,
                      build_process, eigen_solve, sample_coefficient_block,
                      sample_coefficients)
 from slzeros import ensembles
-from slzeros.ensembles import _perturbed_rows, hermite_rows, process_rows
+from slzeros.ensembles import combine, hermite_rows, process_rows
 from slzeros.weights import TWO_PI, Grid, default_grid, omega_map
 
 SEED = 777
@@ -55,6 +55,10 @@ def test_sample_coefficients_validation():
         sample_coefficients(SEED, 0, 1)
     with pytest.raises(PreconditionError):
         sample_coefficients(SEED, 2.5, 1)
+    for n in (math.nan, math.inf):
+        with pytest.raises(PreconditionError,
+                           match="^n must be a positive integer, got %r$" % n):
+            sample_coefficients(SEED, n, 1)
     with pytest.raises(PreconditionError, match="master_seed"):
         sample_coefficients(-1, 5, 1)
     with pytest.raises(PreconditionError, match="replicate_id"):
@@ -178,17 +182,22 @@ def test_block_bit_equal_to_oracle_property(master_seed, n, ids):
 
 def test_default_perturbation_satisfies_bounds():
     # 510 is the largest n the storage grid resolves for the perturbed kind;
-    # the family keeps |eps_k|, |eta_k| <= 1/(2k) and their slopes within 1
+    # the family keeps |eps_k|, |eta_k| <= 1/(2k) and their slopes within 1.
+    # Draw k with a_k = 1 (b_k = 1) and every other coefficient 0 is
+    # cos(kx) + eps_k (sin(kx) + eta_k)
     n = 510
     rows = process_rows("perturbed", n, grid=default_grid())
     x = default_grid().points[None, :]
     k = np.arange(1, n + 1, dtype=float)[:, None]
     c, s = np.cos(k * x), np.sin(k * x)
+    unit, zero = np.eye(n), np.zeros((n, n))
     slack = 1e-12
-    assert np.all(np.abs(rows.ra - c) <= 1.0 / (2.0 * k) + slack)
-    assert np.all(np.abs(rows.rb - s) <= 1.0 / (2.0 * k) + slack)
-    assert np.all(np.abs(rows.da + k * s) <= 1.0 + slack)
-    assert np.all(np.abs(rows.db - k * c) <= 1.0 + slack)
+    vals, ders = combine(rows, unit, zero)
+    assert np.all(np.abs(vals - c) <= 1.0 / (2.0 * k) + slack)
+    assert np.all(np.abs(ders + k * s) <= 1.0 + slack)
+    vals, ders = combine(rows, zero, unit)
+    assert np.all(np.abs(vals - s) <= 1.0 / (2.0 * k) + slack)
+    assert np.all(np.abs(ders - k * c) <= 1.0 + slack)
 
 
 @pytest.mark.parametrize("kind, x, match", [
@@ -216,7 +225,7 @@ def test_hermite_rows_exact_at_nodes_and_for_cubics():
     # a cubic is reproduced exactly anywhere, with its derivative
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, TWO_PI, 64)
-    vals, ders = hermite_rows(f, df, grid.h, x, want_deriv=True)
+    vals, ders = hermite_rows(f, df, grid.h, x)
     np.testing.assert_allclose(vals[0], x ** 3 - 2.0 * x ** 2 + x,
                                rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(ders[0], 3.0 * x ** 2 - 4.0 * x + 1.0,
@@ -255,30 +264,22 @@ def test_build_process_rejects_mismatched_grids(unit_weight, unit_basis):
         build_process("f_n", 3, draw, basis_pair=(unit_basis[0], small))
 
 
-def _row_tables(grid, weight, n):
-    """Every array of the row builds the harness makes, at n on grid:
-    T_n, X_n and perturbed alone, and perturbed from T_n's table of
-    n + 1 rows, kept (with slopes) and reused (without), with the table
-    as each build leaves it."""
-    kept = process_rows("T_n", n + 1, grid=grid)
-    reused = process_rows("T_n", n + 1, grid=grid)
-    builds = [process_rows("T_n", n, grid=grid),
-              process_rows("X_n", n, grid=grid, weight=weight),
-              process_rows("perturbed", n, grid=grid),
-              _perturbed_rows(kept), kept,
-              _perturbed_rows(reused, deriv=False, reuse=True), reused]
-    return [getattr(rows, f) for rows in builds
-            for f in ("ra", "rb", "da", "db", "dphase")
-            if getattr(rows, f) is not None]
-
-
 @pytest.mark.parametrize("count", [8192, 8191])
 def test_row_tables_in_two_threads_bit_equal_to_one(count, monkeypatch,
                                                     sine2_weight):
     # each table large enough is filled by row halves in a second thread,
-    # joined before the build returns; perturbed's two passes split twice
+    # joined before the build returns: those of the builds the harness
+    # makes, T_n, X_n and perturbed at n on the grid
     grid, n = Grid(count), 400
     started = []
+
+    def tables():
+        builds = [process_rows("T_n", n, grid=grid),
+                  process_rows("X_n", n, grid=grid, weight=sine2_weight),
+                  process_rows("perturbed", n, grid=grid)]
+        return [getattr(rows, f) for rows in builds
+                for f in ("ra", "rb", "dphase")
+                if getattr(rows, f) is not None]
 
     class CountedThread(threading.Thread):
         def start(self):
@@ -287,14 +288,14 @@ def test_row_tables_in_two_threads_bit_equal_to_one(count, monkeypatch,
 
     monkeypatch.setattr(ensembles.threading, "Thread", CountedThread)
     alive = threading.active_count()
-    split = _row_tables(grid, sine2_weight, n)
+    split = tables()
     assert threading.active_count() == alive
-    assert len(started) == 11
+    assert len(started) == 3
     monkeypatch.setattr(ensembles, "_SPLIT_MIN", math.inf)
     del started[:]
-    whole = _row_tables(grid, sine2_weight, n)
+    whole = tables()
     assert started == []
-    assert len(split) == len(whole) == 19
+    assert len(split) == len(whole) == 7
     for a, b in zip(split, whole):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()

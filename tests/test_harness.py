@@ -21,9 +21,10 @@ from scipy.special import erfc, ndtri
 from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
                      NumericError, PreconditionError, ReplicateRecord,
                      UsageError, build_basis_pair, builtin_weights,
-                     covariance_check, eigen_solve, gap_diagnostics,
-                     ks_statistic, read_records, run_experiment, summarize,
-                     sup_eps_diagnostic, write_records, write_summary)
+                     count_hermite_zeros, covariance_check, eigen_solve,
+                     gap_diagnostics, ks_statistic, read_records,
+                     run_experiment, summarize, sup_eps_diagnostic,
+                     write_records, write_summary)
 from slzeros.ensembles import (build_process, combine, process_rows,
                                 sample_coefficient_block, sample_coefficients)
 from slzeros import ensembles, harness
@@ -234,18 +235,41 @@ def test_run_experiment_rejects_small_basis(unit_basis):
         run_experiment(cfg, basis_pair=unit_basis)
 
 
+def _plain_perturbed_samples(n, x, A, B):
+    """perturbed's values and slopes at the points x for the scaled
+    draws A and B, from its rows as the plain expressions of its
+    definition: cos(kx) + eps_k, sin(kx) + eta_k and their slopes, for
+    eps_k = sin((k+1)x)/(2k) and eta_k = cos((k+1)x)/(2k)."""
+    k = np.arange(1, n + 1, dtype=float)[:, None]
+    c, s = np.cos(k * x), np.sin(k * x)
+    c1, s1 = np.cos((k + 1) * x), np.sin((k + 1) * x)
+    vals = A @ (c + s1 / (2 * k)) + B @ (s + c1 / (2 * k))
+    ders = (A @ (-k * s + (k + 1) * c1 / (2 * k))
+            + B @ (k * c - (k + 1) * s1 / (2 * k)))
+    return vals, ders
+
+
 def test_close_root_pair_is_counted_and_certified(caplog):
     # perturbed replicate 114 at n=400 holds a zero pair that the callable
     # counter's grid doubling never settled ("468 then 470"); counted
-    # cell by cell it is exact, certified, and raises no warning
+    # cell by cell it is exact, certified, and raises no warning.  The
+    # run maps each draw onto T_(n+1)'s coefficients, and every count is
+    # that of perturbed's rows as plain expressions
     cfg = ExperimentConfig(
-        weight_name="sine2", n_list=(400,), replicates=115, master_seed=SEED,
-        process_kinds=("perturbed",))
+        weight_name="sine2", n_list=(50, 400), replicates=128,
+        master_seed=SEED, process_kinds=("perturbed",))
     with caplog.at_level(logging.WARNING):
         records = run_experiment(cfg)
-    assert records[114].replicate_id == 114
-    assert records[114].n_pert == 470
+    assert (records[128 + 114].n, records[128 + 114].replicate_id) == (400, 114)
+    assert records[128 + 114].n_pert == 470
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    for n in cfg.n_list:
+        A, B, _ = sample_coefficient_block(SEED, n, range(cfg.replicates))
+        root = math.sqrt(n)
+        counts, certified = count_hermite_zeros(*_plain_perturbed_samples(
+            n, cfg.grid.points, A / root, B / root), cfg.grid.h)
+        assert certified.all()
+        assert [r.n_pert for r in records if r.n == n] == counts.tolist()
 
 
 @pytest.mark.parametrize("kind", SIMULATED_KINDS)
@@ -276,6 +300,14 @@ def test_grid_samples_match_process_definitions(kind, sine2_weight,
 
 def _plain_combine(rows, A, B):
     """combine as plain expressions, each result a new array."""
+    if rows.perturbed:
+        # frequency j takes a_j + b_{j-1}/(2(j-1)) and b_j + a_{j-1}/(2(j-1))
+        zero = np.zeros(A.shape[:-1] + (1,))
+        two_k = 2.0 * rows.freq[:-1]
+        A, B = (np.concatenate((A, zero), axis=-1)
+                + np.concatenate((zero, B / two_k), axis=-1),
+                np.concatenate((B, zero), axis=-1)
+                + np.concatenate((zero, A / two_k), axis=-1))
     vals = A @ rows.ra + B @ rows.rb
     if rows.da is not None:
         ders = A @ rows.da + B @ rows.db
@@ -294,39 +326,8 @@ _CONTEXT_KINDS = ([pytest.param((kind,), id=kind) for kind in SIMULATED_KINDS]
                   + [pytest.param(("T_n", "perturbed"), id="T_n+perturbed")])
 
 
-def _spied_context(monkeypatch, cfg, weight, basis_pair):
-    """A _RunContext and the tables its perturbed rows were built from."""
-    tables = []
-    real = harness._perturbed_rows
-
-    def spy(table, *args, **kwargs):
-        tables.append(table)
-        return real(table, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "_perturbed_rows", spy)
-    return _RunContext(cfg, weight, basis_pair), tables
-
-
-def _assert_shares_perturbed_table(ctx, tables, kinds):
-    # with perturbed, T_n's rows are views of the cos/sin table that
-    # perturbed's rows were built from, and perturbed's are arrays of
-    # their own; without it, T_n builds its own rows
-    if set(kinds) != {"T_n", "perturbed"}:
-        assert tables == []
-        return
-    [table] = tables
-    n_top = table.ra.shape[0] - 1
-    t_rows, p_rows = ctx.rows[n_top]["T_n"], ctx.rows[n_top]["perturbed"]
-    assert np.shares_memory(t_rows.ra, table.ra)
-    assert np.shares_memory(t_rows.rb, table.rb)
-    for name in ("ra", "rb", "da", "db"):
-        assert not np.shares_memory(getattr(p_rows, name), table.ra), name
-        assert not np.shares_memory(getattr(p_rows, name), table.rb), name
-
-
 @pytest.mark.parametrize("kinds", _CONTEXT_KINDS)
-def test_context_buffers_bit_equal_to_plain_expressions(kinds, monkeypatch,
-                                                        sine2_weight,
+def test_context_buffers_bit_equal_to_plain_expressions(kinds, sine2_weight,
                                                         sine2_basis):
     # the chunk buffers a _RunContext reuses give the bits of fresh arrays,
     # for a full chunk and for a short last one, filled again and again,
@@ -335,8 +336,7 @@ def test_context_buffers_bit_equal_to_plain_expressions(kinds, monkeypatch,
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=70, master_seed=SEED,
                            process_kinds=kinds)
-    ctx, tables = _spied_context(monkeypatch, cfg, sine2_weight, sine2_basis)
-    _assert_shares_perturbed_table(ctx, tables, kinds)
+    ctx = _RunContext(cfg, sine2_weight, sine2_basis)
     for ids in (list(range(64)), list(range(64, 70)), list(range(5))):
         A, B, _ = sample_coefficient_block(SEED, n, ids)
         A *= 1.0 / math.sqrt(n)
@@ -353,24 +353,24 @@ def test_context_buffers_bit_equal_to_plain_expressions(kinds, monkeypatch,
 
 
 @pytest.mark.parametrize("kinds", _CONTEXT_KINDS)
-def test_context_rows_bit_equal_to_fresh_rows(kinds, monkeypatch,
-                                              sine2_weight, sine2_basis):
+def test_context_rows_bit_equal_to_fresh_rows(kinds, sine2_weight,
+                                              sine2_basis):
     # a run builds each kind's rows once, at max(n_list); the rows it
     # gives a smaller n are those that process_rows builds for that n,
-    # and T_n's and perturbed's keep those bits when they share a table
+    # and T_n's keep those bits when they are views of perturbed's table
     n = 40
     cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
                            replicates=2, master_seed=SEED,
                            process_kinds=kinds)
     grid = cfg.grid
-    ctx, tables = _spied_context(monkeypatch, cfg, sine2_weight, sine2_basis)
-    _assert_shares_perturbed_table(ctx, tables, kinds)
+    ctx = _RunContext(cfg, sine2_weight, sine2_basis)
     for n_rows in (n, 400):
         for kind in kinds:
             got = ctx.rows[n_rows][kind]
             want = process_rows(kind, n_rows, weight=sine2_weight,
                                 basis_pair=sine2_basis, grid=grid)
-            assert got.ra.shape == (n_rows, grid.count)
+            assert got.ra.shape == (n_rows + (kind == "perturbed"),
+                                    grid.count)
             for f in fields(want):
                 if getattr(want, f.name) is None:
                     assert getattr(got, f.name) is None, f.name
@@ -381,9 +381,9 @@ def test_context_rows_bit_equal_to_fresh_rows(kinds, monkeypatch,
 
 
 def _traced_context(cfg, weight):
-    """(peak, kept): the bytes numpy allocates while building a
-    _RunContext, at their peak and once it is built, as tracemalloc
-    sees them."""
+    """(ctx, peak, kept): a _RunContext and the bytes numpy allocates
+    while building it, at their peak and once it is built, as
+    tracemalloc sees them."""
     omega_map(weight, cfg.grid)  # the cached phase map is not the rows'
     tracemalloc.start()
     try:
@@ -391,38 +391,38 @@ def _traced_context(cfg, weight):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del ctx
-    return peak, kept
+    return ctx, peak, kept
 
 
 def test_context_build_peak_with_shared_table(sine2_weight):
-    # T_n beside perturbed: one cos/sin table of 401 rows and perturbed's
-    # four 400-row arrays, built with no full-size temporary, so the
-    # build peaks at what it keeps: at most six tables and the chunk block
+    # T_n beside perturbed: one cos/sin table of 401 rows, whose first
+    # 400 rows are T_n's, and the chunk block of two values buffers, the
+    # slopes and the scratch; a few rows' slack covers per-point vectors
     n_top = 400
     cfg = ExperimentConfig(weight_name="sine2", n_list=(50, n_top),
                            replicates=2, master_seed=SEED,
                            process_kinds=("T_n", "perturbed"))
-    table = (n_top + 1) * cfg.grid.count * 8
-    block = 4 * harness.CHUNK * cfg.grid.count * 8
-    peak, kept = _traced_context(cfg, sine2_weight)
-    assert kept >= 6 * table * n_top / (n_top + 1) + block
-    assert peak <= 6 * table + block
+    row = cfg.grid.count * 8
+    kept_rows = 2 * (n_top + 1) + 4 * harness.CHUNK
+    ctx, peak, kept = _traced_context(cfg, sine2_weight)
+    assert kept_rows * row <= kept <= peak <= (kept_rows + 4) * row
+    t_rows, p_rows = ctx.rows[n_top]["T_n"], ctx.rows[n_top]["perturbed"]
+    assert p_rows.ra.shape == (n_top + 1, cfg.grid.count)
+    for name in ("ra", "rb"):
+        assert np.shares_memory(getattr(t_rows, name), getattr(p_rows, name))
 
 
-@pytest.mark.parametrize("kind, extra", [("T_n", 0), ("X_n", 0),
-                                         ("perturbed", 1)])
-def test_context_build_holds_no_full_size_temporaries(kind, extra,
-                                                      sine2_weight):
-    # a kind alone: T_n and X_n write their sines into the phase buffer,
-    # and perturbed holds its sine table beside its rows, one table more
-    # than the context keeps; a few rows' slack covers per-point vectors
+@pytest.mark.parametrize("kind", ["T_n", "X_n", "perturbed"])
+def test_context_build_holds_no_full_size_temporaries(kind, sine2_weight):
+    # a kind alone writes its sines into the phase buffer, so the build
+    # peaks at what the context keeps; a few rows' slack covers
+    # per-point vectors
     cfg = ExperimentConfig(weight_name="sine2", n_list=(50, 400),
                            replicates=2, master_seed=SEED,
                            process_kinds=(kind,))
     row = cfg.grid.count * 8
-    peak, kept = _traced_context(cfg, sine2_weight)
-    assert peak <= kept + (extra * 401 + 4) * row
+    _, peak, kept = _traced_context(cfg, sine2_weight)
+    assert peak <= kept + 4 * row
 
 
 def test_run_records_independent_of_n_list_and_workers(monkeypatch,
@@ -430,17 +430,13 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
     # each n of a run gets the records of a run of that n alone, for one
     # worker and for two; 130 replicates leave each n a short last chunk.
     # A run builds each kind's rows once and forks at most one pool;
-    # perturbed's rows come from T_n's table, which has one row more.
+    # T_n's rows are views of perturbed's table, which has one row more.
     calls, pools = [], []
-    real_rows, real_perturbed = harness.process_rows, harness._perturbed_rows
+    real_rows = harness.process_rows
 
     def counted_rows(kind, n, **kwargs):
         calls.append((kind, n))
         return real_rows(kind, n, **kwargs)
-
-    def counted_perturbed(table):
-        calls.append(("perturbed", len(table.freq) - 1))
-        return real_perturbed(table)
 
     fork_ctx = multiprocessing.get_context("fork")
     real_pool = fork_ctx.Pool
@@ -450,7 +446,6 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "process_rows", counted_rows)
-    monkeypatch.setattr(harness, "_perturbed_rows", counted_perturbed)
     monkeypatch.setattr(fork_ctx, "Pool", counted_pool)
 
     def run(n_list, threads):
@@ -462,8 +457,7 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
         rows = [record_row(r) for r in run_experiment(cfg,
                                                       basis_pair=unit_basis)]
         top = max(n_list)
-        assert calls == [("T_n", top + 1), ("perturbed", top), ("f_n", top),
-                         ("X_n", top)]
+        assert calls == [("f_n", top), ("X_n", top), ("perturbed", top)]
         assert pools == ([] if threads == "1" else [2])
         return rows
 
@@ -606,7 +600,7 @@ def test_run_context_leaves_no_thread_alive(monkeypatch, sine2_weight):
     alive = threading.active_count()
     _RunContext(cfg, sine2_weight, None)
     assert threading.active_count() == alive
-    assert len(started) == 4  # X_n's table, T_n's, perturbed's two passes
+    assert len(started) == 2  # X_n's table and perturbed's, T_n's too
 
 
 def test_worker_count_env(monkeypatch):
@@ -761,12 +755,12 @@ def test_build_basis_pair_kills_and_reaps_the_child_when_c_fails(
 
 
 def _sample_row_sets():
-    """Two deriv=False row sets of different widths at n = 13: X_n
-    (sine2) at 6 points and T_n at 3."""
+    """Two row sets of different widths at n = 13: X_n (sine2) at 6
+    points and T_n at 3."""
     xs = np.linspace(0.3, 6.0, 6)
     return [process_rows("X_n", 13, xs, weight=builtin_weights("sine2"),
-                         grid=Grid(1025), deriv=False),
-            process_rows("T_n", 13, xs[:3], deriv=False)]
+                         grid=Grid(1025)),
+            process_rows("T_n", 13, xs[:3])]
 
 
 @pytest.fixture
@@ -951,6 +945,8 @@ def test_covariance_check_takes_integral_float_m(unit_weight):
 @pytest.mark.parametrize("k_max, match", [
     (0, "k_max must be a positive integer, got 0"),
     (2.5, "k_max must be a positive integer, got 2.5"),
+    (math.nan, "k_max must be a positive integer, got nan"),
+    (math.inf, "k_max must be a positive integer, got inf"),
     (400, "k_max=400 leaves .* k_max must be at most"),
 ])
 def test_build_basis_pair_refuses_bad_k_max(unit_weight, k_max, match):

@@ -161,7 +161,7 @@ def test_kac_rice_refuses_kind_and_missing_weight():
         kac_rice_expected(10, "X_n")
 
 
-@pytest.mark.parametrize("n", [0, -2, 2.5])
+@pytest.mark.parametrize("n", [0, -2, 2.5, math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda n: r_n_closed(n, 0.1),
     lambda n: kac_rice_expected(n, "T_n"),

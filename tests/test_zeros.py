@@ -316,6 +316,17 @@ def test_sign_rule_refuses_non_finite_rows_as_product_rule_does():
     assert _product_rule_counts(vals, ders, 3.0) == ([1], [True])
 
 
+def test_halving_keeps_the_sign_of_a_least_subnormal():
+    # the first cell's polygon is (-4.7e116, 1.7e308, -5e-324, -0.0): a
+    # zero lies about 3e-631 left of its zero right node, which halving
+    # finds only if 0.5 * (-5e-324 + -0.0) keeps its sign.  The row
+    # changes sign three times, the third time at that node
+    vals = np.array([[-4.71e116, -0.0, 1.39e142]])
+    ders = np.array([[1.7e308, 5e-324, 7.6e-70]])
+    counts, certified = count_hermite_zeros(vals, ders, 3.0)
+    assert (counts.tolist(), certified.tolist()) == ([3], [True])
+
+
 def test_hermite_validation():
     with pytest.raises(DomainError):
         count_hermite_zeros([[1.0, 2.0]], [[1.0]], 0.1)
