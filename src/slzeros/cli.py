@@ -26,7 +26,7 @@ from collections import namedtuple
 from .eigen import asymptotic_deviation
 from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, UsageError)
-from .harness import (ExperimentConfig, _fmt, build_basis_pair,
+from .harness import (ExperimentConfig, _fmt, basis_size, build_basis_pair,
                       check_covariance_draws, covariance_check,
                       gap_diagnostics, median_loglog_slope, run_experiment,
                       summarize, write_json, write_summary)
@@ -234,10 +234,7 @@ def cmd_diagnose(cfg):
     _refuse_log_scaling_below_2(cfg["n_list"], "n/log(n)")
     weight = builtin_weights(cfg["weight"])
     n_max = max(cfg["n_list"])
-    k_max = cfg["k_max"] if cfg["k_max"] is not None else n_max
-    if k_max < n_max:
-        raise PreconditionError("k_max=%d is smaller than max(n_list)=%d"
-                                % (k_max, n_max))
+    k_max = basis_size(cfg["k_max"], cfg["n_list"])
     check_covariance_draws(cfg["replicates"])
     basis_pair = build_basis_pair(weight, k_max, default_grid())
     rows = []

@@ -48,6 +48,7 @@ the roots keep scipy's bits, and importing this module loads no scipy.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -72,20 +73,25 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class EigenBasis:
+    """One family's first k_max eigenpairs: entry k - 1 of eigenvalues
+    and row k - 1 of funcs/dfuncs belong to index k."""
     bc: BoundaryCondition
-    pairs: tuple
     weight: object
     grid: Grid
+    eigenvalues: np.ndarray  # (k_max,)
     funcs: np.ndarray    # (k_max, npts), row k-1 = psi_k samples
     dfuncs: np.ndarray   # (k_max, npts)
 
-    @property
-    def eigenvalues(self):
-        return np.array([p.eigenvalue for p in self.pairs])
+    @cached_property
+    def pairs(self):
+        """The eigenpairs, their samples views of the rows."""
+        return tuple(Eigenpair(index=k + 1, eigenvalue=float(lam),
+                               func=self.funcs[k], dfunc=self.dfuncs[k])
+                     for k, lam in enumerate(self.eigenvalues))
 
     @property
     def k_max(self):
-        return len(self.pairs)
+        return len(self.eigenvalues)
 
 
 def _transfer_chain(lam, qbar, h):
@@ -386,18 +392,6 @@ def check_k_max(k_max, weight, grid):
     return k_max
 
 
-def basis_from_arrays(bc, weight, grid, lambdas, funcs, dfuncs):
-    """The EigenBasis over solved arrays: row k - 1 of funcs/dfuncs and
-    entry k - 1 of lambdas belong to index k, and every pair's samples
-    are views of those rows."""
-    pairs = tuple(
-        Eigenpair(index=k + 1, eigenvalue=float(lambdas[k]),
-                  func=funcs[k], dfunc=dfuncs[k])
-        for k in range(len(lambdas)))
-    return EigenBasis(bc=bc, pairs=pairs, weight=weight, grid=grid,
-                      funcs=funcs, dfuncs=dfuncs)
-
-
 def eigen_solve(weight, bc, k_max, grid=None):
     """First k_max eigenpairs of psi'' = -lambda omega^2 psi for the
     given weight, ordered, normalized to integral psi^2 omega dx = pi.
@@ -554,7 +548,7 @@ def eigen_solve(weight, bc, k_max, grid=None):
         lambdas[stored] = lam
         stored += 1
 
-    return basis_from_arrays(bc, weight, grid, lambdas, funcs, dfuncs)
+    return EigenBasis(bc, weight, grid, lambdas, funcs, dfuncs)
 
 
 def _asymptotic_on_grid(k, bc, omega_vals, omega_cum, omega_d1):

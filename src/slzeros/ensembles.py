@@ -7,6 +7,8 @@ pair of standard Gaussian coefficient vectors (a, b):
 * f_n — sqrt(omega) * F_n,
 * X_n — half-frequency trigonometric sum in the variable Omega(x),
 * X_n_raw — X_n / sqrt(omega) (the unweighted comparison process),
+* Y_n — X_n in the variable y = Omega(x): the half-frequency sum of
+  cos(k y/2), sin(k y/2), which X_n and X_n_raw pull back to,
 * T_n — the classic stationary trigonometric polynomial,
 * perturbed — T_n with cos(kx), sin(kx) perturbed by the fixed family
   eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k), so that
@@ -37,21 +39,22 @@ rows are the cosine/sine rows of those frequencies, the first n of
 which are T_n's, and combine maps each draw onto their coefficients
 (_perturbed_coefficients).  A large table is filled by row halves in
 two threads, joined before its build returns (_in_row_halves), with the
-bits of a one-thread fill.  RandomProcess, the harness's grid samples
-and the second-order diagnostics all read this one table.
+bits of a one-thread fill.  RandomProcess (one draw of any kind), the
+harness's grid samples and the second-order diagnostics all read this
+one table, and build_process refuses what it refuses.
 """
 
 import math
-import operator
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, is_integral
+from .errors import (DomainError, PreconditionError, is_integral,
+                     non_negative_int)
 from .weights import default_grid, omega_map
 
-KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "T_n", "perturbed")
+KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "Y_n", "T_n", "perturbed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,18 +122,6 @@ def _words(value):
     return max(1, -(-value.bit_length() // 32))
 
 
-def _non_negative_int(name, value):
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise PreconditionError("%s must be an integer, got %r"
-                                % (name, value)) from None
-    if value < 0:
-        raise PreconditionError("%s must be non-negative, got %d"
-                                % (name, value))
-    return value
-
-
 def _id_words(ids):
     """Replicate ids as the uint32 words SeedSequence makes of them."""
     ids = np.asarray(ids)
@@ -172,7 +163,7 @@ def sample_coefficient_block(master_seed, n, replicate_ids, out=None):
     Either way they get the same bits."""
     if not is_integral(n) or n < 1:
         raise PreconditionError("n must be a positive integer, got %r" % (n,))
-    master_seed = _non_negative_int("master_seed", master_seed)
+    master_seed = non_negative_int("master_seed", master_seed)
     n = int(n)
     m = len(replicate_ids)
     if out is None:
@@ -213,12 +204,12 @@ def sample_coefficients(master_seed, n, replicate_id):
     """2n standard Gaussians from a counter-based derivation of
     (master_seed, n, replicate_id); streams 0/1 feed a/b.  The one-id
     case of sample_coefficient_block."""
-    replicate_id = _non_negative_int("replicate_id", replicate_id)
+    replicate_id = non_negative_int("replicate_id", replicate_id)
     if replicate_id >= ID_LIMIT:
         raise PreconditionError("replicate_id must be below 2**32, got %d"
                                 % replicate_id)
     A, B, seeds = sample_coefficient_block(master_seed, n, [replicate_id])
-    return CoefficientDraw(master_seed=operator.index(master_seed), n=int(n),
+    return CoefficientDraw(master_seed=int(master_seed), n=int(n),
                            replicate_id=replicate_id, a=A[0], b=B[0],
                            seed=int(seeds[0]))
 
@@ -370,13 +361,21 @@ def _family_pair(kind, basis_pair, n):
     return bc_c, bc_d
 
 
+def _omega_at(kind, weight, x):
+    """omega at the points x; a missing weight is refused by name."""
+    if weight is None:
+        raise PreconditionError("kind %r needs a weight" % kind)
+    return np.asarray(weight.eval(x), dtype=float)
+
+
 def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
     """The table of process kinds: `kind` at the points x as rows.
 
     x=None means the points of `grid`, on which the X kinds tabulate
     Omega too; there the eigenfunction kinds take their stored samples
     as rows, elsewhere they interpolate them with the cubic Hermite rule.
-    The basis pair is checked by _family_pair.
+    The basis pair is checked by _family_pair and the weight by
+    _omega_at.
     """
     on_grid = x is None
     if grid is None and (on_grid or kind in ("X_n", "X_n_raw")):
@@ -398,11 +397,11 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
             rows = ProcessRows(ra, rb, da, db)
         if kind == "F_n":
             return rows
-        root = np.sqrt(np.asarray(weight.eval(x), dtype=float))
+        root = np.sqrt(_omega_at(kind, weight, x))
         dfactor = 0.5 * np.asarray(weight.deriv1(x), dtype=float) / root
         return replace(rows, factor=root, dfactor=dfactor)
     if kind in ("X_n", "X_n_raw"):
-        om = np.asarray(weight.eval(x), dtype=float)
+        om = _omega_at(kind, weight, x)
         rows = _trig_rows(0.5 * k, omega_map(weight, grid).forward(x),
                           dphase=om)
         if kind == "X_n":
@@ -411,6 +410,8 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
         dfactor = (-0.5 * np.asarray(weight.deriv1(x), dtype=float)
                    / (om * root))
         return replace(rows, factor=1.0 / root, dfactor=dfactor)
+    if kind == "Y_n":
+        return _trig_rows(0.5 * k, x)
     if kind == "T_n":
         return _trig_rows(k, x)
     if kind == "perturbed":
@@ -456,89 +457,71 @@ def combine(rows, A, B, deriv=True, out=None):
     return vals, ders
 
 
-class _RowsProcess:
-    """value/deriv of one draw, scaled by 1/sqrt(n) into (_a, _b), from
-    the rows that self.rows(x) gives."""
+@dataclass(frozen=True, eq=False)
+class RandomProcess:
+    """One draw of a process kind, its coefficients scaled by 1/sqrt(n).
 
-    def __init__(self, draw, n):
-        self.draw = draw
-        self.n = n
-        root = 1.0 / math.sqrt(n)
-        self._a = draw.a * root
-        self._b = draw.b * root
-
-    def value(self, x):
-        return self._eval(x, False)
-
-    def deriv(self, x):
-        return self._eval(x, True)
-
-    def samples(self, x):
-        """(values, slopes) at the points x, from one combine call."""
-        return combine(self.rows(np.atleast_1d(np.asarray(x, dtype=float))),
-                       self._a, self._b)
-
-    def _eval(self, x, deriv):
-        xs = np.asarray(x, dtype=float)
-        vals, ders = combine(self.rows(np.atleast_1d(xs)), self._a, self._b,
-                             deriv)
-        out = ders if deriv else vals
-        return float(out[0]) if xs.ndim == 0 else out
-
-
-class _HalfFreqPoly(_RowsProcess):
-    """Stationary pullback: (1/sqrt n) sum a_k cos(k y/2) + b_k sin(k y/2)."""
-
-    def rows(self, y):
-        return _trig_rows(0.5 * np.arange(1, self.n + 1), y)
-
-
-class RandomProcess(_RowsProcess):
-    """One evaluable Gaussian random function bound to a draw.
-
-    Use build_process() to construct; value(x) and deriv(x) are
-    vectorized and deterministic given the fields.
+    Use build_process() to construct; value(x), deriv(x) and samples(x)
+    are vectorized, deterministic given the fields, and one combine call
+    each on the kind's rows at x.
     """
 
-    def __init__(self, kind, n, draw, weight, basis, grid):
-        super().__init__(draw, n)
-        self.kind = kind
-        self.weight = weight
-        self.basis = basis
-        self.grid = grid
+    kind: str
+    n: int
+    draw: CoefficientDraw
+    weight: object = None
+    basis: tuple = None
+    grid: object = None
 
-    def rows(self, x):
-        """This process at the points x as rows (see process_rows)."""
-        return process_rows(self.kind, self.n, x, weight=self.weight,
-                            basis_pair=self.basis, grid=self.grid)
+    def value(self, x):
+        return self._at(x, False)
+
+    def deriv(self, x):
+        return self._at(x, True)
+
+    def samples(self, x):
+        """(values, slopes) at the points x."""
+        return self._combine(x, True)
+
+    def _combine(self, x, deriv):
+        rows = process_rows(self.kind, self.n,
+                            np.atleast_1d(np.asarray(x, dtype=float)),
+                            weight=self.weight, basis_pair=self.basis,
+                            grid=self.grid)
+        root = 1.0 / math.sqrt(self.n)
+        return combine(rows, self.draw.a * root, self.draw.b * root, deriv)
+
+    def _at(self, x, deriv):
+        out = self._combine(x, deriv)[deriv]
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def omega(self, x):
-        """Omega(x) for the kinds built on the change of variables."""
+        """Omega(x) of this process's weight."""
+        if self.weight is None:
+            raise PreconditionError("kind %r has no weight, so no Omega"
+                                    % (self.kind,))
         return omega_map(self.weight, self.grid).forward(x)
 
     def stationary_pullback(self):
-        """The half-frequency polynomial this process reduces to in
-        the variable y = Omega(x) (shares the coefficient draw)."""
+        """The Y_n process this X kind reduces to in the variable
+        y = Omega(x), on the same draw."""
         if self.kind not in ("X_n", "X_n_raw"):
             raise DomainError("stationary_pullback needs an X-kind process, "
                               "got %r" % (self.kind,))
-        return _HalfFreqPoly(self.draw, self.n)
+        return RandomProcess("Y_n", self.n, self.draw)
 
 
 def build_process(kind, n, draw, weight=None, basis_pair=None):
-    """Construct a RandomProcess, checking the preconditions of the
-    requested kind."""
-    if kind not in KINDS:
-        raise DomainError("unknown process kind %r (choose from %s)"
-                          % (kind, ", ".join(KINDS)))
+    """A RandomProcess of `kind` on the draw, its grid and by default its
+    weight the basis pair's for the eigenfunction kinds.  Every refusal
+    but the draw's n is process_rows', from the rows at no points."""
     if draw.n != n:
         raise PreconditionError("draw has n=%d but the process wants n=%d"
                                 % (draw.n, n))
-    basis, grid = None, default_grid()
-    if kind in ("F_n", "f_n"):
-        basis = _family_pair(kind, basis_pair, n)
-        weight = weight if weight is not None else basis[0].weight
-        grid = basis[0].grid
-    if kind in ("X_n", "X_n_raw", "f_n") and weight is None:
-        raise PreconditionError("kind %r needs a weight" % kind)
-    return RandomProcess(kind, n, draw, weight, basis, grid)
+    grid = default_grid()
+    if kind in ("F_n", "f_n") and basis_pair is not None:
+        weight = weight if weight is not None else basis_pair[0].weight
+        grid = basis_pair[0].grid
+    process_rows(kind, n, np.empty(0), weight=weight, basis_pair=basis_pair,
+                 grid=grid)
+    return RandomProcess(kind, n, draw, weight, basis_pair, grid)

@@ -3,9 +3,13 @@
 Split by who is at fault: bad input from the caller (DomainError,
 UsageError, PreconditionError) versus the library failing to deliver
 (NumericError, InvariantViolation).  The CLI maps the first group to
-exit code 2 and the second to exit code 3.  is_integral() is the one
-integer test of the argument checks that refuse by name.
+exit code 2 and the second to exit code 3.  Integer arguments are
+tested two ways: non_negative_int() (2.0 refused) for seeds, replicate
+ids and ExperimentConfig's counts, is_integral() (2000.0 accepted) for
+orders n, k_max, the covariance draws m and n_pairs.
 """
+
+import operator
 
 
 def is_integral(value):
@@ -15,6 +19,19 @@ def is_integral(value):
         return int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def non_negative_int(name, value):
+    """value as an int; refused by name unless a non-negative integer."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionError("%s must be an integer, got %r"
+                                % (name, value)) from None
+    if value < 0:
+        raise PreconditionError("%s must be non-negative, got %d"
+                                % (name, value))
+    return value
 
 
 class SlzerosError(Exception):

@@ -67,15 +67,15 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .eigen import (BoundaryCondition, basis_from_arrays, check_k_max,
-                    eigen_solve)
-from .ensembles import (ID_LIMIT, _non_negative_int, combine, process_rows,
+from .eigen import BoundaryCondition, EigenBasis, check_k_max, eigen_solve
+from .ensembles import (ID_LIMIT, combine, process_rows,
                         sample_coefficient_block)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
 # not called here; the benchmark's traced run (perfbench/tracing.py)
 # looks it up in this module by name
 from .ensembles import sample_coefficients  # noqa: F401
-from .errors import DomainError, PreconditionError, is_integral
+from .errors import (DomainError, PreconditionError, is_integral,
+                     non_negative_int)
 from .kernels import covariance_X, r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
                       omega_map)
@@ -97,6 +97,16 @@ _COUNT_FIELD = {"f_n": "n_fn", "X_n": "n_xn", "T_n": "n_tn",
 _STABLE_FIELD = {"f_n": "stable_fn", "X_n": "stable_xn"}
 
 
+def basis_size(k_max, n_list):
+    """The eigenpairs per family for the orders n_list: k_max, by
+    default max(n_list), and refused by name if smaller."""
+    top = max(n_list)
+    if k_max is not None and k_max < top:
+        raise PreconditionError("k_max=%d is smaller than max(n_list)=%d"
+                                % (k_max, top))
+    return top if k_max is None else k_max
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     weight_name: str
@@ -109,10 +119,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(
-            _non_negative_int("n", n) for n in self.n_list))
+            non_negative_int("n", n) for n in self.n_list))
         for name in ("replicates", "master_seed"):
             object.__setattr__(self, name,
-                               _non_negative_int(name, getattr(self, name)))
+                               non_negative_int(name, getattr(self, name)))
         object.__setattr__(self, "process_kinds", tuple(self.process_kinds))
         if self.replicates < 2:
             raise PreconditionError("need at least 2 replicates, got %d"
@@ -133,10 +143,7 @@ class ExperimentConfig:
             raise PreconditionError(
                 "process_kinds must be a nonempty subset of %s, got %r"
                 % (", ".join(SIMULATED_KINDS), self.process_kinds))
-        if self.k_max is not None and self.k_max < max(self.n_list):
-            raise PreconditionError(
-                "k_max=%d is smaller than max(n_list)=%d"
-                % (self.k_max, max(self.n_list)))
+        basis_size(self.k_max, self.n_list)
         # refuse frequencies the storage grid cannot resolve
         grid, top = self.grid, max(self.n_list)
         if self.needs_basis or "X_n" in self.process_kinds:
@@ -159,7 +166,7 @@ class ExperimentConfig:
 
     @property
     def basis_k_max(self):
-        return self.k_max if self.k_max is not None else max(self.n_list)
+        return basis_size(self.k_max, self.n_list)
 
 
 @dataclass(frozen=True)
@@ -424,8 +431,8 @@ def build_basis_pair(weight, k_max, grid):
         8 * (2 * size + k_max), solve_d,
         lambda shared: eigen_solve(weight, BoundaryCondition.C, k_max,
                                    grid=grid))
-    return basis_c, basis_from_arrays(BoundaryCondition.D, weight, grid,
-                                      *d_arrays(shared))
+    return basis_c, EigenBasis(BoundaryCondition.D, weight, grid,
+                               *d_arrays(shared))
 
 
 def _pickled_exception(exc):

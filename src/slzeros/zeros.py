@@ -251,7 +251,7 @@ def count_hermite_zeros(vals, ders, h, label="row", row_ids=None):
 def count_zeros(proc, interval=(0.0, TWO_PI)):
     """Count the zeros of a process on the interval.
 
-    proc is a process from build_process or a stationary pullback.  Its
+    proc is a RandomProcess, from build_process or stationary_pullback.  Its
     value and slope are sampled together on a uniform grid of
     _CELLS_PER_N * proc.n cells of the interval, and the cubic Hermite
     interpolant of the samples is counted with count_hermite_zeros;

@@ -183,12 +183,14 @@ def test_unknown_weight_name(tmp_path, capsys):
 
 
 def test_k_max_below_largest_n(tmp_path, capsys):
-    rc = _run(["simulate", "--weight", "unit", "--n-list", "5,20",
-               "--k-max", "10", "--replicates", "2", "--kinds", "T_n",
-               "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "smaller than" in err
+    # one rule, and one message, for the run's config and for diagnose
+    for argv in (["simulate", "--replicates", "2", "--kinds", "T_n"],
+                 ["diagnose"]):
+        rc = _run(argv + ["--weight", "unit", "--n-list", "5,20",
+                          "--k-max", "10", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "k_max=10 is smaller than max(n_list)=20" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -240,20 +240,39 @@ def test_hermite_rows_exact_at_nodes_and_for_cubics():
 
 def test_build_process_rejects_bad_requests(sine2_weight, unit_basis):
     draw = sample_coefficients(SEED, 20, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown process kind 'Z_n'"):
         build_process("Z_n", 20, draw)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="draw has n=20"):
         build_process("T_n", 21, draw)
-    with pytest.raises(PreconditionError):
-        build_process("f_n", 20, draw)  # no basis
-    with pytest.raises(PreconditionError):
-        build_process("X_n", 20, draw)  # no weight
+    # f_n without a basis names the basis pair, not the weight
+    with pytest.raises(PreconditionError, match="eigenbasis pair"):
+        build_process("f_n", 20, draw)
+    for kind in ("X_n", "X_n_raw"):
+        with pytest.raises(PreconditionError,
+                           match="kind '%s' needs a weight" % kind):
+            build_process(kind, 20, draw)
     bc_c, bc_d = unit_basis
-    with pytest.raises(PreconditionError):
-        build_process("f_n", 20, draw, basis_pair=(bc_d, bc_c))  # misordered
+    with pytest.raises(PreconditionError, match="ordered"):
+        build_process("f_n", 20, draw, basis_pair=(bc_d, bc_c))
     big_draw = sample_coefficients(SEED, 200, 0)
-    with pytest.raises(PreconditionError):
-        build_process("f_n", 200, big_draw, basis_pair=unit_basis)  # too small
+    with pytest.raises(PreconditionError, match="eigenbasis too small"):
+        build_process("f_n", 200, big_draw, basis_pair=unit_basis)
+    # a process without a weight has no Omega
+    x_n = build_process("X_n", 20, draw, weight=sine2_weight)
+    for proc in (build_process("T_n", 20, draw),
+                 build_process("perturbed", 20, draw),
+                 x_n.stationary_pullback()):
+        with pytest.raises(PreconditionError,
+                           match="kind '%s' has no weight" % proc.kind):
+            proc.omega(1.0)
+
+
+@pytest.mark.parametrize("kind", ["X_n", "X_n_raw", "f_n"])
+def test_process_rows_refuses_a_missing_weight_by_name(kind, unit_basis):
+    with pytest.raises(PreconditionError, match="kind '%s' needs a weight"
+                       % kind):
+        process_rows(kind, 5, np.linspace(0.0, 1.0, 3),
+                     basis_pair=unit_basis, grid=unit_basis[0].grid)
 
 
 def test_build_process_rejects_mismatched_grids(unit_weight, unit_basis):
@@ -350,6 +369,43 @@ def test_X_process_agrees_with_stationary_pullback(sine2_weight):
     np.testing.assert_allclose(raw.value(x), pull.value(y) / np.sqrt(om),
                                atol=1e-12)
     np.testing.assert_allclose(raw.omega(x), y, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ensembles.KINDS)
+def test_process_samples_are_its_table_rows(kind, sine2_weight, sine2_basis):
+    # a process is its kind's rows and its draw scaled by 1/sqrt(n), as
+    # the harness scales a chunk's draws
+    n = 12
+    draw = sample_coefficients(SEED, n, 3)
+    x = np.linspace(0.05, 6.2, 37)
+    proc = build_process(kind, n, draw, weight=sine2_weight,
+                         basis_pair=sine2_basis)
+    root = 1.0 / math.sqrt(n)
+    rows = process_rows(kind, n, x, weight=sine2_weight,
+                        basis_pair=sine2_basis, grid=proc.grid)
+    for got, want in zip(proc.samples(x),
+                         combine(rows, draw.a * root, draw.b * root)):
+        assert got.tobytes() == want.tobytes()
+    assert proc.value(x).tobytes() == proc.samples(x)[0].tobytes()
+    assert proc.deriv(x).tobytes() == proc.samples(x)[1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["X_n", "X_n_raw"])
+def test_stationary_pullback_is_the_Y_kind(kind, sine2_weight):
+    draw = sample_coefficients(SEED, 9, 1)
+    pull = build_process(kind, 9, draw, weight=sine2_weight).stationary_pullback()
+    assert (pull.kind, pull.n, pull.draw) == ("Y_n", 9, draw)
+    y = np.linspace(0.0, TWO_PI, 41)
+    for got, want in zip(pull.samples(y),
+                         build_process("Y_n", 9, draw).samples(y)):
+        assert got.tobytes() == want.tobytes()
+    mu = 0.5 * np.arange(1, 10)
+    c, s = np.cos(np.outer(y, mu)), np.sin(np.outer(y, mu))
+    np.testing.assert_allclose(pull.value(y), (c @ draw.a + s @ draw.b) / 3.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(pull.deriv(y),
+                               (c @ (mu * draw.b) - s @ (mu * draw.a)) / 3.0,
+                               atol=1e-12)
 
 
 def test_stationary_pullback_only_for_X_kinds():

@@ -1,7 +1,7 @@
 """Names that code outside the package's own modules relies on: the
-README's library quickstart, and the attributes that the benchmark's
-tracer (perfbench/tracing.py) and probe (perfbench/probe.py) look up;
-and what importing the package costs."""
+README's library quickstart, flags and process kinds, and the attributes
+that the benchmark's tracer (perfbench/tracing.py) and probe
+(perfbench/probe.py) look up; and what importing the package costs."""
 
 import os
 import re
@@ -12,6 +12,7 @@ import pytest
 
 import slzeros
 import slzeros.cli
+import slzeros.ensembles
 import slzeros.harness
 import slzeros.weights
 
@@ -74,6 +75,14 @@ def test_readme_flags_match_the_parser():
         for sub in subcommands:
             assert _parses([sub, flag]) == 2, (sub, flag)
             assert _parses([sub, flag, "1"]) == 2, (sub, flag)
+
+
+def test_readme_kinds_match_the_table():
+    with open(README) as fh:
+        text = fh.read()
+    table = text.split("| kind ", 1)[1].split("\n\n", 1)[0]
+    kinds = re.findall(r"^\| `(\w+)` ", table, re.MULTILINE)
+    assert tuple(kinds) == slzeros.ensembles.KINDS
 
 
 def test_import_loads_no_scipy(module_cli_env, tmp_path):
