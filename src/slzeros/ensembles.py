@@ -33,10 +33,11 @@ slopes for one draw or a whole matrix of draws.  Eigenfunction sums
 take their stored (psi, psi') samples as rows on the storage grid and
 interpolate them with a cubic Hermite rule elsewhere; the trigonometric
 kinds are cosine/sine rows in closed form, whose slopes follow from the
-same rows.  perturbed's family only shifts frequencies by one, so a
-draw of it is a trigonometric polynomial of frequencies 1..n+1: its
-rows are the cosine/sine rows of those frequencies, the first n of
-which are T_n's, and combine maps each draw onto their coefficients
+same rows, each table in one product with the values.  perturbed's
+family only shifts frequencies by one, so a draw of it is a
+trigonometric polynomial of frequencies 1..n+1: its rows are the
+cosine/sine rows of those frequencies, the first n of which are T_n's,
+and combine maps each draw onto their coefficients
 (_perturbed_coefficients).  A large table is filled by row halves in
 two threads, joined before its build returns (_in_row_halves), with the
 bits of a one-thread fill.  RandomProcess (one draw of any kind), the
@@ -252,10 +253,12 @@ class ProcessRows:
     trigonometric kinds (da is None), from the trig rule
     dphase * ((b*freq) @ ra - (a*freq) @ rb): ra/rb are then the cosine
     and sine rows of freq * phase(x), and dphase = phase'(x) (None for
-    1).  A pointwise factor g (None for 1) enters by the product rule
-    with its derivative dfactor.  perturbed rows hold one row more than
-    a draw has coefficients, the cosine and sine rows of frequencies
-    1..n+1, and combine maps each draw onto them first.
+    1).  combine runs that rule as one product per table, each left
+    operand stacking the value's coefficients on the slope's.  A
+    pointwise factor g (None for 1) enters by the product rule with its
+    derivative dfactor.  perturbed rows hold one row more than a draw
+    has coefficients, the cosine and sine rows of frequencies 1..n+1,
+    and combine maps each draw onto them first.
     """
 
     ra: np.ndarray
@@ -275,6 +278,10 @@ class ProcessRows:
         return replace(self, **{f: getattr(self, f)[:n]
                                 for f in ("ra", "rb", "da", "db", "freq")
                                 if getattr(self, f) is not None})
+
+    def out_rows(self, m, deriv=True):
+        """combine's out rows for m draws (4m with trig slopes)."""
+        return m * (2 + deriv + (deriv and self.da is None))
 
 
 # entries (2 MB) from which a table's rows are filled in two threads
@@ -325,21 +332,19 @@ def _trig_rows(freq, phase, **fields):
     return ProcessRows(ra, rb, freq=freq, **fields)
 
 
-def _perturbed_coefficients(A, B, freq):
-    """perturbed's scaled coefficients A and B (n per draw) as those of
-    its cosine and sine rows of frequencies freq = 1..n+1.  The family
+def _perturbed_coefficients(A, B, freq, out):
+    """perturbed's scaled coefficients A and B (m, n) into out (2, m, n+1)
+    as those of its cos/sin rows of frequencies freq = 1..n+1.  The family
     eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k) moves b_k/(2k)
     onto cos((k+1)x) and a_k/(2k) onto sin((k+1)x), so frequency j takes
     a_j + b_{j-1}/(2(j-1)) and b_j + a_{j-1}/(2(j-1)), with a_{n+1} =
     b_{n+1} = 0 and no shifted term at j = 1."""
-    shape = A.shape[:-1] + freq.shape
-    A_all, B_all = np.zeros(shape), np.zeros(shape)
-    A_all[..., :-1] = A
-    B_all[..., :-1] = B
+    A_all, B_all = out
+    A_all[:, :-1], B_all[:, :-1] = A, B
+    A_all[:, -1] = B_all[:, -1] = 0.0
     two_k = 2.0 * freq[:-1]
-    A_all[..., 1:] += B / two_k
-    B_all[..., 1:] += A / two_k
-    return A_all, B_all
+    A_all[:, 1:] += B / two_k
+    B_all[:, 1:] += A / two_k
 
 
 def _family_pair(kind, basis_pair, n):
@@ -420,41 +425,70 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
                       % (kind, ", ".join(KINDS)))
 
 
+def _stacked_matmul(stacked, R, out):
+    """stacked @ R into out, stacked holding two halves of m rows: one
+    GEMM, which sums each row apart from the others, so each half keeps
+    its own product's bits; at m = 1 numpy hands each half to GEMV,
+    whose bits GEMM does not keep, so there the halves run apart."""
+    if len(stacked) == 2:
+        np.matmul(stacked[:1], R, out=out[:1])
+        np.matmul(stacked[1:], R, out=out[1:])
+    else:
+        np.matmul(stacked, R, out=out)
+
+
 def combine(rows, A, B, deriv=True, out=None):
     """(values, slopes or None) at the rows' points of the draws whose
     scaled coefficients are A and B: one draw per row of A and B, or
     one draw as two vectors.
 
-    out=(values, slopes, scratch) are C-contiguous float arrays of the
-    result's shape to fill (slopes None without deriv); by default they
-    are allocated.  Either way the bits are those of the plain
-    expressions A @ ra + B @ rb and so on, for perturbed rows after
-    _perturbed_coefficients has mapped A and B onto them.
+    out is a C-contiguous float buffer of at least rows.out_rows(m,
+    deriv) rows for m draws, allocated by default: the values fill its
+    first m rows, the slopes the next m, and the rest is scratch.  The
+    trig slope rule runs as [A; B*freq] @ ra and [B; A*freq] @ rb, whose
+    top halves sum to the values and bottom halves subtract to the
+    slopes.  The bits are those of the plain expressions A @ ra + B @ rb
+    and so on, for perturbed rows after _perturbed_coefficients has
+    mapped A and B onto them.
     """
-    if rows.perturbed:
-        A, B = _perturbed_coefficients(A, B, rows.freq)
+    lead, width = A.shape[:-1], rows.ra.shape[1]
+    A, B = A.reshape(-1, A.shape[-1]), B.reshape(-1, B.shape[-1])
+    m = len(A)
+    need = rows.out_rows(m, deriv)
     if out is None:
-        shape = A.shape[:-1] + rows.ra.shape[1:]
-        out = (np.empty(shape), np.empty(shape) if deriv else None,
-               np.empty(shape))
-    vals, ders, tmp = out
-    np.matmul(A, rows.ra, out=vals)
-    vals += np.matmul(B, rows.rb, out=tmp)
-    if deriv:
-        if rows.da is not None:
+        out = np.empty((need, width))
+    vals, ders, tmp = out[:m], out[m:2 * m], out[need - m:need]
+    stacked = deriv and rows.da is None
+    if stacked or rows.perturbed:
+        # the left operands [A; B*freq] and [B; A*freq]
+        coef = np.empty((2, 2 * m, len(rows.ra)))
+        if rows.perturbed:
+            _perturbed_coefficients(A, B, rows.freq, coef[:, :m])
+        else:
+            coef[0, :m], coef[1, :m] = A, B
+        A, B = coef[:, :m]
+    if stacked:
+        np.multiply(B, rows.freq, out=coef[0, m:])
+        np.multiply(A, rows.freq, out=coef[1, m:])
+        _stacked_matmul(coef[0], rows.ra, out[:2 * m])
+        _stacked_matmul(coef[1], rows.rb, out[2 * m:4 * m])
+        vals += out[2 * m:3 * m]
+        ders -= out[3 * m:4 * m]
+        if rows.dphase is not None:
+            ders *= rows.dphase
+    else:
+        np.matmul(A, rows.ra, out=vals)
+        vals += np.matmul(B, rows.rb, out=tmp)
+        if deriv:
             np.matmul(A, rows.da, out=ders)
             ders += np.matmul(B, rows.db, out=tmp)
-        else:
-            np.matmul(B * rows.freq, rows.ra, out=ders)
-            ders -= np.matmul(A * rows.freq, rows.rb, out=tmp)
-            if rows.dphase is not None:
-                ders *= rows.dphase
     if rows.factor is not None:
         if deriv:
             ders *= rows.factor
             ders += np.multiply(rows.dfactor, vals, out=tmp)
         vals *= rows.factor
-    return vals, ders
+    shape = lead + (width,)
+    return vals.reshape(shape), ders.reshape(shape) if deriv else None
 
 
 @dataclass(frozen=True, eq=False)

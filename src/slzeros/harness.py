@@ -254,8 +254,12 @@ class _RunContext:
     """Everything a worker needs to turn draws into records: each
     simulated kind's rows on config.grid, built once at max(n_list)
     and cut to rows[n][kind] (ProcessRows.prefix), which has the bits
-    of rows built for n since row k-1 depends on k alone; and the chunk
-    buffers that combine fills with each kind's values and the slopes.
+    of rows built for n since row k-1 depends on k alone; and one pool
+    of CHUNK-row blocks that every chunk's combine calls reuse (out):
+    4 when a trigonometric kind runs, 3 for f_n alone.  A chunk counts
+    the kinds in rows[n]'s order, X_n first; f_n's rows beside X_n start
+    one block in, so X_n's values stay for sup_eps, and no other kind's
+    values outlive its count.
 
     perturbed's rows are the cos/sin table of frequencies
     1..max(n_list)+1; when the run has T_n too, T_n's rows are views of
@@ -275,12 +279,18 @@ class _RunContext:
         if both:
             table = replace(top["perturbed"], perturbed=False)
             top["T_n"] = table.prefix(n_top)
+        top = {kind: top[kind]
+               for kind in ("X_n", "f_n", "T_n", "perturbed") if kind in top}
         self.rows = {n: {kind: rows.prefix(n) for kind, rows in top.items()}
                      for n in config.n_list}
-        # one block holds every buffer, reused by every chunk
-        block = np.empty((len(top) + 2, CHUNK, grid.count))
-        self.values = dict(zip(top, block))
-        self.slopes, self.scratch = block[-2], block[-1]
+        self.points, self.after_xn = grid.count, "X_n" in top
+        self.pool = np.empty(CHUNK * self.points * max(
+            rows.out_rows(1) for rows in top.values()))
+
+    def out(self, kind, m):
+        """The pool's rows for kind's combine call on m draws."""
+        skip = kind == "f_n" and self.after_xn
+        return self.pool[skip * m * self.points:].reshape(-1, self.points)
 
 
 _WORKER_CTX = None  # set in the parent before forking a pool
@@ -296,20 +306,20 @@ def _process_chunk(task):
     # one list per record field; a field no kind fills stays None
     columns = {"n": [n] * m, "replicate_id": replicate_ids,
                "seed": seeds.tolist()}
+    values = {}
     for kind, rows in ctx.rows[n].items():
-        vals, ders = combine(rows, A, B, out=(
-            ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
+        values[kind], ders = combine(rows, A, B, out=ctx.out(kind, m))
         counts, certified = count_hermite_zeros(
-            vals, ders, ctx.h, label="%s at n=%d, replicate" % (kind, n),
-            row_ids=replicate_ids)
+            values[kind], ders, ctx.h,
+            label="%s at n=%d, replicate" % (kind, n), row_ids=replicate_ids)
         columns[_COUNT_FIELD[kind]] = counts.tolist()
         if kind in _STABLE_FIELD:
             columns[_STABLE_FIELD[kind]] = certified.tolist()
-    if "f_n" in ctx.values and "X_n" in ctx.values:
-        # both kinds are counted, so the scratch rows are free for f_n - X_n
-        eps = np.subtract(ctx.values["f_n"][:m], ctx.values["X_n"][:m],
-                          out=ctx.scratch[:m])
-        columns["sup_eps"] = np.abs(eps, out=eps).max(axis=1).tolist()
+        if kind == "f_n" and "X_n" in values:
+            # X_n's values are still in the rows before f_n's, and f_n's
+            # slopes are counted, so their rows take f_n - X_n
+            eps = np.subtract(values["f_n"], values["X_n"], out=ders)
+            columns["sup_eps"] = np.abs(eps, out=eps).max(axis=1).tolist()
     unset = [None] * m
     return [ReplicateRecord(*row) for row in zip(
         *(columns.get(f.name, unset) for f in _RECORD_FIELDS))]
@@ -748,8 +758,9 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
     process gets its count back after); a single block runs here, at one
     thread, without a fork.  A block is one
     sample_coefficient_block call into buffers the half reuses, then one
-    combine per row set into the block's rows of that set's table; only
-    the tables are shared.  A row's draw depends on its own key alone
+    combine per row set into a scratch buffer the half reuses, whose
+    values are copied to the block's rows of that set's table; only the
+    tables are shared.  A row's draw depends on its own key alone
     and, at one thread, its values on its block alone, so the bits are
     the same for any split and any number of cores.
     """
@@ -769,7 +780,7 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
             try:
                 A, B = np.empty((2, size, n))
                 seeds = np.empty(size, dtype=np.uint64)
-                scratch = np.empty(size * max(widths))
+                scratch = np.empty(2 * size * max(widths))
                 out = tables(shared)
                 for lo in block_starts:
                     hi = min(lo + _DRAW_BLOCK, m)
@@ -779,9 +790,10 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
                     a /= root
                     b /= root
                     for rows, table in zip(row_sets, out):
-                        vals = table[lo:hi]
-                        tmp = scratch[:vals.size].reshape(vals.shape)
-                        combine(rows, a, b, deriv=False, out=(vals, None, tmp))
+                        buf = scratch[:2 * (hi - lo) * table.shape[1]]
+                        table[lo:hi] = combine(
+                            rows, a, b, deriv=False,
+                            out=buf.reshape(-1, table.shape[1]))[0]
             finally:
                 if threads is not None:
                     _set_blas_threads(threads)

@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -321,35 +321,57 @@ def _plain_combine(rows, A, B):
     return vals, ders
 
 
-# each simulated kind alone, and T_n beside perturbed, whose table it shares
+# each simulated kind alone, T_n beside perturbed, whose table it shares,
+# and f_n beside X_n, whose values f_n's pool rows must leave alone
 _CONTEXT_KINDS = ([pytest.param((kind,), id=kind) for kind in SIMULATED_KINDS]
-                  + [pytest.param(("T_n", "perturbed"), id="T_n+perturbed")])
+                  + [pytest.param(("T_n", "perturbed"), id="T_n+perturbed"),
+                     pytest.param(("f_n", "X_n"), id="f_n+X_n")])
 
 
 @pytest.mark.parametrize("kinds", _CONTEXT_KINDS)
 def test_context_buffers_bit_equal_to_plain_expressions(kinds, sine2_weight,
                                                         sine2_basis):
-    # the chunk buffers a _RunContext reuses give the bits of fresh arrays,
-    # for a full chunk and for a short last one, filled again and again,
-    # from rows built at max(n_list) and cut to n
-    n = 40
-    cfg = ExperimentConfig(weight_name="sine2", n_list=(n, 400),
+    # the pool rows a _RunContext reuses give the bits of fresh arrays, for
+    # a full chunk and for short last ones down to one draw, filled again
+    # and again, from rows built at max(n_list) and cut to n, at one and
+    # at two OpenBLAS threads.  n = 400 takes products deeper than
+    # OpenBLAS's 384-row panels, and one draw takes GEMV where more take
+    # GEMM, so stacking value and slope coefficients into one product
+    # must keep each row's bits there too
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(40, 400),
                            replicates=70, master_seed=SEED,
                            process_kinds=kinds)
     ctx = _RunContext(cfg, sine2_weight, sine2_basis)
-    for ids in (list(range(64)), list(range(64, 70)), list(range(5))):
-        A, B, _ = sample_coefficient_block(SEED, n, ids)
-        A *= 1.0 / math.sqrt(n)
-        B *= 1.0 / math.sqrt(n)
-        m = len(ids)
-        for kind in kinds:
-            rows = ctx.rows[n][kind]
-            got = combine(rows, A, B, out=(
-                ctx.values[kind][:m], ctx.slopes[:m], ctx.scratch[:m]))
-            assert np.shares_memory(got[0], ctx.values[kind])
-            assert np.shares_memory(got[1], ctx.slopes)
-            for g, want in zip(got, _plain_combine(rows, A, B)):
-                np.testing.assert_array_equal(g, want)
+    assert list(ctx.rows[40]) == [k for k in ("X_n", "f_n", "T_n",
+                                              "perturbed") if k in kinds]
+    id_sets = [range(64), range(64, 70), range(5), range(1), range(69, 70),
+               range(2), range(37)]
+    threads = harness._set_blas_threads(1)
+    try:
+        for count in (1, 2):
+            harness._set_blas_threads(count)
+            for n in cfg.n_list:
+                for ids in id_sets:
+                    A, B, _ = sample_coefficient_block(SEED, n, list(ids))
+                    A *= 1.0 / math.sqrt(n)
+                    B *= 1.0 / math.sqrt(n)
+                    m, kept = len(ids), {}
+                    for kind in ctx.rows[n]:
+                        rows = ctx.rows[n][kind]
+                        got = combine(rows, A, B, out=ctx.out(kind, m))
+                        want = _plain_combine(rows, A, B)
+                        kept[kind] = got[0], want[0]
+                        for g, w in zip(got, want):
+                            assert np.shares_memory(g, ctx.pool)
+                            np.testing.assert_array_equal(
+                                g, w, err_msg="%s, n=%d, m=%d, %d threads"
+                                % (kind, n, m, count))
+                    if "f_n" in kept and "X_n" in kept:
+                        # sup_eps reads X_n's values after f_n's count
+                        np.testing.assert_array_equal(*kept["X_n"])
+    finally:
+        if threads is not None:
+            harness._set_blas_threads(threads)
 
 
 @pytest.mark.parametrize("kinds", _CONTEXT_KINDS)
@@ -380,14 +402,14 @@ def test_context_rows_bit_equal_to_fresh_rows(kinds, sine2_weight,
                                                   err_msg=f.name)
 
 
-def _traced_context(cfg, weight):
+def _traced_context(cfg, weight, basis_pair=None):
     """(ctx, peak, kept): a _RunContext and the bytes numpy allocates
     while building it, at their peak and once it is built, as
     tracemalloc sees them."""
     omega_map(weight, cfg.grid)  # the cached phase map is not the rows'
     tracemalloc.start()
     try:
-        ctx = _RunContext(cfg, weight, None)
+        ctx = _RunContext(cfg, weight, basis_pair)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -410,6 +432,27 @@ def test_context_build_peak_with_shared_table(sine2_weight):
     assert p_rows.ra.shape == (n_top + 1, cfg.grid.count)
     for name in ("ra", "rb"):
         assert np.shares_memory(getattr(t_rows, name), getattr(p_rows, name))
+
+
+def test_context_build_peak_with_coupled_kinds(sine2_weight, sine2_basis):
+    # f_n beside X_n: X_n's cos/sin table of 400 rows, and a chunk pool of
+    # 4 * CHUNK rows, X_n's values and f_n's values, slopes and scratch;
+    # f_n's rows are the basis's own samples.  A few rows' slack covers
+    # per-point vectors
+    n_top = 400
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(50, n_top),
+                           replicates=2, master_seed=SEED,
+                           process_kinds=("f_n", "X_n"), k_max=n_top)
+    row = cfg.grid.count * 8
+    kept_rows = 2 * n_top + 4 * harness.CHUNK
+    ctx, peak, kept = _traced_context(cfg, sine2_weight, sine2_basis)
+    assert kept_rows * row <= kept <= peak <= (kept_rows + 4) * row
+    assert ctx.pool.size == 4 * harness.CHUNK * cfg.grid.count
+    # all four kinds hold no more chunk rows than one values buffer per
+    # kind, the slopes and the scratch did
+    every = _RunContext(replace(cfg, process_kinds=SIMULATED_KINDS),
+                        sine2_weight, sine2_basis)
+    assert every.pool.size <= 6 * harness.CHUNK * cfg.grid.count
 
 
 @pytest.mark.parametrize("kind", ["T_n", "X_n", "perturbed"])
