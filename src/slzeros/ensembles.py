@@ -280,8 +280,9 @@ class ProcessRows:
                                 if getattr(self, f) is not None})
 
     def out_rows(self, m, deriv=True):
-        """combine's out rows for m draws (4m with trig slopes)."""
-        return m * (2 + deriv + (deriv and self.da is None))
+        """combine's out rows for m draws: m for values alone, 3m with
+        slopes, 4m with trig slopes."""
+        return m * (1 + deriv * (2 + (self.da is None)))
 
 
 # entries (2 MB) from which a table's rows are filled in two threads
@@ -332,19 +333,21 @@ def _trig_rows(freq, phase, **fields):
     return ProcessRows(ra, rb, freq=freq, **fields)
 
 
-def _perturbed_coefficients(A, B, freq, out):
-    """perturbed's scaled coefficients A and B (m, n) into out (2, m, n+1)
-    as those of its cos/sin rows of frequencies freq = 1..n+1.  The family
+def _perturbed_coefficients(A, B, freq):
+    """perturbed's scaled coefficients A and B (n per draw) as those of
+    its cosine and sine rows of frequencies freq = 1..n+1.  The family
     eps_k = sin((k+1)x)/(2k), eta_k = cos((k+1)x)/(2k) moves b_k/(2k)
     onto cos((k+1)x) and a_k/(2k) onto sin((k+1)x), so frequency j takes
     a_j + b_{j-1}/(2(j-1)) and b_j + a_{j-1}/(2(j-1)), with a_{n+1} =
     b_{n+1} = 0 and no shifted term at j = 1."""
-    A_all, B_all = out
-    A_all[:, :-1], B_all[:, :-1] = A, B
-    A_all[:, -1] = B_all[:, -1] = 0.0
+    shape = A.shape[:-1] + freq.shape
+    A_all, B_all = np.zeros(shape), np.zeros(shape)
+    A_all[..., :-1] = A
+    B_all[..., :-1] = B
     two_k = 2.0 * freq[:-1]
-    A_all[:, 1:] += B / two_k
-    B_all[:, 1:] += A / two_k
+    A_all[..., 1:] += B / two_k
+    B_all[..., 1:] += A / two_k
+    return A_all, B_all
 
 
 def _family_pair(kind, basis_pair, n):
@@ -444,30 +447,28 @@ def combine(rows, A, B, deriv=True, out=None):
 
     out is a C-contiguous float buffer of at least rows.out_rows(m,
     deriv) rows for m draws, allocated by default: the values fill its
-    first m rows, the slopes the next m, and the rest is scratch.  The
-    trig slope rule runs as [A; B*freq] @ ra and [B; A*freq] @ rb, whose
-    top halves sum to the values and bottom halves subtract to the
-    slopes.  The bits are those of the plain expressions A @ ra + B @ rb
-    and so on, for perturbed rows after _perturbed_coefficients has
-    mapped A and B onto them.
+    first m rows, the slopes the next m, and the rest is scratch (values
+    alone take m rows and a temporary).  The trig slope rule runs as
+    [A; B*freq] @ ra and [B; A*freq] @ rb, whose top halves sum to the
+    values and bottom halves subtract to the slopes; for one draw each
+    half runs alone (_stacked_matmul).  The bits are those of the plain
+    expressions A @ ra + B @ rb and so on, for perturbed rows after
+    _perturbed_coefficients has mapped A and B onto them.
     """
     lead, width = A.shape[:-1], rows.ra.shape[1]
     A, B = A.reshape(-1, A.shape[-1]), B.reshape(-1, B.shape[-1])
+    if rows.perturbed:
+        A, B = _perturbed_coefficients(A, B, rows.freq)
     m = len(A)
     need = rows.out_rows(m, deriv)
     if out is None:
         out = np.empty((need, width))
-    vals, ders, tmp = out[:m], out[m:2 * m], out[need - m:need]
-    stacked = deriv and rows.da is None
-    if stacked or rows.perturbed:
+    vals = out[:m]
+    ders, tmp = (out[m:2 * m], out[need - m:need]) if deriv else (None, None)
+    if deriv and rows.da is None:
         # the left operands [A; B*freq] and [B; A*freq]
         coef = np.empty((2, 2 * m, len(rows.ra)))
-        if rows.perturbed:
-            _perturbed_coefficients(A, B, rows.freq, coef[:, :m])
-        else:
-            coef[0, :m], coef[1, :m] = A, B
-        A, B = coef[:, :m]
-    if stacked:
+        coef[0, :m], coef[1, :m] = A, B
         np.multiply(B, rows.freq, out=coef[0, m:])
         np.multiply(A, rows.freq, out=coef[1, m:])
         _stacked_matmul(coef[0], rows.ra, out[:2 * m])

@@ -758,9 +758,8 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
     process gets its count back after); a single block runs here, at one
     thread, without a fork.  A block is one
     sample_coefficient_block call into buffers the half reuses, then one
-    combine per row set into a scratch buffer the half reuses, whose
-    values are copied to the block's rows of that set's table; only the
-    tables are shared.  A row's draw depends on its own key alone
+    combine per row set into the block's rows of that set's table; only
+    the tables are shared.  A row's draw depends on its own key alone
     and, at one thread, its values on its block alone, so the bits are
     the same for any split and any number of cores.
     """
@@ -780,7 +779,6 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
             try:
                 A, B = np.empty((2, size, n))
                 seeds = np.empty(size, dtype=np.uint64)
-                scratch = np.empty(2 * size * max(widths))
                 out = tables(shared)
                 for lo in block_starts:
                     hi = min(lo + _DRAW_BLOCK, m)
@@ -790,10 +788,7 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
                     a /= root
                     b /= root
                     for rows, table in zip(row_sets, out):
-                        buf = scratch[:2 * (hi - lo) * table.shape[1]]
-                        table[lo:hi] = combine(
-                            rows, a, b, deriv=False,
-                            out=buf.reshape(-1, table.shape[1]))[0]
+                        combine(rows, a, b, deriv=False, out=table[lo:hi])
             finally:
                 if threads is not None:
                     _set_blas_threads(threads)

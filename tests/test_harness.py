@@ -448,8 +448,7 @@ def test_context_build_peak_with_coupled_kinds(sine2_weight, sine2_basis):
     ctx, peak, kept = _traced_context(cfg, sine2_weight, sine2_basis)
     assert kept_rows * row <= kept <= peak <= (kept_rows + 4) * row
     assert ctx.pool.size == 4 * harness.CHUNK * cfg.grid.count
-    # all four kinds hold no more chunk rows than one values buffer per
-    # kind, the slopes and the scratch did
+    # all four kinds share one pool too, of no more than 6 * CHUNK rows
     every = _RunContext(replace(cfg, process_kinds=SIMULATED_KINDS),
                         sine2_weight, sine2_basis)
     assert every.pool.size <= 6 * harness.CHUNK * cfg.grid.count
