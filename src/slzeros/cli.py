@@ -28,8 +28,8 @@ from .errors import (DomainError, InvariantViolation, NumericError,
                      PreconditionError, UsageError)
 from .harness import (ExperimentConfig, _fmt, basis_size, build_basis_pair,
                       check_covariance_draws, covariance_check,
-                      gap_diagnostics, median_loglog_slope, run_experiment,
-                      summarize, write_json, write_summary)
+                      gap_diagnostics, run_experiment, summarize,
+                      sup_eps_diagnostic, write_json, write_summary)
 from .kernels import expected_count_closed, kac_rice_expected
 from .weights import TWO_PI, builtin_weights, default_grid
 
@@ -212,10 +212,8 @@ def cmd_compare(cfg):
     _refuse_log_scaling_below_2(cfg["n_list"], "sqrt(n)/log(n)")
     records, report = cmd_simulate(cfg, kinds=("f_n", "X_n"))
     contiguity = {n: block.contiguity for n, block in report.per_n.items()}
-    quantiles = {n: {"median": block.sup_eps_median_scaled,
-                     "p99": block.sup_eps_p99_scaled}
-                 for n, block in report.per_n.items()}
-    slope = median_loglog_slope({n: q["median"] for n, q in quantiles.items()})
+    sup_eps = sup_eps_diagnostic(records)
+    quantiles = sup_eps["quantiles"]
     _write_table(os.path.join(cfg["out"], "contiguity.csv"),
                  ("n", "contiguity"),
                  [(n, v) for n, v in sorted(contiguity.items())])
@@ -226,7 +224,7 @@ def cmd_compare(cfg):
     write_json(os.path.join(cfg["out"], "compare.json"),
                {"contiguity": {str(n): v for n, v in contiguity.items()},
                 "sup_eps_quantiles": {str(n): q for n, q in quantiles.items()},
-                "median_loglog_slope": slope})
+                "median_loglog_slope": sup_eps["median_loglog_slope"]})
     return 0
 
 
@@ -237,11 +235,10 @@ def cmd_diagnose(cfg):
     k_max = basis_size(cfg["k_max"], cfg["n_list"])
     check_covariance_draws(cfg["replicates"])
     basis_pair = build_basis_pair(weight, k_max, default_grid())
-    rows = []
-    for n in cfg["n_list"]:
-        diag = gap_diagnostics(basis_pair, weight, n, x_ref=cfg["x_ref"])
-        rows.append((n, diag.alpha_sup, diag.delta_sup, n * diag.delta_sup,
-                     diag.beta_sup, diag.beta_sup * n / math.log(n)))
+    rows = [(d.n, d.alpha_sup, d.delta_sup, d.n * d.delta_sup, d.beta_sup,
+             d.beta_sup * d.n / math.log(d.n))
+            for d in gap_diagnostics(basis_pair, weight, cfg["n_list"],
+                                     x_ref=cfg["x_ref"])]
     _write_table(os.path.join(cfg["out"], "gap_table.csv"),
                  ("n", "alpha_sup", "delta_sup", "n_delta_sup", "beta_sup",
                   "beta_scaled"), rows)

@@ -271,11 +271,12 @@ class ProcessRows:
     dfactor: np.ndarray = None
     perturbed: bool = False
 
-    def prefix(self, n):
-        """The rows of the first n coefficients: n rows, or n + 1 for
-        perturbed; dphase, factor and dfactor are per point."""
+    def prefix(self, n, start=0):
+        """The rows of the first n coefficients, less the first start:
+        n - start rows, one more for perturbed; dphase, factor and
+        dfactor are per point."""
         n += self.perturbed
-        return replace(self, **{f: getattr(self, f)[:n]
+        return replace(self, **{f: getattr(self, f)[start:n]
                                 for f in ("ra", "rb", "da", "db", "freq")
                                 if getattr(self, f) is not None})
 

@@ -48,9 +48,9 @@ the record rows alone.  write_json() writes every JSON output file
 (summary, manifest, compare), and _fmt() every CSV cell.
 
 gap_diagnostics() and covariance_check() provide the second-order
-diagnostics: coupling coefficients alpha/Delta/beta from exact
-eigenbasis sums, and empirical covariance spot checks against the
-closed-form kernel.
+diagnostics: coupling coefficients alpha/Delta/beta summed over unit
+coefficient vectors that combine runs through f_n's and X_n's rows,
+and empirical covariance spot checks against the closed-form kernel.
 """
 
 import ctypes
@@ -76,7 +76,7 @@ from .ensembles import (ID_LIMIT, combine, process_rows,
 from .ensembles import sample_coefficients  # noqa: F401
 from .errors import (DomainError, PreconditionError, is_integral,
                      non_negative_int)
-from .kernels import covariance_X, r_n_closed
+from .kernels import _check_order, covariance_X, r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
                       omega_map)
 # count_zeros, the one-process front of count_hermite_zeros, is not
@@ -652,26 +652,19 @@ def _sup_eps_quantiles(n, recs):
 
 def sup_eps_diagnostic(records):
     """Per-n quantiles of sup|eps_n| * sqrt(n)/log(n), plus the log-log
-    slope of the median across n (boundedness check)."""
+    slope of the median across n (boundedness check): the least-squares
+    slope of log(median) against log(n), or None for a single n or a
+    median that is not positive."""
     quantiles = {}
     for n, recs in _group_by_n(records).items():
         quantiles[n] = _sup_eps_quantiles(n, recs)
         if quantiles[n] is None:
             raise PreconditionError("no scaled sup_eps for n=%d: none "
                                     "recorded, or n < 2" % n)
-    slope = median_loglog_slope({n: q["median"] for n, q in quantiles.items()})
+    medians = [q["median"] for q in quantiles.values()]
+    slope = (float(np.polyfit(np.log(list(quantiles)), np.log(medians), 1)[0])
+             if len(medians) > 1 and min(medians) > 0 else None)
     return {"quantiles": quantiles, "median_loglog_slope": slope}
-
-
-def median_loglog_slope(medians):
-    """Least-squares slope of log(median) against log(n) over a
-    {n: median} map, or None for fewer than 2 values of n or a median
-    that is not positive."""
-    ns = sorted(medians)
-    if len(ns) < 2 or not all(medians[n] > 0 for n in ns):
-        return None
-    return float(np.polyfit(np.log(ns), np.log([medians[n] for n in ns]),
-                            1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -692,44 +685,53 @@ class GapDiagnostics:
     beta_sup: float
 
 
-def gap_diagnostics(basis_pair, weight, n, x_grid=None, x_ref=math.pi / 3.0):
-    """Coupling diagnostics from exact eigenbasis sums.
+def gap_diagnostics(basis_pair, weight, n_list, x_ref=math.pi / 3.0):
+    """Coupling diagnostics from exact eigenbasis sums on 257 points of
+    [0, 2*pi]: one GapDiagnostics per n of n_list, in its order.
 
     alpha(x) = E[X' f] / var f, Delta(x) = |var X var f - cov(X,f)^2|,
-    beta(y) = cov(f(y) - X(y), X(x_ref)) / var X(x_ref); var X is 1
-    exactly, so only eigenfunction samples and the closed-form kernel
-    enter.
+    beta(y) = cov(f(y) - X(y), X(x_ref)) / var X(x_ref), var X being 1
+    exactly.  Each covariance is a sum over the unit coefficient vectors
+    a_1, b_1, ..., a_n, b_n divided by n, which combine runs CHUNK at a
+    time through f_n's and X_n's rows, built once at max(n_list); n's
+    bits do not depend on the rest of n_list.  Refuses an empty n_list,
+    and an n that is not a positive integer as the kernels do, before
+    any row is built.
     """
-    if x_grid is None:
-        x_grid = np.linspace(0.0, TWO_PI, 257)
-    x = np.asarray(x_grid, dtype=float)
-    f_rows = process_rows("F_n", n, x, basis_pair=basis_pair)
-    grid = basis_pair[0].grid
-    x_rows = process_rows("X_n", n, x, weight=weight, grid=grid)
-    u, v = f_rows.ra, f_rows.rb
-    C, S, mu = x_rows.ra, x_rows.rb, x_rows.freq
-    om = x_rows.dphase  # Omega' = omega
-    omap = omega_map(weight, grid)
-
-    var_f = om * np.sum(u * u + v * v, axis=0) / n
-    cov_xp_f = om * np.sqrt(om) * np.sum(mu[:, None] * (C * v - S * u), axis=0) / n
-    alpha = cov_xp_f / var_f
-    cov_x_f = np.sqrt(om) * np.sum(C * u + S * v, axis=0) / n
-    delta = np.abs(var_f - cov_x_f ** 2)
-
-    # beta over y = x_grid, anchored at x_ref
-    om_ref = omap.forward(float(x_ref))
-    cref, sref = np.cos(mu * om_ref), np.sin(mu * om_ref)
-    cov_f_xref = np.sqrt(om) * ((cref @ u) + (sref @ v)) / n
-    r_ref = r_n_closed(n, (omap.forward(x) - om_ref) / 2.0)[0]
-    beta = cov_f_xref - r_ref
-
-    return GapDiagnostics(
-        n=n, x_ref=float(x_ref), x_grid=x, var_f=var_f, alpha=alpha,
-        delta=delta, beta=beta,
-        var_dev_sup=float(np.max(np.abs(var_f - 1.0))),
-        alpha_sup=float(np.max(np.abs(alpha))),
-        delta_sup=float(np.max(delta)), beta_sup=float(np.max(np.abs(beta))))
+    orders = [_check_order(n) for n in n_list]
+    if not orders:
+        raise DomainError("n_list must hold at least one order n, got %r"
+                          % (n_list,))
+    n_top = max(orders)
+    x = np.linspace(0.0, TWO_PI, 257)
+    f_rows = process_rows("f_n", n_top, x, weight=weight,
+                          basis_pair=basis_pair)
+    x_rows = process_rows("X_n", n_top, np.append(x, x_ref), weight=weight,
+                          grid=basis_pair[0].grid)
+    omap = omega_map(weight, basis_pair[0].grid)
+    half_gap = (omap.forward(x) - omap.forward(float(x_ref))) / 2.0
+    # sums of f*f, X'*f, X*f and X(x_ref)*f over the vectors below lo
+    sums, diags = np.zeros((4, x.size)), {}
+    unit = np.zeros((2, CHUNK, CHUNK // 2))  # a block's a_1, b_1, a_2, ...
+    unit[0, 0::2] = unit[1, 1::2] = np.eye(CHUNK // 2)
+    for lo in range(0, 2 * n_top, CHUNK):
+        hi = min(lo + CHUNK, 2 * n_top)
+        A, B = unit[:, :hi - lo, :(hi - lo) // 2]
+        f = combine(f_rows.prefix(hi // 2, lo // 2), A, B, deriv=False)[0]
+        xv, xd = combine(x_rows.prefix(hi // 2, lo // 2), A, B)
+        block = np.stack((f, xd[:, :-1], xv[:, :-1],
+                          np.broadcast_to(xv[:, -1:], f.shape))) * f
+        for n in (n for n in orders if lo < 2 * n <= hi):
+            var_f, cov_xp_f, cov_x_f, cov_f_ref = (
+                sums + block[:, :2 * n - lo].sum(axis=1)) / n
+            alpha, delta = cov_xp_f / var_f, np.abs(var_f - cov_x_f ** 2)
+            beta = cov_f_ref - r_n_closed(n, half_gap)[0]
+            diags[n] = GapDiagnostics(
+                n, float(x_ref), x, var_f, alpha, delta, beta,
+                *(float(np.max(np.abs(v)))
+                  for v in (var_f - 1.0, alpha, delta, beta)))
+        sums += block.sum(axis=1)
+    return [diags[n] for n in orders]
 
 
 def check_covariance_draws(m):
@@ -814,13 +816,13 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     When a basis pair is supplied the empirical variance of f_n is
     checked against 1 at the first n_pairs of those points.  The draws are
     those of ids 0..m-1, streamed in blocks by _sampled_in_halves in two
-    processes (one for a single block) whatever SLZEROS_THREADS is, and only the values at the
-    sampled points are kept: m rows of 2 * n_pairs, plus n_pairs for
-    f_n, whatever n is.  Each half runs at one OpenBLAS thread, so the
-    bits do not depend on the host's core count.  Refuses an n_pairs
-    that is not a positive integer, and m as check_covariance_draws
-    does, before any draw.  Returns a dict with the max absolute errors
-    and the raw tables.
+    processes (one for a single block) whatever SLZEROS_THREADS is, and
+    only the values at the sampled points are kept: m rows of
+    2 * n_pairs, plus n_pairs for f_n, whatever n is.  Each half runs at
+    one OpenBLAS thread, so the bits do not depend on the host's core
+    count.  Refuses an n_pairs that is not a positive integer, and m as
+    check_covariance_draws does, before any draw.  Returns a dict with
+    the max absolute errors and the raw tables.
     """
     if not is_integral(n_pairs) or n_pairs < 1:
         raise PreconditionError("n_pairs must be a positive integer, got %r"

@@ -52,6 +52,12 @@ def sine2_basis(sine2_weight):
 
 
 @pytest.fixture(scope="session")
+def expcos_basis():
+    """(C, D) eigenbasis pair for the expcos weight, 400 pairs each."""
+    return build_basis_pair(builtin_weights("expcos"), 400, default_grid())
+
+
+@pytest.fixture(scope="session")
 def sine2_basis_200(sine2_weight):
     """Smaller sine2 pair for tests that only need 200 modes."""
     return build_basis_pair(sine2_weight, 200, default_grid())

@@ -185,8 +185,8 @@ def test_criterion_11_gap_diagnostics(sine2_weight, sine2_basis):
     n * sup|Delta_n|, and sup|beta_n| * n/log(n) each have max <= 3x median."""
     n_list = (50, 100, 200, 400)
     alpha, n_delta, beta_scaled = [], [], []
-    for n in n_list:
-        g = gap_diagnostics(sine2_basis, sine2_weight, n)
+    for n, g in zip(n_list, gap_diagnostics(sine2_basis, sine2_weight,
+                                            n_list)):
         alpha.append(g.alpha_sup)
         n_delta.append(n * g.delta_sup)
         beta_scaled.append(g.beta_sup * n / math.log(n))

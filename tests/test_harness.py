@@ -31,6 +31,7 @@ from slzeros import ensembles, harness
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
                              _RunContext, _worker_count,
                              check_covariance_draws, record_row)
+from slzeros.kernels import r_n_closed
 from slzeros.weights import Grid, omega_map
 
 SEED = 20260819
@@ -418,8 +419,9 @@ def _traced_context(cfg, weight, basis_pair=None):
 
 def test_context_build_peak_with_shared_table(sine2_weight):
     # T_n beside perturbed: one cos/sin table of 401 rows, whose first
-    # 400 rows are T_n's, and the chunk block of two values buffers, the
-    # slopes and the scratch; a few rows' slack covers per-point vectors
+    # 400 rows are T_n's, and a chunk pool of 4 * CHUNK rows, which each
+    # kind's combine calls reuse for their values, slopes and stacked
+    # products; a few rows' slack covers per-point vectors
     n_top = 400
     cfg = ExperimentConfig(weight_name="sine2", n_list=(50, n_top),
                            replicates=2, master_seed=SEED,
@@ -560,7 +562,7 @@ def test_pair_on_two_grids_refused(use, split_pair, sine2_weight):
             build_process("f_n", n, sample_coefficients(SEED, n, 0),
                           basis_pair=split_pair)
         elif use == "gap_diagnostics":
-            gap_diagnostics(split_pair, sine2_weight, n)
+            gap_diagnostics(split_pair, sine2_weight, (n,))
         else:
             run_experiment(ExperimentConfig(
                 weight_name="sine2", n_list=(n,), replicates=2,
@@ -1145,7 +1147,7 @@ def test_sup_eps_diagnostic_flat_series_has_zero_slope():
 
 
 def test_gap_diagnostics_unit_weight_vanishes(unit_basis, unit_weight):
-    diag = gap_diagnostics(unit_basis, unit_weight, 50)
+    diag, = gap_diagnostics(unit_basis, unit_weight, (50,))
     assert diag.n == 50
     assert diag.x_grid.shape == (257,)
     assert diag.var_f.shape == (257,)
@@ -1156,7 +1158,7 @@ def test_gap_diagnostics_unit_weight_vanishes(unit_basis, unit_weight):
 
 
 def test_gap_diagnostics_sine2_bounded(sine2_basis, sine2_weight):
-    diag = gap_diagnostics(sine2_basis, sine2_weight, 50)
+    diag, = gap_diagnostics(sine2_basis, sine2_weight, (50,))
     assert 0.0 < diag.var_dev_sup < 0.05
     assert 0.0 < diag.alpha_sup < 1.0
     assert 0.0 < diag.delta_sup < 0.1
@@ -1165,7 +1167,81 @@ def test_gap_diagnostics_sine2_bounded(sine2_basis, sine2_weight):
 
 def test_gap_diagnostics_needs_basis(unit_basis, unit_weight):
     with pytest.raises(PreconditionError):
-        gap_diagnostics(unit_basis, unit_weight, 200)
+        gap_diagnostics(unit_basis, unit_weight, (200,))
+
+
+@pytest.mark.parametrize("n_list", [(10, 0), (10, -1), (10, 2.5),
+                                    (10, float("nan")), (10, float("inf")),
+                                    ()], ids=repr)
+def test_gap_diagnostics_refuses_bad_orders(monkeypatch, unit_basis,
+                                            unit_weight, n_list):
+    def rows(*args, **kwargs):
+        raise AssertionError("built rows before refusing n_list")
+
+    monkeypatch.setattr(harness, "process_rows", rows)
+    if n_list:
+        match = ("^order n must be a positive integer, got %s$"
+                 % re.escape(repr(n_list[-1])))
+    else:
+        match = r"^n_list must hold at least one order n, got \(\)$"
+    with pytest.raises(DomainError, match=match):
+        gap_diagnostics(unit_basis, unit_weight, n_list)
+
+
+def _gap_reference(basis_pair, weight, n, x_ref):
+    """var f, alpha, Delta and beta at one n as eigenbasis sums written
+    out: F_n's rows times sqrt(omega), X_n's cosine/sine rows and their
+    slope rule, and the cos/sin of the frequencies at Omega(x_ref)."""
+    x = np.linspace(0.0, 2.0 * math.pi, 257)
+    f_rows = process_rows("F_n", n, x, basis_pair=basis_pair)
+    grid = basis_pair[0].grid
+    x_rows = process_rows("X_n", n, x, weight=weight, grid=grid)
+    u, v = f_rows.ra, f_rows.rb
+    C, S, mu = x_rows.ra, x_rows.rb, x_rows.freq
+    om = x_rows.dphase
+    omap = omega_map(weight, grid)
+    var_f = om * np.sum(u * u + v * v, axis=0) / n
+    cov_xp_f = (om * np.sqrt(om)
+                * np.sum(mu[:, None] * (C * v - S * u), axis=0) / n)
+    cov_x_f = np.sqrt(om) * np.sum(C * u + S * v, axis=0) / n
+    om_ref = omap.forward(x_ref)
+    cref, sref = np.cos(mu * om_ref), np.sin(mu * om_ref)
+    cov_f_xref = np.sqrt(om) * ((cref @ u) + (sref @ v)) / n
+    r_ref = r_n_closed(n, (omap.forward(x) - om_ref) / 2.0)[0]
+    return {"var_f": var_f, "alpha": cov_xp_f / var_f,
+            "delta": np.abs(var_f - cov_x_f ** 2),
+            "beta": cov_f_xref - r_ref}
+
+
+# 10x the largest deviation from the written-out sums measured over the
+# cases below (sine2 and expcos, n = 50 and 400, three anchors),
+# rounded up: 6.66e-16, 1.22e-15, 3.77e-15 and 3.33e-16
+GAP_TOLERANCE = {"var_f": 6.7e-15, "alpha": 1.3e-14, "delta": 3.8e-14,
+                 "beta": 3.4e-15}
+
+
+@pytest.mark.parametrize("x_ref", [0.0, math.pi / 3.0, 2.0 * math.pi])
+@pytest.mark.parametrize("name", ["sine2", "expcos"])
+def test_gap_diagnostics_match_eigenbasis_sums(name, x_ref, request):
+    weight = builtin_weights(name)
+    basis_pair = request.getfixturevalue(name + "_basis")
+    for diag in gap_diagnostics(basis_pair, weight, (50, 400), x_ref=x_ref):
+        want = _gap_reference(basis_pair, weight, diag.n, x_ref)
+        for key, tol in GAP_TOLERANCE.items():
+            np.testing.assert_allclose(getattr(diag, key), want[key],
+                                       rtol=0.0, atol=tol, err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["sine2", "expcos"])
+def test_gap_diagnostics_cut_is_bit_equal(name, request):
+    # n = 50 read from the rows of n = 400 has the bits of its own build
+    weight = builtin_weights(name)
+    basis_pair = request.getfixturevalue(name + "_basis")
+    cut = gap_diagnostics(basis_pair, weight, (50, 400))[0]
+    alone, = gap_diagnostics(basis_pair, weight, (50,))
+    for f in fields(alone):
+        np.testing.assert_array_equal(getattr(cut, f.name),
+                                      getattr(alone, f.name), err_msg=f.name)
 
 
 def test_covariance_check_small(unit_basis, unit_weight):
