@@ -24,8 +24,12 @@ pass: numpy's SeedSequence(master_seed, spawn_key=(n,)) mixes the words
 the block shares, the id and stream words are mixed into its pool for
 every id at once in uint32 arithmetic (SeedSequence's own hash, whose
 constant has advanced 16 + 4*(L - 4) times over those L words), and one
-Philox is re-keyed with counter 0 for each row.  sample_coefficients()
-is its one-id case, so a block and single draws give the same bits.
+Philox is re-keyed with counter 0 for each row, from a state of plain
+ints, which its setter takes faster than numpy arrays.
+sample_coefficients() is its one-id case, so a block and single draws
+give the same bits.  numpy.random is loaded with this module, not
+lazily on the first draw, so the processes the package forks inherit
+it.
 
 Each kind is defined once, in process_rows(): the kind at points x as
 row matrices (ProcessRows), which combine() turns into values and
@@ -50,6 +54,9 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
+# loaded here, not lazily by numpy on the first draw, so that forked
+# children inherit it
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import (DomainError, PreconditionError, is_integral,
                      non_negative_int)
@@ -174,17 +181,19 @@ def sample_coefficient_block(master_seed, n, replicate_ids, out=None):
         _check_block_out(out, m, n)
     A, B, seeds = out
 
-    prefix = np.random.SeedSequence(entropy=master_seed, spawn_key=(n,))
+    prefix = SeedSequence(entropy=master_seed, spawn_key=(n,))
     # mix_entropy advanced its hash constant 16 times over the first
     # four words and 4 times per word after them
     prefix_words = max(_POOL_SIZE, _words(master_seed)) + _words(n)
     hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * (prefix_words - _POOL_SIZE),
                                _MASK32 + 1) & _MASK32
     tags = np.arange(2, dtype=np.uint32)[:, None, None]  # streams 0 and 1
-    bitgen = np.random.Philox(prefix)
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(prefix)
+    gen = Generator(bitgen)
+    # a fresh Philox's state at counter 0, in plain ints
     state = bitgen.state
-    state["state"]["counter"][:] = 0
+    state["state"] = {"counter": [0] * 4, "key": None}
+    state["buffer"] = state["buffer"].tolist()
     for lo in range(0, m, _KEY_BLOCK):
         # the ids and keys of _KEY_BLOCK draws at a time, so they never
         # sit beside every row of a large block
@@ -235,10 +244,13 @@ def hermite_rows(funcs, dfuncs, h, x):
     with the cubic Hermite rule.  Returns (vals, derivs) of shape
     (rows, len(x))."""
     idx, wv, wd = _hermite_weights(x, h, funcs.shape[1] - 1)
-    f0 = funcs[:, idx]
-    f1 = funcs[:, idx + 1]
-    g0 = dfuncs[:, idx]
-    g1 = dfuncs[:, idx + 1]
+    # both end columns of each cell in one gather per table, interleaved,
+    # since they share cache lines
+    ends = np.stack((idx, idx + 1), axis=1).ravel()
+    f = np.take(funcs, ends, axis=1)
+    g = np.take(dfuncs, ends, axis=1)
+    f0, f1 = f[:, 0::2], f[:, 1::2]
+    g0, g1 = g[:, 0::2], g[:, 1::2]
     vals = wv[0] * f0 + wv[1] * g0 + wv[2] * f1 + wv[3] * g1
     ders = wd[0] * f0 + wd[1] * g0 + wd[2] * f1 + wd[3] * g1
     return vals, ders

@@ -5,11 +5,11 @@ in this process and D in a forked child beside it, and returns D's
 arrays through an anonymous shared mapping, with the bits of a solo
 eigen_solve call for each family.  covariance_check() streams its
 draws the same way, in fixed blocks of ids, the lower half of the
-blocks here and the upper half in the child (a single block runs here
-alone), each at one OpenBLAS thread; only the values at its sampled
-points are shared, and their bits do not depend on the number of
-cores.  Both fork through _beside_child, the package's one fork of a
-single child.
+blocks here (the larger half, for an odd count) and the rest in the
+child (a single block runs here alone), each at one OpenBLAS thread;
+only the values at its sampled points are shared, and their bits do
+not depend on the number of cores or on the split.  Both fork through
+_beside_child, the package's one fork of a single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
@@ -755,15 +755,15 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
     combine(rows, a_i / sqrt(n), b_i / sqrt(n), deriv=False)[0].
 
     The ids go in blocks of _DRAW_BLOCK, aligned at multiples of it from
-    id 0.  _beside_child runs the upper half of the blocks in a forked
-    child and the lower half here, each at one OpenBLAS thread (this
-    process gets its count back after); a single block runs here, at one
-    thread, without a fork.  A block is one
-    sample_coefficient_block call into buffers the half reuses, then one
-    combine per row set into the block's rows of that set's table; only
-    the tables are shared.  A row's draw depends on its own key alone
-    and, at one thread, its values on its block alone, so the bits are
-    the same for any split and any number of cores.
+    id 0.  _beside_child runs the first ceil(k/2) of the k blocks here
+    and the rest in a forked child, which also pays the fork's first-use
+    costs, each at one OpenBLAS thread (this process gets its count back
+    after); a single block runs here, at one thread, without a fork.  A
+    block is one sample_coefficient_block call into buffers the half
+    reuses, then one combine per row set into the block's rows of that
+    set's table; only the tables are shared.  A row's draw depends on its
+    own key alone and, at one thread, its values on its block alone, so
+    the bits are the same for any split and any number of cores.
     """
     widths = [rows.ra.shape[1] for rows in row_sets]
     ends = np.cumsum([0] + widths) * m
@@ -800,7 +800,7 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
         shared = np.empty(int(ends[-1]))
         half(starts)(shared)
     else:
-        split = len(starts) // 2
+        split = (len(starts) + 1) // 2
         shared, _ = _beside_child(8 * int(ends[-1]), half(starts[split:]),
                                   half(starts[:split]))
     return tables(shared)
@@ -815,8 +815,9 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     r_n((Omega(x) - Omega(y))/2), Omega tabulated on default_grid().
     When a basis pair is supplied the empirical variance of f_n is
     checked against 1 at the first n_pairs of those points.  The draws are
-    those of ids 0..m-1, streamed in blocks by _sampled_in_halves in two
-    processes (one for a single block) whatever SLZEROS_THREADS is, and
+    those of ids 0..m-1, streamed in blocks by _sampled_in_halves, the
+    larger, lower half of the blocks here and the rest in a forked child
+    (one process for a single block) whatever SLZEROS_THREADS is, and
     only the values at the sampled points are kept: m rows of
     2 * n_pairs, plus n_pairs for f_n, whatever n is.  Each half runs at
     one OpenBLAS thread, so the bits do not depend on the host's core

@@ -234,6 +234,35 @@ def test_hermite_rows_exact_at_nodes_and_for_cubics():
     np.testing.assert_allclose(ders[1], 0.0, atol=1e-14)
 
 
+def _hermite_rows_oracle(funcs, dfuncs, h, x):
+    """hermite_rows with a gather per column of each cell: the formula
+    that the one gather of both end columns per table must match bit for
+    bit."""
+    idx, wv, wd = ensembles._hermite_weights(x, h, funcs.shape[1] - 1)
+    f0 = funcs[:, idx]
+    f1 = funcs[:, idx + 1]
+    g0 = dfuncs[:, idx]
+    g1 = dfuncs[:, idx + 1]
+    vals = wv[0] * f0 + wv[1] * g0 + wv[2] * f1 + wv[3] * g1
+    ders = wd[0] * f0 + wd[1] * g0 + wd[2] * f1 + wd[3] * g1
+    return vals, ders
+
+
+@pytest.mark.parametrize("family", [0, 1])  # C and D
+def test_hermite_rows_bit_equal_to_per_column_gathers(family, sine2_basis):
+    basis = sine2_basis[family]
+    h = basis.grid.h
+    rng = np.random.default_rng(11)
+    for x in (basis.grid.points, np.array([0.0, TWO_PI]),
+              rng.uniform(0.0, TWO_PI, 257),
+              np.concatenate(([TWO_PI], rng.uniform(0.0, TWO_PI, 5), [0.0]))):
+        got = hermite_rows(basis.funcs, basis.dfuncs, h, x)
+        want = _hermite_rows_oracle(basis.funcs, basis.dfuncs, h, x)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (basis.funcs.shape[0], x.size)
+            assert np.array_equal(g, w)
+
+
 # ----------------------------------------------------------------------
 # process construction preconditions
 

@@ -843,6 +843,35 @@ def test_sampled_in_halves_bit_equal_to_one_process_block_loop(
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("m, blocks", [(500, 2), (700, 3), (1001, 4)])
+def test_sampled_in_halves_draws_the_larger_half_here(
+        small_draw_blocks, monkeypatch, tmp_path, m, blocks):
+    # the forked child pays the fork's first-use costs, so the calling
+    # process draws blocks [0, ceil(k/2)) and the child the rest
+    log = str(tmp_path / "draws")
+    draw = harness.sample_coefficient_block
+
+    def logged(master_seed, n, ids, out=None):
+        with open(log, "a") as fh:  # one line per call, from either side
+            fh.write("%d %d\n" % (os.getpid(), ids[0]))
+        return draw(master_seed, n, ids, out=out)
+
+    monkeypatch.setattr(harness, "sample_coefficient_block", logged)
+    row_sets = _sample_row_sets()
+    tables = harness._sampled_in_halves(SEED, 13, m, row_sets)
+    _no_child_left()
+    with open(log) as fh:
+        calls = [tuple(map(int, line.split())) for line in fh]
+    here = -(-blocks // 2)
+    assert sorted(first for _, first in calls) == [256 * i
+                                                   for i in range(blocks)]
+    assert sorted(first for pid, first in calls
+                  if pid == os.getpid()) == [256 * i for i in range(here)]
+    assert len({pid for pid, _ in calls}) == 2
+    for got, want in zip(tables, _block_loop(13, m, row_sets)):
+        assert np.array_equal(got, want)
+
+
 def test_sampled_in_halves_agrees_with_one_plain_combine():
     row_sets = _sample_row_sets()
     A, B, _ = sample_coefficient_block(SEED, 13, range(5000))

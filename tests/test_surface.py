@@ -85,6 +85,16 @@ def test_readme_kinds_match_the_table():
     assert tuple(kinds) == slzeros.ensembles.KINDS
 
 
+def test_import_loads_numpy_random(module_cli_env):
+    # numpy loads numpy.random lazily; the package loads it at import so
+    # that the children it forks (covariance_check's half, the records
+    # pool) inherit the module instead of importing it on their first draw
+    code = "import slzeros, sys; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=module_cli_env, check=True)
+    assert out.stdout == "True\n"
+
+
 def test_import_loads_no_scipy(module_cli_env, tmp_path):
     # numpy is the only runtime dependency: importing the package loads no
     # scipy, and the subcommands that once did (the summary's KS distance,
