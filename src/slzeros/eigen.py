@@ -52,8 +52,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .ensembles import combine, process_rows, unit_blocks
 from .errors import (InvariantViolation, NumericError, PreconditionError,
-                     is_integral)
+                     positive_integral)
 from .weights import (TWO_PI, Grid, check_resolution, default_grid, omega_map,
                       weight_to_potential)
 
@@ -385,9 +386,7 @@ def _normalized(pair, weight, grid, bc, om):
 def check_k_max(k_max, weight, grid):
     """k_max as an int; refuses one that is not a positive integer or
     that the grid cannot resolve (check_resolution)."""
-    if not is_integral(k_max) or k_max < 1:
-        raise PreconditionError("k_max must be a positive integer, got %r" % (k_max,))
-    k_max = int(k_max)
+    k_max = positive_integral("k_max", k_max)
     check_resolution(grid, "k_max", k_max, weight=weight)
     return k_max
 
@@ -551,39 +550,24 @@ def eigen_solve(weight, bc, k_max, grid=None):
     return EigenBasis(bc, weight, grid, lambdas, funcs, dfuncs)
 
 
-def _asymptotic_on_grid(k, bc, omega_vals, omega_cum, omega_d1):
-    phase = 0.5 * k * omega_cum
-    trig = np.cos(phase) if bc is BoundaryCondition.C else np.sin(phase)
-    dtrig = -np.sin(phase) if bc is BoundaryCondition.C else np.cos(phase)
-    amp = omega_vals ** -0.5
-    val = amp * trig
-    dval = (-0.5 * omega_d1 * omega_vals ** -1.5) * trig \
-        + amp * dtrig * (0.5 * k * omega_vals)
-    return val, dval
-
-
 def asymptotic_deviation(basis):
     """Sup-norm deviations from the asymptotic forms, per index:
-    d_k = sup |psi_k - asym_k| and d1_k = sup |psi_k' - asym_k'|.
+    d_k = sup |psi_k - asym_k| and d1_k = sup |psi_k' - asym_k'|, asym_k
+    being X_n_raw's a_k row, omega^{-1/2} cos(k Omega/2), for family C
+    and its b_k row, omega^{-1/2} sin(k Omega/2), for D (unit_blocks).
 
     Returns (k, d, d1) arrays.
     """
-    grid = basis.grid
-    w = basis.weight
-    om = omega_map(w, grid)
-    x = grid.points
-    omega_vals = np.asarray(w.eval(x), dtype=float)
-    omega_d1 = np.asarray(w.deriv1(x), dtype=float)
-    omega_cum = om.forward(x)
-    ks = np.arange(1, basis.k_max + 1)
-    d = np.empty(basis.k_max)
-    d1 = np.empty(basis.k_max)
-    for i, pair in enumerate(basis.pairs):
-        val, dval = _asymptotic_on_grid(pair.index, basis.bc,
-                                        omega_vals, omega_cum, omega_d1)
-        d[i] = np.max(np.abs(pair.func - val))
-        d1[i] = np.max(np.abs(pair.dfunc - dval))
-    return ks, d, d1
+    rows = process_rows("X_n_raw", basis.k_max, weight=basis.weight,
+                        grid=basis.grid)
+    own = 0 if basis.bc is BoundaryCondition.C else 1  # a_k, b_k rows
+    d, d1 = np.empty((2, basis.k_max))
+    for lo, hi, A, B in unit_blocks(basis.k_max):
+        val, dval = combine(rows.prefix(hi // 2, lo // 2), A, B)
+        k = slice(lo // 2, hi // 2)
+        d[k] = np.max(np.abs(basis.funcs[k] - val[own::2]), axis=1)
+        d1[k] = np.max(np.abs(basis.dfuncs[k] - dval[own::2]), axis=1)
+    return np.arange(1, basis.k_max + 1), d, d1
 
 
 def ode_residual(pair, weight, grid):

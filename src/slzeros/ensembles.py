@@ -58,8 +58,8 @@ import numpy as np
 # children inherit it
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import (DomainError, PreconditionError, is_integral,
-                     non_negative_int)
+from .errors import (DomainError, PreconditionError, check_order,
+                     non_negative_int, positive_integral)
 from .weights import default_grid, omega_map
 
 KINDS = ("F_n", "f_n", "X_n", "X_n_raw", "Y_n", "T_n", "perturbed")
@@ -166,13 +166,11 @@ def sample_coefficient_block(master_seed, n, replicate_ids, out=None):
     [0, 2**32).
 
     out=(A, B, seeds) are writable C-contiguous arrays of those shapes
-    and dtypes (float64, float64, uint64) to fill, such as views of a
-    mapping that another process reads; by default they are allocated.
-    Either way they get the same bits."""
-    if not is_integral(n) or n < 1:
-        raise PreconditionError("n must be a positive integer, got %r" % (n,))
+    and dtypes (float64, float64, uint64) to fill, such as the buffers
+    that a covariance_check half reuses for each of its blocks; by
+    default they are allocated.  Either way they get the same bits."""
+    n = positive_integral("n", n)
     master_seed = non_negative_int("master_seed", master_seed)
-    n = int(n)
     m = len(replicate_ids)
     if out is None:
         out = (np.empty((m, n)), np.empty((m, n)),
@@ -395,9 +393,10 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
     x=None means the points of `grid`, on which the X kinds tabulate
     Omega too; there the eigenfunction kinds take their stored samples
     as rows, elsewhere they interpolate them with the cubic Hermite rule.
-    The basis pair is checked by _family_pair and the weight by
-    _omega_at.
+    The order n is checked first (check_order), the basis pair by
+    _family_pair and the weight by _omega_at.
     """
+    n = check_order(n)
     on_grid = x is None
     if grid is None and (on_grid or kind in ("X_n", "X_n_raw")):
         why = ("x=None means the grid's points" if on_grid
@@ -503,6 +502,23 @@ def combine(rows, A, B, deriv=True, out=None):
         vals *= rows.factor
     shape = lead + (width,)
     return vals.reshape(shape), ders.reshape(shape) if deriv else None
+
+
+_UNIT_BLOCK = 64
+
+
+def unit_blocks(n):
+    """The unit coefficient vectors a_1, b_1, ..., a_n, b_n in blocks of
+    _UNIT_BLOCK: (lo, hi, A, B) for vectors lo..hi-1, as coefficients
+    lo//2+1..hi//2, so combine(rows.prefix(hi // 2, lo // 2), A, B) gives
+    their rows, a_k's at 2(k-1) - lo and b_k's after it.  The size is
+    fixed, so a vector's bits do not depend on n."""
+    unit = np.zeros((2, _UNIT_BLOCK, _UNIT_BLOCK // 2))
+    unit[0, 0::2] = unit[1, 1::2] = np.eye(_UNIT_BLOCK // 2)
+    for lo in range(0, 2 * n, _UNIT_BLOCK):
+        hi = min(lo + _UNIT_BLOCK, 2 * n)
+        A, B = unit[:, :hi - lo, :(hi - lo) // 2]
+        yield lo, hi, A, B
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,9 @@ UsageError, PreconditionError) versus the library failing to deliver
 (NumericError, InvariantViolation).  The CLI maps the first group to
 exit code 2 and the second to exit code 3.  Integer arguments are
 tested two ways: non_negative_int() (2.0 refused) for seeds, replicate
-ids and ExperimentConfig's counts, is_integral() (2000.0 accepted) for
-orders n, k_max, the covariance draws m and n_pairs.
+ids and ExperimentConfig's counts, positive_integral() (2000.0
+accepted) for orders n (check_order), k_max, the covariance draws m and
+n_pairs.
 """
 
 import operator
@@ -61,3 +62,16 @@ class NumericError(SlzerosError):
 class InvariantViolation(SlzerosError):
     """A cross-check that must hold by theory failed at runtime; the
     message carries the numbers so the failure is diagnosable."""
+
+
+def positive_integral(name, value, error=PreconditionError):
+    """value as an int; error, naming it, unless value is a positive
+    number with an integer value (is_integral)."""
+    if not is_integral(value) or value < 1:
+        raise error("%s must be a positive integer, got %r" % (name, value))
+    return int(value)
+
+
+def check_order(n):
+    """n as an int, or DomainError unless it is a positive integer."""
+    return positive_integral("order n", n, DomainError)

@@ -23,16 +23,18 @@ ensembles.sample_coefficient_block call draws the chunk, and
 zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
 interpolants exactly, cell by cell, from the sign bits of each cell's
 Bernstein control points.  One pool of SLZEROS_THREADS workers
-(default 1), forked once per run, each at one OpenBLAS thread,
-maps the tasks in order, and one record per (n, replicate) streams to
+(default 1, a ProcessPoolExecutor), forked once per run, each at one
+OpenBLAS thread, maps the tasks in order (a dead worker raises
+ChildProcessError), and one record per (n, replicate) streams to
 CSV, so the records keep their order and draws for any worker count.
 A replicate whose count holds an unresolved tangency is logged at WARNING
 and, for f_n and X_n, recorded with stable_* = 0.  Each record's fields,
 in order, are the columns of records.csv, then a millis column, always 0.
 ExperimentConfig refuses at construction what a run could not do (an
 n, replicate count or seed that is not an integer, a negative seed,
-fewer than 2 or more than 2**32 replicates, frequencies the storage
-grid cannot resolve); the perturbed kind is T_n perturbed by the fixed
+fewer than 2 or more than 2**32 replicates, a k_max that is not a
+positive integer, whatever the kinds, frequencies the storage grid
+cannot resolve); the perturbed kind is T_n perturbed by the fixed
 family of ensembles.process_rows, eps_k = sin((k+1)x)/(2k) and
 eta_k = cos((k+1)x)/(2k), whose bounds |eps_k| <= 1/(2k) and
 |eps_k'| <= 1 hold for every n.
@@ -62,6 +64,8 @@ import multiprocessing
 import os
 import pickle
 import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -69,14 +73,14 @@ import numpy as np
 
 from .eigen import BoundaryCondition, EigenBasis, check_k_max, eigen_solve
 from .ensembles import (ID_LIMIT, combine, process_rows,
-                        sample_coefficient_block)
+                        sample_coefficient_block, unit_blocks)
 # sample_coefficients, the one-id case of sample_coefficient_block, is
 # not called here; the benchmark's traced run (perfbench/tracing.py)
 # looks it up in this module by name
 from .ensembles import sample_coefficients  # noqa: F401
-from .errors import (DomainError, PreconditionError, is_integral,
-                     non_negative_int)
-from .kernels import _check_order, covariance_X, r_n_closed
+from .errors import (DomainError, PreconditionError, check_order,
+                     is_integral, non_negative_int, positive_integral)
+from .kernels import covariance_X, r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
                       omega_map)
 # count_zeros, the one-process front of count_hermite_zeros, is not
@@ -124,6 +128,9 @@ class ExperimentConfig:
             object.__setattr__(self, name,
                                non_negative_int(name, getattr(self, name)))
         object.__setattr__(self, "process_kinds", tuple(self.process_kinds))
+        if self.k_max is not None:
+            object.__setattr__(self, "k_max",
+                               positive_integral("k_max", self.k_max))
         if self.replicates < 2:
             raise PreconditionError("need at least 2 replicates, got %d"
                                     % self.replicates)
@@ -461,7 +468,10 @@ def run_experiment(config, basis_pair=None):
     them to <output_path>/records.csv as chunks complete when an output
     path is set.  Every refusal comes before records.csv exists: of a
     basis_pair solved off config.grid, misordered or too small, and,
-    before the basis solve, of a SLZEROS_THREADS that is not an integer."""
+    before the basis solve, of a SLZEROS_THREADS that is not an integer.
+    A pool worker that dies without a result (killed, or os._exit)
+    raises ChildProcessError, as _beside_child's child does, and the
+    pool's other tasks are dropped."""
     global _WORKER_CTX
     tasks = [(n, list(range(lo, min(lo + CHUNK, config.replicates))))
              for n in config.n_list
@@ -490,15 +500,26 @@ def run_experiment(config, basis_pair=None):
     records = []
     try:
         _WORKER_CTX = ctx
-        # the pool forks here, so its workers inherit the run's context
-        with (multiprocessing.get_context("fork").Pool(
-                workers, initializer=_set_blas_threads, initargs=(1,))
+        # the pool forks on its first task, so its workers inherit the
+        # run's context
+        with (ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_blas_threads, initargs=(1,))
               if fork else nullcontext()) as pool:
-            for batch in (pool.imap if fork else map)(_process_chunk, tasks):
-                records.extend(batch)
-                if rec_fh is not None:
-                    rec_fh.writelines(record_row(r) + "\n" for r in batch)
-                    rec_fh.flush()
+            try:
+                for batch in (pool.map if fork else map)(_process_chunk,
+                                                         tasks):
+                    records.extend(batch)
+                    if rec_fh is not None:
+                        rec_fh.writelines(record_row(r) + "\n" for r in batch)
+                        rec_fh.flush()
+            except BrokenProcessPool as exc:
+                raise ChildProcessError("a records worker ended without "
+                                        "returning its chunk") from exc
+            except BaseException:
+                if fork:  # map submitted every task: drop those not started
+                    pool.shutdown(cancel_futures=True)
+                raise
     finally:
         _WORKER_CTX = None
         if rec_fh is not None:
@@ -692,13 +713,13 @@ def gap_diagnostics(basis_pair, weight, n_list, x_ref=math.pi / 3.0):
     alpha(x) = E[X' f] / var f, Delta(x) = |var X var f - cov(X,f)^2|,
     beta(y) = cov(f(y) - X(y), X(x_ref)) / var X(x_ref), var X being 1
     exactly.  Each covariance is a sum over the unit coefficient vectors
-    a_1, b_1, ..., a_n, b_n divided by n, which combine runs CHUNK at a
-    time through f_n's and X_n's rows, built once at max(n_list); n's
-    bits do not depend on the rest of n_list.  Refuses an empty n_list,
-    and an n that is not a positive integer as the kernels do, before
-    any row is built.
+    a_1, b_1, ..., a_n, b_n divided by n, which combine runs block by
+    block (unit_blocks) through f_n's and X_n's rows, built once at
+    max(n_list); n's bits do not depend on the rest of n_list.  Refuses
+    an empty n_list, and an n that is not a positive integer
+    (check_order), before any row is built.
     """
-    orders = [_check_order(n) for n in n_list]
+    orders = [check_order(n) for n in n_list]
     if not orders:
         raise DomainError("n_list must hold at least one order n, got %r"
                           % (n_list,))
@@ -712,11 +733,7 @@ def gap_diagnostics(basis_pair, weight, n_list, x_ref=math.pi / 3.0):
     half_gap = (omap.forward(x) - omap.forward(float(x_ref))) / 2.0
     # sums of f*f, X'*f, X*f and X(x_ref)*f over the vectors below lo
     sums, diags = np.zeros((4, x.size)), {}
-    unit = np.zeros((2, CHUNK, CHUNK // 2))  # a block's a_1, b_1, a_2, ...
-    unit[0, 0::2] = unit[1, 1::2] = np.eye(CHUNK // 2)
-    for lo in range(0, 2 * n_top, CHUNK):
-        hi = min(lo + CHUNK, 2 * n_top)
-        A, B = unit[:, :hi - lo, :(hi - lo) // 2]
+    for lo, hi, A, B in unit_blocks(n_top):
         f = combine(f_rows.prefix(hi // 2, lo // 2), A, B, deriv=False)[0]
         xv, xd = combine(x_rows.prefix(hi // 2, lo // 2), A, B)
         block = np.stack((f, xd[:, :-1], xv[:, :-1],
@@ -821,14 +838,12 @@ def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
     only the values at the sampled points are kept: m rows of
     2 * n_pairs, plus n_pairs for f_n, whatever n is.  Each half runs at
     one OpenBLAS thread, so the bits do not depend on the host's core
-    count.  Refuses an n_pairs that is not a positive integer, and m as
-    check_covariance_draws does, before any draw.  Returns a dict with
-    the max absolute errors and the raw tables.
+    count.  Refuses an n_pairs that is not a positive integer, m as
+    check_covariance_draws does and n as process_rows does (check_order),
+    before any draw or fork.  Returns a dict with the max absolute errors
+    and the raw tables.
     """
-    if not is_integral(n_pairs) or n_pairs < 1:
-        raise PreconditionError("n_pairs must be a positive integer, got %r"
-                                % (n_pairs,))
-    n_pairs = int(n_pairs)
+    n_pairs = positive_integral("n_pairs", n_pairs)
     m = check_covariance_draws(m)
     grid = default_grid()
     rng = np.random.Generator(np.random.Philox(

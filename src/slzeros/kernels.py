@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, is_integral
+from .errors import DomainError, check_order
 from .weights import TWO_PI, omega_map
 
 # Switch to the Taylor branch while m*|t|/2 < _TAYLOR_MU.  The closed-form
@@ -26,13 +26,6 @@ from .weights import TWO_PI, omega_map
 # small-n second derivative with ~eps/(m*u)^2 relative error just above it;
 # scaling the cut with 1/m keeps both branches below ~1e-13 everywhere.
 _TAYLOR_MU = 0.2
-
-
-def _check_order(n):
-    """n as an int, or DomainError unless it is a positive integer."""
-    if not is_integral(n) or n < 1:
-        raise DomainError("order n must be a positive integer, got %r" % (n,))
-    return int(n)
 
 
 def _power_sums(n):
@@ -54,7 +47,7 @@ def r_n_closed(n, t):
     removable singularity (m |t|/2 below 0.2) a degree-8 Taylor
     expansion in t replaces the quotients.
     """
-    n = _check_order(n)
+    n = check_order(n)
     ts = np.asarray(t, dtype=float)
     scalar = ts.ndim == 0
     ts = np.atleast_1d(ts).copy()
@@ -114,7 +107,7 @@ def kac_rice_expected(n, kind, weight=None):
     with 64-node Gauss-Legendre nodes x_i and weights w_i;
     expected_count_closed gives the same counts in closed form.
     """
-    n = _check_order(n)
+    n = check_order(n)
     if kind == "X_n":
         if weight is None:
             raise DomainError("kac_rice_expected(kind='X_n') needs a weight")
@@ -132,7 +125,7 @@ def expected_count_closed(n, kind):
     """Closed-form expected zero counts on [0, 2*pi]: half-frequency
     comparison process (weight-independent) and full-frequency
     stationary polynomial."""
-    n = _check_order(n)
+    n = check_order(n)
     if kind in ("X_n", "X_n_raw"):
         return 2.0 * math.sqrt((n + 1) * (2 * n + 1) / 24.0)
     if kind == "T_n":

@@ -1,6 +1,7 @@
 """Coefficient draws, the perturbed rows' bounds, process construction and algebra."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -208,6 +209,25 @@ def test_process_rows_without_a_grid_refused_by_name(kind, x, match,
     with pytest.raises(PreconditionError,
                        match="^kind '%s' needs a grid: %s$" % (kind, match)):
         process_rows(kind, 5, x, weight=sine2_weight)
+
+
+@pytest.mark.parametrize("kind", ensembles.KINDS)
+@pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), float("inf")])
+def test_process_rows_refuses_bad_orders_first(kind, n):
+    # before its grid, weight or basis pair is looked at
+    with pytest.raises(DomainError,
+                       match="^order n must be a positive integer, got %s$"
+                       % re.escape(repr(n))):
+        process_rows(kind, n, np.linspace(0.0, 1.0, 3))
+
+
+def test_build_process_refuses_a_fractional_order():
+    draw = sample_coefficients(SEED, 3, 0)
+    draw = ensembles.CoefficientDraw(draw.master_seed, 2.5, 0, draw.a,
+                                     draw.b, draw.seed)
+    with pytest.raises(DomainError, match="^order n must be a positive "
+                                          "integer, got 2.5$"):
+        build_process("T_n", 2.5, draw)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ import json
 import logging
 import math
 import mmap
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -119,6 +119,24 @@ def test_config_refuses_unresolved_frequencies(kinds, n, k_max, bound):
         ExperimentConfig(weight_name="sine2", n_list=(n,), replicates=4,
                          master_seed=SEED, process_kinds=kinds, k_max=k_max)
     assert "points per wavelength" in str(err.value)
+
+
+@pytest.mark.parametrize("kinds", [("f_n", "X_n"), ("X_n",), ("T_n",),
+                                   ("T_n", "perturbed")])
+@pytest.mark.parametrize("k_max", [400.5, float("nan"), float("inf"), 0,
+                                   "400"])
+def test_config_refuses_a_bad_k_max_for_every_kind_set(kinds, k_max):
+    # a run without f_n never reads k_max, yet must not accept one that
+    # basis_k_max would turn into nan
+    with pytest.raises(PreconditionError,
+                       match="^k_max must be a positive integer, got %s$"
+                       % re.escape(repr(k_max))):
+        ExperimentConfig(weight_name="sine2", n_list=(50, 400), replicates=4,
+                         master_seed=SEED, process_kinds=kinds, k_max=k_max)
+    cfg = ExperimentConfig(weight_name="sine2", n_list=(50, 400),
+                           replicates=4, master_seed=SEED,
+                           process_kinds=kinds, k_max=400.0)
+    assert cfg.k_max == 400 and type(cfg.k_max) is int
 
 
 def test_config_accepts_k_max_400():
@@ -482,15 +500,14 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
         calls.append((kind, n))
         return real_rows(kind, n, **kwargs)
 
-    fork_ctx = multiprocessing.get_context("fork")
-    real_pool = fork_ctx.Pool
+    real_pool = harness.ProcessPoolExecutor
 
     def counted_pool(*args, **kwargs):
         pools.append(args[0])
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "process_rows", counted_rows)
-    monkeypatch.setattr(fork_ctx, "Pool", counted_pool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counted_pool)
 
     def run(n_list, threads):
         monkeypatch.setenv("SLZEROS_THREADS", threads)
@@ -510,6 +527,42 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
     assert whole["1"] == whole["2"]
     for threads in ("1", "2"):
         assert whole[threads] == run((10,), threads) + run((20,), threads)
+
+
+_DYING_WORKER = """
+import multiprocessing, os
+from slzeros import ExperimentConfig, harness, run_experiment
+
+def die(task):
+    os._exit(9)
+
+harness._process_chunk = die
+cfg = ExperimentConfig(weight_name="unit", n_list=(10, 20), replicates=130,
+                       master_seed=1, process_kinds=("T_n",))
+try:
+    run_experiment(cfg)
+except ChildProcessError:
+    print("ChildProcessError", len(multiprocessing.active_children()))
+"""
+
+
+def test_dead_records_worker_ends_the_run(module_cli_env):
+    # a worker killed mid-task (os._exit, or the OOM killer) must end the
+    # run with ChildProcessError, not leave run_experiment waiting for a
+    # lost task; the script runs in its own session, so a hang is killed
+    # with every worker it forked
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DYING_WORKER], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env=dict(module_cli_env, SLZEROS_THREADS="2"))
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_experiment still waited 60 s after its worker died")
+    assert proc.returncode == 0, err
+    assert out.split() == ["ChildProcessError", "0"]
 
 
 def test_run_experiment_worker_invariance(monkeypatch):
@@ -993,6 +1046,19 @@ def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_weight,
                        match="^n_pairs must be a positive integer, got %s$"
                        % re.escape(repr(n_pairs))):
         covariance_check(unit_weight, 5, n_pairs=n_pairs, m=1000)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), float("inf")])
+def test_covariance_check_refuses_bad_orders(monkeypatch, unit_weight, n):
+    # the rows are built before any draw, and process_rows checks n first
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before refusing n")
+
+    monkeypatch.setattr(harness, "sample_coefficient_block", draw)
+    with pytest.raises(DomainError,
+                       match="^order n must be a positive integer, got %s$"
+                       % re.escape(repr(n))):
+        covariance_check(unit_weight, n, m=1000)
 
 
 @pytest.mark.parametrize("m", [1000.5, float("nan"), float("inf"), "2000"])
