@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import combine, process_rows, unit_blocks
+from .ensembles import unit_blocks
 from .errors import (InvariantViolation, NumericError, PreconditionError,
                      positive_integral)
 from .weights import (TWO_PI, Grid, check_resolution, default_grid, omega_map,
@@ -554,16 +554,16 @@ def asymptotic_deviation(basis):
     """Sup-norm deviations from the asymptotic forms, per index:
     d_k = sup |psi_k - asym_k| and d1_k = sup |psi_k' - asym_k'|, asym_k
     being X_n_raw's a_k row, omega^{-1/2} cos(k Omega/2), for family C
-    and its b_k row, omega^{-1/2} sin(k Omega/2), for D (unit_blocks).
+    and its b_k row, omega^{-1/2} sin(k Omega/2), for D, read block by
+    block on the basis grid (unit_blocks), so no more than one block's
+    rows are held at once.
 
     Returns (k, d, d1) arrays.
     """
-    rows = process_rows("X_n_raw", basis.k_max, weight=basis.weight,
-                        grid=basis.grid)
     own = 0 if basis.bc is BoundaryCondition.C else 1  # a_k, b_k rows
     d, d1 = np.empty((2, basis.k_max))
-    for lo, hi, A, B in unit_blocks(basis.k_max):
-        val, dval = combine(rows.prefix(hi // 2, lo // 2), A, B)
+    for lo, hi, val, dval in unit_blocks(
+            "X_n_raw", basis.k_max, weight=basis.weight, grid=basis.grid):
         k = slice(lo // 2, hi // 2)
         d[k] = np.max(np.abs(basis.funcs[k] - val[own::2]), axis=1)
         d1[k] = np.max(np.abs(basis.dfuncs[k] - dval[own::2]), axis=1)

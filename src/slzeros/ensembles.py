@@ -46,7 +46,10 @@ and combine maps each draw onto their coefficients
 two threads, joined before its build returns (_in_row_halves), with the
 bits of a one-thread fill.  RandomProcess (one draw of any kind), the
 harness's grid samples and the second-order diagnostics all read this
-one table, and build_process refuses what it refuses.
+one table, and build_process refuses what it refuses.  unit_blocks
+reads a kind back at the unit coefficient vectors a_1, b_1, ..., a_n,
+b_n, building each block's rows alone (process_rows' start), so no
+caller holds the whole table.
 """
 
 import math
@@ -281,12 +284,13 @@ class ProcessRows:
     dfactor: np.ndarray = None
     perturbed: bool = False
 
-    def prefix(self, n, start=0):
-        """The rows of the first n coefficients, less the first start:
-        n - start rows, one more for perturbed; dphase, factor and
-        dfactor are per point."""
+    def prefix(self, n):
+        """The rows of the first n coefficients: n rows, one more for
+        perturbed; dphase, factor and dfactor are per point.  A run's
+        rows at each n of its n_list, and T_n's view of perturbed's
+        table, are such prefixes."""
         n += self.perturbed
-        return replace(self, **{f: getattr(self, f)[start:n]
+        return replace(self, **{f: getattr(self, f)[:n]
                                 for f in ("ra", "rb", "da", "db", "freq")
                                 if getattr(self, f) is not None})
 
@@ -387,8 +391,14 @@ def _omega_at(kind, weight, x):
     return np.asarray(weight.eval(x), dtype=float)
 
 
-def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
-    """The table of process kinds: `kind` at the points x as rows.
+def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
+                 start=0):
+    """The table of process kinds: `kind` at the points x as rows, for
+    the coefficients start+1..n (0 <= start < n): the frequencies
+    start+1..n of a trigonometric kind, and one more for perturbed, or
+    the basis rows start:n of an eigenfunction kind.  Row k-1-start
+    depends on k alone, so a block of rows has the bits of the same rows
+    of the whole table.
 
     x=None means the points of `grid`, on which the X kinds tabulate
     Omega too; there the eigenfunction kinds take their stored samples
@@ -404,17 +414,14 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
         raise PreconditionError("kind %r needs a grid: %s" % (kind, why))
     if on_grid:
         x = grid.points
-    k = np.arange(1, n + 1, dtype=float)
+    k = np.arange(start + 1, n + 1, dtype=float)
     if kind in ("F_n", "f_n"):
         bc_c, bc_d = _family_pair(kind, basis_pair, n)
-        if on_grid:
-            rows = ProcessRows(bc_c.funcs[:n], bc_d.funcs[:n],
-                               bc_c.dfuncs[:n], bc_d.dfuncs[:n])
-        else:
-            h = bc_c.grid.h
-            ra, da = hermite_rows(bc_c.funcs[:n], bc_c.dfuncs[:n], h, x)
-            rb, db = hermite_rows(bc_d.funcs[:n], bc_d.dfuncs[:n], h, x)
-            rows = ProcessRows(ra, rb, da, db)
+        own = [(bc.funcs[start:n], bc.dfuncs[start:n]) for bc in (bc_c, bc_d)]
+        if not on_grid:
+            own = [hermite_rows(f, d, bc_c.grid.h, x) for f, d in own]
+        (ra, da), (rb, db) = own
+        rows = ProcessRows(ra, rb, da, db)
         if kind == "F_n":
             return rows
         root = np.sqrt(_omega_at(kind, weight, x))
@@ -435,7 +442,7 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None):
     if kind == "T_n":
         return _trig_rows(k, x)
     if kind == "perturbed":
-        return _trig_rows(np.arange(1, n + 2, dtype=float), x, perturbed=True)
+        return _trig_rows(np.append(k, n + 1.0), x, perturbed=True)
     raise DomainError("unknown process kind %r (choose from %s)"
                       % (kind, ", ".join(KINDS)))
 
@@ -507,18 +514,25 @@ def combine(rows, A, B, deriv=True, out=None):
 _UNIT_BLOCK = 64
 
 
-def unit_blocks(n):
-    """The unit coefficient vectors a_1, b_1, ..., a_n, b_n in blocks of
-    _UNIT_BLOCK: (lo, hi, A, B) for vectors lo..hi-1, as coefficients
-    lo//2+1..hi//2, so combine(rows.prefix(hi // 2, lo // 2), A, B) gives
-    their rows, a_k's at 2(k-1) - lo and b_k's after it.  The size is
-    fixed, so a vector's bits do not depend on n."""
+def unit_blocks(kind, n, x=None, deriv=True, **rows):
+    """kind's values and slopes (None unless deriv) at the unit
+    coefficient vectors a_1, b_1, ..., a_n, b_n, in blocks of
+    _UNIT_BLOCK: (lo, hi, vals, ders) for vectors lo..hi-1, a_k's row
+    at 2(k-1) - lo and b_k's after it.  Each block builds only the rows
+    of its own coefficients lo//2+1..hi//2 (process_rows(kind, hi // 2,
+    x, start=lo // 2, **rows)), and combines them into one out buffer
+    allocated once, so each yield overwrites the block before it.  The
+    size is fixed, so a vector's bits do not depend on n; n is the
+    caller's to check."""
     unit = np.zeros((2, _UNIT_BLOCK, _UNIT_BLOCK // 2))
     unit[0, 0::2] = unit[1, 1::2] = np.eye(_UNIT_BLOCK // 2)
     for lo in range(0, 2 * n, _UNIT_BLOCK):
         hi = min(lo + _UNIT_BLOCK, 2 * n)
+        block = process_rows(kind, hi // 2, x, start=lo // 2, **rows)
+        if lo == 0:  # the first block is the largest
+            out = np.empty((block.out_rows(hi, deriv), block.ra.shape[1]))
         A, B = unit[:, :hi - lo, :(hi - lo) // 2]
-        yield lo, hi, A, B
+        yield (lo, hi) + combine(block, A, B, deriv, out)
 
 
 @dataclass(frozen=True, eq=False)

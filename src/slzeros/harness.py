@@ -23,10 +23,11 @@ ensembles.sample_coefficient_block call draws the chunk, and
 zeros.count_hermite_zeros counts the zeros of its cubic-Hermite
 interpolants exactly, cell by cell, from the sign bits of each cell's
 Bernstein control points.  One pool of SLZEROS_THREADS workers
-(default 1, a ProcessPoolExecutor), forked once per run, each at one
-OpenBLAS thread, maps the tasks in order (a dead worker raises
-ChildProcessError), and one record per (n, replicate) streams to
-CSV, so the records keep their order and draws for any worker count.
+(default 1, a ProcessPoolExecutor, whose modules are imported only when
+a run forks it), forked once per run, each at one OpenBLAS thread, maps
+the tasks in order (a dead worker raises ChildProcessError), and one
+record per (n, replicate) streams to CSV, so the records keep their
+order and draws for any worker count.
 A replicate whose count holds an unresolved tangency is logged at WARNING
 and, for f_n and X_n, recorded with stable_* = 0.  Each record's fields,
 in order, are the columns of records.csv, then a millis column, always 0.
@@ -50,9 +51,10 @@ the record rows alone.  write_json() writes every JSON output file
 (summary, manifest, compare), and _fmt() every CSV cell.
 
 gap_diagnostics() and covariance_check() provide the second-order
-diagnostics: coupling coefficients alpha/Delta/beta summed over unit
-coefficient vectors that combine runs through f_n's and X_n's rows,
-and empirical covariance spot checks against the closed-form kernel.
+diagnostics: coupling coefficients alpha/Delta/beta summed over f_n's
+and X_n's values and slopes at the unit coefficient vectors, one block
+of rows at a time (ensembles.unit_blocks), and empirical covariance
+spot checks against the closed-form kernel.
 """
 
 import ctypes
@@ -60,12 +62,9 @@ import glob
 import json
 import math
 import mmap
-import multiprocessing
 import os
 import pickle
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -498,6 +497,10 @@ def run_experiment(config, basis_pair=None):
         rec_fh.write(",".join(RECORD_COLUMNS) + "\n")
 
     records = []
+    if fork:  # imported here, so a process that forks no pool never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
     try:
         _WORKER_CTX = ctx
         # the pool forks on its first task, so its workers inherit the
@@ -513,7 +516,7 @@ def run_experiment(config, basis_pair=None):
                     if rec_fh is not None:
                         rec_fh.writelines(record_row(r) + "\n" for r in batch)
                         rec_fh.flush()
-            except BrokenProcessPool as exc:
+            except (BrokenProcessPool if fork else ()) as exc:
                 raise ChildProcessError("a records worker ended without "
                                         "returning its chunk") from exc
             except BaseException:
@@ -713,29 +716,31 @@ def gap_diagnostics(basis_pair, weight, n_list, x_ref=math.pi / 3.0):
     alpha(x) = E[X' f] / var f, Delta(x) = |var X var f - cov(X,f)^2|,
     beta(y) = cov(f(y) - X(y), X(x_ref)) / var X(x_ref), var X being 1
     exactly.  Each covariance is a sum over the unit coefficient vectors
-    a_1, b_1, ..., a_n, b_n divided by n, which combine runs block by
-    block (unit_blocks) through f_n's and X_n's rows, built once at
-    max(n_list); n's bits do not depend on the rest of n_list.  Refuses
-    an empty n_list, and an n that is not a positive integer
-    (check_order), before any row is built.
+    a_1, b_1, ..., a_n, b_n divided by n: f_n's and X_n's values and
+    slopes there, one block at a time (unit_blocks), each block's rows
+    built alone up to max(n_list); n's bits do not depend on the rest of
+    n_list.  Refuses an empty n_list, and an n that is not a positive
+    integer (check_order), before any row is built, and then what f_n's
+    rows refuse (process_rows).
     """
     orders = [check_order(n) for n in n_list]
     if not orders:
         raise DomainError("n_list must hold at least one order n, got %r"
                           % (n_list,))
     n_top = max(orders)
+    # refused as f_n's rows refuse, from its rows at no points
+    process_rows("f_n", n_top, np.empty(0), weight=weight,
+                 basis_pair=basis_pair)
     x = np.linspace(0.0, TWO_PI, 257)
-    f_rows = process_rows("f_n", n_top, x, weight=weight,
-                          basis_pair=basis_pair)
-    x_rows = process_rows("X_n", n_top, np.append(x, x_ref), weight=weight,
-                          grid=basis_pair[0].grid)
     omap = omega_map(weight, basis_pair[0].grid)
     half_gap = (omap.forward(x) - omap.forward(float(x_ref))) / 2.0
     # sums of f*f, X'*f, X*f and X(x_ref)*f over the vectors below lo
     sums, diags = np.zeros((4, x.size)), {}
-    for lo, hi, A, B in unit_blocks(n_top):
-        f = combine(f_rows.prefix(hi // 2, lo // 2), A, B, deriv=False)[0]
-        xv, xd = combine(x_rows.prefix(hi // 2, lo // 2), A, B)
+    for (lo, hi, f, _), (_, _, xv, xd) in zip(
+            unit_blocks("f_n", n_top, x, deriv=False, weight=weight,
+                        basis_pair=basis_pair),
+            unit_blocks("X_n", n_top, np.append(x, x_ref), weight=weight,
+                        grid=basis_pair[0].grid)):
         block = np.stack((f, xd[:, :-1], xv[:, :-1],
                           np.broadcast_to(xv[:, -1:], f.shape))) * f
         for n in (n for n in orders if lo < 2 * n <= hi):

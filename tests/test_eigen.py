@@ -1,6 +1,7 @@
 """Eigen solver: pinned unit-weight spectra, invariants, cross-checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from slzeros import (BoundaryCondition, Eigenpair, NumericError,
                      PreconditionError, asymptotic_deviation, eigen_solve,
                      normalize_eigenfunction, ode_residual,
                      orthogonality_defect, weight_to_potential)
-from slzeros import eigen
+from slzeros import eigen, ensembles
 from slzeros.eigen import _brent, _chain_reduce, _chain_scan, _Propagator
 from slzeros.weights import (TWO_PI, Grid, WeightFunction, builtin_weights,
                              default_grid, make_expcos, omega_map)
@@ -224,6 +225,26 @@ def test_asymptotic_deviation_sine2_order_one(sine2_basis):
         assert np.max(d1) < 2.0
         # deviations decay: the tail is much smaller than the head
         assert np.median(d[200:]) < np.median(d[:20])
+
+
+def test_asymptotic_deviation_peak_is_one_block(sine2_basis):
+    # one block of m unit vectors at a time: combine's out buffer of 4m
+    # rows (values, slopes and the stacked products), the block's cos/sin
+    # rows of m/2 coefficients, and then either the next block's rows as
+    # they are built or the two m/2-row temporaries of the differences;
+    # a few rows' slack covers per-point vectors.  Measured: 393 rows at
+    # k_max = 400, where holding X_n_raw's whole table peaked at 1,317
+    m = ensembles._UNIT_BLOCK
+    for basis in sine2_basis:
+        row = basis.grid.count * 8
+        omega_map(basis.weight, basis.grid)  # the cached phase map
+        tracemalloc.start()
+        try:
+            asymptotic_deviation(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 6 * m * row <= peak <= (6 * m + 12) * row
 
 
 # ----------------------------------------------------------------------

@@ -439,6 +439,36 @@ def test_process_samples_are_its_table_rows(kind, sine2_weight, sine2_basis):
     assert proc.deriv(x).tobytes() == proc.samples(x)[1].tobytes()
 
 
+@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
+@pytest.mark.parametrize("kind", ensembles.KINDS)
+def test_unit_blocks_bit_equal_to_whole_table(kind, on_grid, sine2_weight,
+                                              sine2_basis):
+    # n = 45 leaves a last block of 26 vectors; each block builds only its
+    # own coefficients' rows (perturbed's one more, f_n's Hermite rows
+    # from start off the grid), and its values and slopes are the same
+    # rows of one combine over the whole table at all 2n unit vectors
+    n = 45
+    x = None if on_grid else np.linspace(0.05, 6.2, 37)
+    given = dict(weight=sine2_weight, basis_pair=sine2_basis,
+                 grid=sine2_basis[0].grid)
+    unit = np.eye(2 * n)
+    whole = combine(process_rows(kind, n, x, **given), unit[:, 0::2],
+                    unit[:, 1::2])
+    for deriv in (True, False):
+        done = 0
+        for lo, hi, vals, ders in ensembles.unit_blocks(kind, n, x, deriv,
+                                                        **given):
+            assert (lo, hi) == (done, min(done + ensembles._UNIT_BLOCK,
+                                          2 * n))
+            assert vals.tobytes() == whole[0][lo:hi].tobytes()
+            if deriv:
+                assert ders.tobytes() == whole[1][lo:hi].tobytes()
+            else:
+                assert ders is None
+            done = hi
+        assert done == 2 * n
+
+
 @pytest.mark.parametrize("kind", ["X_n", "X_n_raw"])
 def test_stationary_pullback_is_the_Y_kind(kind, sine2_weight):
     draw = sample_coefficients(SEED, 9, 1)

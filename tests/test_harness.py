@@ -1,5 +1,6 @@
 """Experiment configs, record persistence, summaries, diagnostics."""
 
+import concurrent.futures
 import json
 import logging
 import math
@@ -500,14 +501,15 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
         calls.append((kind, n))
         return real_rows(kind, n, **kwargs)
 
-    real_pool = harness.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def counted_pool(*args, **kwargs):
         pools.append(args[0])
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "process_rows", counted_rows)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        counted_pool)
 
     def run(n_list, threads):
         monkeypatch.setenv("SLZEROS_THREADS", threads)

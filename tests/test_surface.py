@@ -95,6 +95,17 @@ def test_import_loads_numpy_random(module_cli_env):
     assert out.stdout == "True\n"
 
 
+def test_import_loads_no_process_pool(module_cli_env):
+    # the records pool's modules load in run_experiment's fork branch
+    # alone, so a process that forks no pool does not pay for them
+    code = ("import slzeros, slzeros.cli, sys; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=module_cli_env, check=True)
+    assert out.stdout == "[]\n"
+
+
 def test_import_loads_no_scipy(module_cli_env, tmp_path):
     # numpy is the only runtime dependency: importing the package loads no
     # scipy, and the subcommands that once did (the summary's KS distance,
