@@ -17,7 +17,7 @@ from .errors import (DomainError, InvariantViolation, NumericError,
 from .harness import (ExperimentConfig, GapDiagnostics, ReplicateRecord,
                       SummaryReport, build_basis_pair, covariance_check,
                       gap_diagnostics, ks_statistic, read_records,
-                      run_experiment, summarize, sup_eps_diagnostic,
+                      run_experiment, summarize, sup_eps_slope,
                       write_records, write_summary)
 from .kernels import (covariance_X, expected_count_closed, kac_rice_expected,
                       r_n_closed)

@@ -29,7 +29,7 @@ from .errors import (DomainError, InvariantViolation, NumericError,
 from .harness import (ExperimentConfig, _fmt, basis_size, build_basis_pair,
                       check_covariance_draws, covariance_check,
                       gap_diagnostics, run_experiment, summarize,
-                      sup_eps_diagnostic, write_json, write_summary)
+                      sup_eps_slope, write_json, write_summary)
 from .kernels import expected_count_closed, kac_rice_expected
 from .weights import TWO_PI, builtin_weights, default_grid
 
@@ -179,14 +179,13 @@ def cmd_eigen(cfg):
 
 
 def cmd_simulate(cfg, kinds=None):
-    records = run_experiment(ExperimentConfig(
+    report = summarize(run_experiment(ExperimentConfig(
         weight_name=cfg["weight"], n_list=cfg["n_list"],
         replicates=cfg["replicates"], master_seed=cfg["seed"],
         process_kinds=kinds or cfg["kinds"], output_path=cfg["out"],
-        k_max=cfg.get("k_max")))
-    report = summarize(records)
+        k_max=cfg.get("k_max"))))
     write_summary(report, os.path.join(cfg["out"], "summary.json"))
-    return records, report
+    return report
 
 
 def cmd_kac(cfg):
@@ -210,21 +209,22 @@ def _refuse_log_scaling_below_2(n_list, scaling):
 
 def cmd_compare(cfg):
     _refuse_log_scaling_below_2(cfg["n_list"], "sqrt(n)/log(n)")
-    records, report = cmd_simulate(cfg, kinds=("f_n", "X_n"))
-    contiguity = {n: block.contiguity for n, block in report.per_n.items()}
-    sup_eps = sup_eps_diagnostic(records)
-    quantiles = sup_eps["quantiles"]
+    report = cmd_simulate(cfg, kinds=("f_n", "X_n"))
+    slope = sup_eps_slope(report)
+    blocks = report.per_n.items()  # in ascending n
     _write_table(os.path.join(cfg["out"], "contiguity.csv"),
-                 ("n", "contiguity"),
-                 [(n, v) for n, v in sorted(contiguity.items())])
+                 ("n", "contiguity"), [(n, b.contiguity) for n, b in blocks])
     _write_table(os.path.join(cfg["out"], "sup_eps.csv"),
                  ("n", "median_scaled", "p99_scaled"),
-                 [(n, q["median"], q["p99"])
-                  for n, q in sorted(quantiles.items())])
+                 [(n, b.sup_eps_median_scaled, b.sup_eps_p99_scaled)
+                  for n, b in blocks])
     write_json(os.path.join(cfg["out"], "compare.json"),
-               {"contiguity": {str(n): v for n, v in contiguity.items()},
-                "sup_eps_quantiles": {str(n): q for n, q in quantiles.items()},
-                "median_loglog_slope": sup_eps["median_loglog_slope"]})
+               {"contiguity": {str(n): b.contiguity for n, b in blocks},
+                "sup_eps_quantiles": {
+                    str(n): {"median": b.sup_eps_median_scaled,
+                             "p99": b.sup_eps_p99_scaled}
+                    for n, b in blocks},
+                "median_loglog_slope": slope})
     return 0
 
 
@@ -237,13 +237,13 @@ def cmd_diagnose(cfg):
     basis_pair = build_basis_pair(weight, k_max, default_grid())
     rows = [(d.n, d.alpha_sup, d.delta_sup, d.n * d.delta_sup, d.beta_sup,
              d.beta_sup * d.n / math.log(d.n))
-            for d in gap_diagnostics(basis_pair, weight, cfg["n_list"],
+            for d in gap_diagnostics(basis_pair, cfg["n_list"],
                                      x_ref=cfg["x_ref"])]
     _write_table(os.path.join(cfg["out"], "gap_table.csv"),
                  ("n", "alpha_sup", "delta_sup", "n_delta_sup", "beta_sup",
                   "beta_scaled"), rows)
-    check = covariance_check(weight, n_max, basis_pair=basis_pair,
-                             m=cfg["replicates"], master_seed=cfg["seed"])
+    check = covariance_check(basis_pair, n_max, m=cfg["replicates"],
+                             master_seed=cfg["seed"])
     pair_rows = []
     for i in range(check["x_pairs"].shape[0]):
         x, y = check["x_pairs"][i]
@@ -263,7 +263,7 @@ def cmd_diagnose(cfg):
 
 
 def cmd_robustness(cfg):
-    _, report = cmd_simulate(cfg, kinds=("T_n", "perturbed"))
+    report = cmd_simulate(cfg, kinds=("T_n", "perturbed"))
     rows = []
     for n, block in report.per_n.items():
         t_n, pert = block.kinds["T_n"], block.kinds["perturbed"]

@@ -34,8 +34,9 @@ it.
 Each kind is defined once, in process_rows(): the kind at points x as
 row matrices (ProcessRows), which combine() turns into values and
 slopes for one draw or a whole matrix of draws.  Eigenfunction sums
-take their stored (psi, psi') samples as rows on the storage grid and
-interpolate them with a cubic Hermite rule elsewhere; the trigonometric
+read their weight and grid from their basis pair alone, take its stored
+(psi, psi') samples as rows on that grid and interpolate them with a
+cubic Hermite rule elsewhere; the trigonometric
 kinds are cosine/sine rows in closed form, whose slopes follow from the
 same rows, each table in one product with the values.  perturbed's
 family only shifts frequencies by one, so a draw of it is a
@@ -384,13 +385,6 @@ def _family_pair(kind, basis_pair, n):
     return bc_c, bc_d
 
 
-def _omega_at(kind, weight, x):
-    """omega at the points x; a missing weight is refused by name."""
-    if weight is None:
-        raise PreconditionError("kind %r needs a weight" % kind)
-    return np.asarray(weight.eval(x), dtype=float)
-
-
 def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
                  start=0):
     """The table of process kinds: `kind` at the points x as rows, for
@@ -400,13 +394,21 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
     depends on k alone, so a block of rows has the bits of the same rows
     of the whole table.
 
-    x=None means the points of `grid`, on which the X kinds tabulate
-    Omega too; there the eigenfunction kinds take their stored samples
-    as rows, elsewhere they interpolate them with the cubic Hermite rule.
-    The order n is checked first (check_order), the basis pair by
-    _family_pair and the weight by _omega_at.
+    x=None means the points of the grid, on which the X kinds tabulate
+    Omega too.  F_n and f_n read their weight and grid from the basis
+    pair alone, whatever is passed: its stored samples are their rows on
+    that grid, Hermite-interpolated elsewhere.  Refused by name, in this
+    order: n (check_order), start, the basis pair (_family_pair), the
+    grid and the X kinds' weight.
     """
     n = check_order(n)
+    start = non_negative_int("start", start)
+    if start >= n:
+        raise PreconditionError("start must be below n=%d, got %d"
+                                % (n, start))
+    if kind in ("F_n", "f_n"):
+        bc_c, bc_d = _family_pair(kind, basis_pair, n)
+        weight, grid = bc_c.weight, bc_c.grid
     on_grid = x is None
     if grid is None and (on_grid or kind in ("X_n", "X_n_raw")):
         why = ("x=None means the grid's points" if on_grid
@@ -416,19 +418,20 @@ def process_rows(kind, n, x=None, weight=None, basis_pair=None, grid=None,
         x = grid.points
     k = np.arange(start + 1, n + 1, dtype=float)
     if kind in ("F_n", "f_n"):
-        bc_c, bc_d = _family_pair(kind, basis_pair, n)
         own = [(bc.funcs[start:n], bc.dfuncs[start:n]) for bc in (bc_c, bc_d)]
         if not on_grid:
-            own = [hermite_rows(f, d, bc_c.grid.h, x) for f, d in own]
+            own = [hermite_rows(f, d, grid.h, x) for f, d in own]
         (ra, da), (rb, db) = own
         rows = ProcessRows(ra, rb, da, db)
         if kind == "F_n":
             return rows
-        root = np.sqrt(_omega_at(kind, weight, x))
+        root = np.sqrt(np.asarray(weight.eval(x), dtype=float))
         dfactor = 0.5 * np.asarray(weight.deriv1(x), dtype=float) / root
         return replace(rows, factor=root, dfactor=dfactor)
     if kind in ("X_n", "X_n_raw"):
-        om = _omega_at(kind, weight, x)
+        if weight is None:
+            raise PreconditionError("kind %r needs a weight" % kind)
+        om = np.asarray(weight.eval(x), dtype=float)
         rows = _trig_rows(0.5 * k, omega_map(weight, grid).forward(x),
                           dphase=om)
         if kind == "X_n":
@@ -590,16 +593,16 @@ class RandomProcess:
 
 
 def build_process(kind, n, draw, weight=None, basis_pair=None):
-    """A RandomProcess of `kind` on the draw, its grid and by default its
-    weight the basis pair's for the eigenfunction kinds.  Every refusal
-    but the draw's n is process_rows', from the rows at no points."""
+    """A RandomProcess of `kind` on the draw, on default_grid() with the
+    weight passed, or, for the eigenfunction kinds, on the basis pair's
+    grid with its weight, whatever weight is passed.  Every refusal but
+    the draw's n is process_rows', from the rows at no points."""
     if draw.n != n:
         raise PreconditionError("draw has n=%d but the process wants n=%d"
                                 % (draw.n, n))
     grid = default_grid()
-    if kind in ("F_n", "f_n") and basis_pair is not None:
-        weight = weight if weight is not None else basis_pair[0].weight
-        grid = basis_pair[0].grid
     process_rows(kind, n, np.empty(0), weight=weight, basis_pair=basis_pair,
                  grid=grid)
+    if kind in ("F_n", "f_n"):
+        weight, grid = basis_pair[0].weight, basis_pair[0].grid
     return RandomProcess(kind, n, draw, weight, basis_pair, grid)

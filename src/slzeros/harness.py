@@ -13,7 +13,8 @@ _beside_child, the package's one fork of a single child.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
-which its basis pair must be solved; each n takes the first n rows
+which its basis pair must be solved, for a weight with the config's
+values there; each n takes the first n rows
 (n + 1 for perturbed, whose cos/sin table of frequencies
 1..max(n_list)+1 holds T_n's rows too when a run has both).
 Each large table is filled in two threads whatever SLZEROS_THREADS is,
@@ -47,14 +48,17 @@ standardized counts to a moment-fitted Gaussian, the paired-count
 contiguity statistic E|N_f - N_X|/sqrt(n), and scaled quantiles of the
 sup-norm gap between the eigenfunction sum and its trigonometric
 comparison process.  Everything in the summary is recomputable from
-the record rows alone.  write_json() writes every JSON output file
-(summary, manifest, compare), and _fmt() every CSV cell.
+the record rows alone, and it is the only reduction of them:
+sup_eps_slope() fits the log-log slope to its scaled medians.
+write_json() writes every JSON output file (summary, manifest,
+compare), and _fmt() every CSV cell.
 
 gap_diagnostics() and covariance_check() provide the second-order
-diagnostics: coupling coefficients alpha/Delta/beta summed over f_n's
-and X_n's values and slopes at the unit coefficient vectors, one block
-of rows at a time (ensembles.unit_blocks), and empirical covariance
-spot checks against the closed-form kernel.
+diagnostics, for the weight and on the grid of their basis pair:
+coupling coefficients alpha/Delta/beta summed over f_n's and X_n's
+values and slopes at the unit coefficient vectors, one block of rows
+at a time (ensembles.unit_blocks), and empirical covariance spot
+checks against the closed-form kernel.
 """
 
 import ctypes
@@ -466,7 +470,8 @@ def run_experiment(config, basis_pair=None):
     """Run the configured experiment; returns all records, and streams
     them to <output_path>/records.csv as chunks complete when an output
     path is set.  Every refusal comes before records.csv exists: of a
-    basis_pair solved off config.grid, misordered or too small, and,
+    basis_pair solved off config.grid or for a weight whose values there
+    are not the config's, misordered or too small, and,
     before the basis solve, of a SLZEROS_THREADS that is not an integer.
     A pool worker that dies without a result (killed, or os._exit)
     raises ChildProcessError, as _beside_child's child does, and the
@@ -482,12 +487,17 @@ def run_experiment(config, basis_pair=None):
     if config.needs_basis:
         if basis_pair is None:
             basis_pair = build_basis_pair(weight, config.basis_k_max, grid)
+        omega = weight.eval(grid.points)
         for basis in basis_pair:
             if basis.grid != grid:
                 raise PreconditionError(
                     "basis_pair's %s family was solved on %d points, not on "
                     "the run's %d-point storage grid"
                     % (basis.bc.value, basis.grid.count, grid.count))
+            if not np.array_equal(basis.weight.eval(grid.points), omega):
+                raise PreconditionError(
+                    "basis_pair's %s family was solved for another weight "
+                    "than the run's %r" % (basis.bc.value, config.weight_name))
     ctx = _RunContext(config, weight, basis_pair)
 
     rec_fh = None
@@ -600,18 +610,11 @@ class SummaryReport:
                           for n, block in self.per_n.items()}}
 
 
-def _group_by_n(records):
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.n, []).append(rec)
-    for recs in groups.values():
-        recs.sort(key=lambda r: r.replicate_id)
-    return dict(sorted(groups.items()))
-
-
 def summarize(records):
     """Per-n statistics of the recorded counts; see module docstring."""
-    groups = _group_by_n(records)
+    groups = {}  # the records of each n, by replicate id, in ascending n
+    for rec in sorted(records, key=lambda r: (r.n, r.replicate_id)):
+        groups.setdefault(rec.n, []).append(rec)
     if not groups:
         raise PreconditionError("summarize needs at least one record")
     per_n = {}
@@ -642,11 +645,10 @@ def summarize(records):
                 var_over_n_ci=ci, skewness=skew, excess_kurtosis=kurt,
                 ks_fitted=ks, stable_fraction=stable,
                 unreliable=(stable == 0.0))
-        sup_q = _sup_eps_quantiles(n, recs) or {}
+        median, p99 = _sup_eps_quantiles(n, recs)
         per_n[n] = PerNSummary(
             kinds=kinds, contiguity=_contiguity(n, recs),
-            sup_eps_median_scaled=sup_q.get("median"),
-            sup_eps_p99_scaled=sup_q.get("p99"))
+            sup_eps_median_scaled=median, sup_eps_p99_scaled=p99)
     n_max = max(groups)
     for kind, ks in per_n[n_max].kinds.items():
         v_estimate[kind] = ks.var_over_n
@@ -664,31 +666,27 @@ def _contiguity(n, recs):
 
 
 def _sup_eps_quantiles(n, recs):
-    """Median and 99th percentile of sup|eps_n| * sqrt(n)/log(n), or None
-    when no sup_eps is recorded or n < 2, where log(n) is 0."""
+    """Median and 99th percentile of sup|eps_n| * sqrt(n)/log(n), both
+    None when no sup_eps is recorded or n < 2, where log(n) is 0."""
     sups = [r.sup_eps for r in recs if r.sup_eps is not None]
     if not sups or n < 2:
-        return None
+        return None, None
     scaled = np.array(sups, dtype=float) * math.sqrt(n) / math.log(n)
-    return {"median": float(np.median(scaled)),
-            "p99": float(np.percentile(scaled, 99))}
+    return float(np.median(scaled)), float(np.percentile(scaled, 99))
 
 
-def sup_eps_diagnostic(records):
-    """Per-n quantiles of sup|eps_n| * sqrt(n)/log(n), plus the log-log
-    slope of the median across n (boundedness check): the least-squares
-    slope of log(median) against log(n), or None for a single n or a
-    median that is not positive."""
-    quantiles = {}
-    for n, recs in _group_by_n(records).items():
-        quantiles[n] = _sup_eps_quantiles(n, recs)
-        if quantiles[n] is None:
+def sup_eps_slope(report):
+    """The log-log slope of the summary's scaled sup_eps medians across n
+    (boundedness check): the least-squares slope of log(median) against
+    log(n), or None for a single n or a median that is not positive.  An
+    n without a scaled median is refused by name."""
+    medians = [report.per_n[n].sup_eps_median_scaled for n in report.n_list]
+    for n, median in zip(report.n_list, medians):
+        if median is None:
             raise PreconditionError("no scaled sup_eps for n=%d: none "
                                     "recorded, or n < 2" % n)
-    medians = [q["median"] for q in quantiles.values()]
-    slope = (float(np.polyfit(np.log(list(quantiles)), np.log(medians), 1)[0])
-             if len(medians) > 1 and min(medians) > 0 else None)
-    return {"quantiles": quantiles, "median_loglog_slope": slope}
+    return (float(np.polyfit(np.log(report.n_list), np.log(medians), 1)[0])
+            if len(medians) > 1 and min(medians) > 0 else None)
 
 
 # ----------------------------------------------------------------------
@@ -709,9 +707,10 @@ class GapDiagnostics:
     beta_sup: float
 
 
-def gap_diagnostics(basis_pair, weight, n_list, x_ref=math.pi / 3.0):
+def gap_diagnostics(basis_pair, n_list, x_ref=math.pi / 3.0):
     """Coupling diagnostics from exact eigenbasis sums on 257 points of
-    [0, 2*pi]: one GapDiagnostics per n of n_list, in its order.
+    [0, 2*pi]: one GapDiagnostics per n of n_list, in its order, for the
+    weight and on the grid of the basis pair.
 
     alpha(x) = E[X' f] / var f, Delta(x) = |var X var f - cov(X,f)^2|,
     beta(y) = cov(f(y) - X(y), X(x_ref)) / var X(x_ref), var X being 1
@@ -729,18 +728,17 @@ def gap_diagnostics(basis_pair, weight, n_list, x_ref=math.pi / 3.0):
                           % (n_list,))
     n_top = max(orders)
     # refused as f_n's rows refuse, from its rows at no points
-    process_rows("f_n", n_top, np.empty(0), weight=weight,
-                 basis_pair=basis_pair)
+    process_rows("f_n", n_top, np.empty(0), basis_pair=basis_pair)
+    weight, grid = basis_pair[0].weight, basis_pair[0].grid
     x = np.linspace(0.0, TWO_PI, 257)
-    omap = omega_map(weight, basis_pair[0].grid)
+    omap = omega_map(weight, grid)
     half_gap = (omap.forward(x) - omap.forward(float(x_ref))) / 2.0
     # sums of f*f, X'*f, X*f and X(x_ref)*f over the vectors below lo
     sums, diags = np.zeros((4, x.size)), {}
     for (lo, hi, f, _), (_, _, xv, xd) in zip(
-            unit_blocks("f_n", n_top, x, deriv=False, weight=weight,
-                        basis_pair=basis_pair),
+            unit_blocks("f_n", n_top, x, deriv=False, basis_pair=basis_pair),
             unit_blocks("X_n", n_top, np.append(x, x_ref), weight=weight,
-                        grid=basis_pair[0].grid)):
+                        grid=grid)):
         block = np.stack((f, xd[:, :-1], xv[:, :-1],
                           np.broadcast_to(xv[:, -1:], f.shape))) * f
         for n in (n for n in orders if lo < 2 * n <= hi):
@@ -828,60 +826,55 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
     return tables(shared)
 
 
-def covariance_check(weight, n, basis_pair=None, n_pairs=20, m=5000,
-                     master_seed=20260819):
-    """Empirical spot check of the closed-form covariances.
+def covariance_check(basis_pair, n, n_pairs=20, m=5000, master_seed=20260819):
+    """Empirical spot check of the closed-form covariances, for the
+    weight and on the grid of the basis pair.
 
     Draws m coefficient vectors, evaluates X_n at n_pairs random point
     pairs, and compares the sample covariance with
-    r_n((Omega(x) - Omega(y))/2), Omega tabulated on default_grid().
-    When a basis pair is supplied the empirical variance of f_n is
-    checked against 1 at the first n_pairs of those points.  The draws are
-    those of ids 0..m-1, streamed in blocks by _sampled_in_halves, the
-    larger, lower half of the blocks here and the rest in a forked child
-    (one process for a single block) whatever SLZEROS_THREADS is, and
-    only the values at the sampled points are kept: m rows of
-    2 * n_pairs, plus n_pairs for f_n, whatever n is.  Each half runs at
-    one OpenBLAS thread, so the bits do not depend on the host's core
-    count.  Refuses an n_pairs that is not a positive integer, m as
-    check_covariance_draws does and n as process_rows does (check_order),
-    before any draw or fork.  Returns a dict with the max absolute errors
-    and the raw tables.
+    r_n((Omega(x) - Omega(y))/2), Omega tabulated on the pair's grid; and
+    checks the empirical variance of f_n against 1 at the first n_pairs
+    of those points.  The draws are those of ids 0..m-1, streamed in
+    blocks by _sampled_in_halves, the larger, lower half of the blocks
+    here and the rest in a forked child (one process for a single block)
+    whatever SLZEROS_THREADS is, and only the values at the sampled
+    points are kept: m rows of 3 * n_pairs, whatever n is.  Each half
+    runs at one OpenBLAS thread, so the bits do not depend on the host's
+    core count.  Refuses a master_seed that is not a non-negative
+    integer, an n_pairs that is not a positive integer and m as
+    check_covariance_draws does, in that order before the points are
+    drawn, then n and the pair as f_n's rows do (process_rows), all
+    before any draw or fork.  Returns a dict with the max absolute
+    errors and the raw tables.
     """
+    master_seed = non_negative_int("master_seed", master_seed)
     n_pairs = positive_integral("n_pairs", n_pairs)
     m = check_covariance_draws(m)
-    grid = default_grid()
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(master_seed), spawn_key=(97,))))
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(97,))))
     xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)
     pts = xs[:n_pairs]
-    row_sets = [process_rows("X_n", n, xs, weight=weight, grid=grid)]
-    if basis_pair is not None:
-        row_sets.append(process_rows("f_n", n, pts, weight=weight,
-                                     basis_pair=basis_pair))
-    tables = _sampled_in_halves(master_seed, n, m, row_sets)
-    vals_x = tables[0]
-
-    cov_emp = np.empty(n_pairs)
-    cov_exact = np.empty(n_pairs)
-    for i in range(n_pairs):
-        a, b = vals_x[:, 2 * i], vals_x[:, 2 * i + 1]
-        cov_emp[i] = float(np.cov(a, b, ddof=1)[0, 1])
-        cov_exact[i] = covariance_X(n, weight, xs[2 * i], xs[2 * i + 1],
-                                    grid)
-    out = {
-        "x_pairs": xs.reshape(n_pairs, 2),
+    f_rows = process_rows("f_n", n, pts, basis_pair=basis_pair)
+    weight, grid = basis_pair[0].weight, basis_pair[0].grid
+    vals_x, vals_f = _sampled_in_halves(
+        master_seed, n, m,
+        [process_rows("X_n", n, xs, weight=weight, grid=grid), f_rows])
+    pairs = xs.reshape(n_pairs, 2)
+    cov_emp = np.array([np.cov(vals_x[:, 2 * i], vals_x[:, 2 * i + 1],
+                               ddof=1)[0, 1] for i in range(n_pairs)])
+    cov_exact = np.array([covariance_X(n, weight, x, y, grid)
+                          for x, y in pairs])
+    var_emp = np.var(vals_f, axis=0, ddof=1)
+    return {
+        "x_pairs": pairs,
         "cov_empirical": cov_emp,
         "cov_exact": cov_exact,
         "cov_max_error": float(np.max(np.abs(cov_emp - cov_exact))),
         "draws": m,
+        "var_f_points": pts,
+        "var_f_empirical": var_emp,
+        "var_f_max_error": float(np.max(np.abs(var_emp - 1.0))),
     }
-    if basis_pair is not None:
-        var_emp = np.var(tables[1], axis=0, ddof=1)
-        out["var_f_points"] = pts
-        out["var_f_empirical"] = var_emp
-        out["var_f_max_error"] = float(np.max(np.abs(var_emp - 1.0)))
-    return out
 
 
 def write_summary(report, path):

@@ -24,7 +24,7 @@ from slzeros.ensembles import build_process, sample_coefficients
 from slzeros.errors import InvariantViolation
 from slzeros.harness import (ExperimentConfig, covariance_check,
                              gap_diagnostics, run_experiment, summarize,
-                             sup_eps_diagnostic)
+                             sup_eps_slope)
 from slzeros.kernels import expected_count_closed
 from slzeros.weights import TWO_PI, builtin_weights
 from slzeros.zeros import count_zeros_changed_variable
@@ -157,22 +157,22 @@ def test_criterion_08_l1_contiguity(main_summary):
             % (c50, c400))
 
 
-def test_criterion_09_coupling_error_scale(main_records):
+def test_criterion_09_coupling_error_scale(main_summary):
     """Median sup|eps_n| * sqrt(n)/log(n) is flat across n (log-log
     slope within 0.3 of zero)."""
-    diag = sup_eps_diagnostic(main_records[1])
-    slope = diag["median_loglog_slope"]
-    meds = {n: q["median"] for n, q in sorted(diag["quantiles"].items())}
+    slope = sup_eps_slope(main_summary)
+    meds = {n: block.sup_eps_median_scaled
+            for n, block in main_summary.per_n.items()}
     ok = slope is not None and abs(slope) <= 0.3
     _report(9, ok, "scaled medians %s, log-log slope = %.3f (limit +-0.3)"
             % ({n: round(v, 4) for n, v in meds.items()}, slope))
 
 
-def test_criterion_10_covariance_kernels(sine2_weight, sine2_basis):
+def test_criterion_10_covariance_kernels(sine2_basis):
     """Empirical covariances match the closed-form kernel at random point
     pairs, and var(f_n(x)) is within 0.05 of 1 at n = 400."""
-    check = covariance_check(sine2_weight, 400, basis_pair=sine2_basis,
-                             n_pairs=20, m=5000, master_seed=MASTER_SEED)
+    check = covariance_check(sine2_basis, 400, n_pairs=20, m=5000,
+                             master_seed=MASTER_SEED)
     tol = 4.0 / math.sqrt(check["draws"])
     ok = check["cov_max_error"] <= tol and check["var_f_max_error"] <= 0.05
     _report(10, ok, "cov max error = %.4f (tol %.4f), var(f) max error = "
@@ -180,13 +180,12 @@ def test_criterion_10_covariance_kernels(sine2_weight, sine2_basis):
                                  check["var_f_max_error"]))
 
 
-def test_criterion_11_gap_diagnostics(sine2_weight, sine2_basis):
+def test_criterion_11_gap_diagnostics(sine2_basis):
     """Second-order diagnostics stay bounded across n: sup|alpha_n|,
     n * sup|Delta_n|, and sup|beta_n| * n/log(n) each have max <= 3x median."""
     n_list = (50, 100, 200, 400)
     alpha, n_delta, beta_scaled = [], [], []
-    for n, g in zip(n_list, gap_diagnostics(sine2_basis, sine2_weight,
-                                            n_list)):
+    for n, g in zip(n_list, gap_diagnostics(sine2_basis, n_list)):
         alpha.append(g.alpha_sup)
         n_delta.append(n * g.delta_sup)
         beta_scaled.append(g.beta_sup * n / math.log(n))

@@ -12,7 +12,8 @@ import pytest
 
 from slzeros import cli
 from slzeros.errors import NumericError
-from slzeros.harness import RECORD_COLUMNS, read_records, sup_eps_diagnostic
+from slzeros.harness import (RECORD_COLUMNS, read_records, summarize,
+                             sup_eps_slope)
 from slzeros.kernels import expected_count_closed
 
 
@@ -284,7 +285,7 @@ def test_compare_outputs(tmp_path):
     assert report["contiguity"] == {
         n: block["contiguity"] for n, block in summary.items()}
     # both sup_eps outputs are the summary's scaled quantiles, and the
-    # slope is the one the diagnostic fits to the records
+    # slope is the one fitted to the medians of the records' summary
     quantiles = {n: {"median": block["sup_eps_median_scaled"],
                      "p99": block["sup_eps_p99_scaled"]}
                  for n, block in summary.items()}
@@ -293,7 +294,7 @@ def test_compare_outputs(tmp_path):
             for r in rows} == quantiles
     records = read_records(os.path.join(out, "records.csv"))
     assert (report["median_loglog_slope"]
-            == sup_eps_diagnostic(records)["median_loglog_slope"])
+            == sup_eps_slope(summarize(records)))
 
 
 def test_robustness_outputs(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import re
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -316,12 +317,49 @@ def test_build_process_rejects_bad_requests(sine2_weight, unit_basis):
             proc.omega(1.0)
 
 
-@pytest.mark.parametrize("kind", ["X_n", "X_n_raw", "f_n"])
+@pytest.mark.parametrize("kind", ["X_n", "X_n_raw"])
 def test_process_rows_refuses_a_missing_weight_by_name(kind, unit_basis):
     with pytest.raises(PreconditionError, match="kind '%s' needs a weight"
                        % kind):
         process_rows(kind, 5, np.linspace(0.0, 1.0, 3),
                      basis_pair=unit_basis, grid=unit_basis[0].grid)
+
+
+def test_eigen_kinds_take_weight_and_grid_from_their_pair(unit_weight,
+                                                          sine2_basis):
+    # a weight or grid passed beside the pair is not read: x=None means the
+    # pair's grid points, and f_n's factor is the pair's weight
+    x = np.linspace(0.05, 6.2, 37)
+    for kind in ("F_n", "f_n"):
+        for at in (x, None):
+            want = process_rows(kind, 12, at, basis_pair=sine2_basis)
+            got = process_rows(kind, 12, at, weight=unit_weight,
+                               basis_pair=sine2_basis, grid=Grid(1025))
+            assert want.ra.shape == (12, 37 if at is x else 8192)
+            for f in fields(want):
+                assert (getattr(got, f.name) is None
+                        if getattr(want, f.name) is None
+                        else np.array_equal(getattr(got, f.name),
+                                            getattr(want, f.name))), f.name
+        proc = build_process(kind, 12, sample_coefficients(SEED, 12, 0),
+                             weight=unit_weight, basis_pair=sine2_basis)
+        assert proc.weight is sine2_basis[0].weight
+        assert proc.grid is sine2_basis[0].grid
+
+
+@pytest.mark.parametrize("kind", ["T_n", "X_n", "f_n"])
+@pytest.mark.parametrize("start, match", [
+    (-1, "start must be non-negative, got -1"),
+    (5, "start must be below n=5, got 5"),
+    (6, "start must be below n=5, got 6"),
+    (2.5, "start must be an integer, got 2.5")])
+def test_process_rows_refuses_a_start_outside_the_order(kind, start, match,
+                                                        sine2_weight,
+                                                        unit_basis):
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(match)):
+        process_rows(kind, 5, np.linspace(0.0, 1.0, 3), weight=sine2_weight,
+                     basis_pair=unit_basis, grid=unit_basis[0].grid,
+                     start=start)
 
 
 def test_build_process_rejects_mismatched_grids(unit_weight, unit_basis):

@@ -24,7 +24,7 @@ from slzeros import (BoundaryCondition, DomainError, ExperimentConfig,
                      UsageError, build_basis_pair, builtin_weights,
                      count_hermite_zeros, covariance_check, eigen_solve,
                      gap_diagnostics, ks_statistic, read_records,
-                     run_experiment, summarize, sup_eps_diagnostic,
+                     run_experiment, summarize, sup_eps_slope,
                      write_records, write_summary)
 from slzeros.ensembles import (build_process, combine, process_rows,
                                 sample_coefficient_block, sample_coefficients)
@@ -32,8 +32,8 @@ from slzeros import ensembles, harness
 from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
                              _RunContext, _worker_count,
                              check_covariance_draws, record_row)
-from slzeros.kernels import r_n_closed
-from slzeros.weights import Grid, omega_map
+from slzeros.kernels import covariance_X, r_n_closed
+from slzeros.weights import Grid, make_expcos, omega_map
 
 SEED = 20260819
 
@@ -617,7 +617,7 @@ def test_pair_on_two_grids_refused(use, split_pair, sine2_weight):
             build_process("f_n", n, sample_coefficients(SEED, n, 0),
                           basis_pair=split_pair)
         elif use == "gap_diagnostics":
-            gap_diagnostics(split_pair, sine2_weight, (n,))
+            gap_diagnostics(split_pair, (n,))
         else:
             run_experiment(ExperimentConfig(
                 weight_name="sine2", n_list=(n,), replicates=2,
@@ -635,6 +635,24 @@ def test_basis_off_the_run_grid_refused_before_records(sine2_weight,
                            output_path=str(out))
     with pytest.raises(PreconditionError,
                        match="C family was solved on 1025 points"):
+        run_experiment(cfg, basis_pair=pair)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, solved_for", [
+    ("sine2", lambda: builtin_weights("unit")),
+    ("expcos", lambda: make_expcos(2.0))])
+def test_basis_for_another_weight_refused_before_records(name, solved_for,
+                                                         tmp_path):
+    # compared by the values on the run's grid, not by name: make_expcos(2.0)
+    # is named expcos too
+    pair = build_basis_pair(solved_for(), 20, Grid(8192))
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(weight_name=name, n_list=(20,), replicates=2,
+                           master_seed=SEED, output_path=str(out))
+    with pytest.raises(PreconditionError,
+                       match="^basis_pair's C family was solved for another "
+                             "weight than the run's '%s'$" % name):
         run_experiment(cfg, basis_pair=pair)
     assert not out.exists()
 
@@ -998,8 +1016,7 @@ def test_sampled_in_halves_kills_and_reaps_the_child_when_its_half_fails(
     _no_child_left()
 
 
-def test_covariance_check_bits_independent_of_blas_threads(sine2_basis,
-                                                           sine2_weight):
+def test_covariance_check_bits_independent_of_blas_threads(sine2_basis):
     # at n = 400 one plain (m, 400) @ (400, 40) matmul sums in another
     # order under two OpenBLAS threads than under one
     outs = []
@@ -1008,8 +1025,7 @@ def test_covariance_check_bits_independent_of_blas_threads(sine2_basis,
         if before is None:
             pytest.skip("numpy's bundled OpenBLAS is not found")
         try:
-            outs.append(covariance_check(sine2_weight, 400,
-                                         basis_pair=sine2_basis, m=5000))
+            outs.append(covariance_check(sine2_basis, 400, m=5000))
             assert harness._set_blas_threads(count) == count  # restored
         finally:
             harness._set_blas_threads(before)
@@ -1017,11 +1033,11 @@ def test_covariance_check_bits_independent_of_blas_threads(sine2_basis,
         assert np.array_equal(outs[0][key], outs[1][key])
 
 
-@pytest.mark.parametrize("with_basis, columns", [(True, 3), (False, 2)])
+@pytest.mark.parametrize("with_basis, columns", [(True, 3)])
 def test_covariance_check_shares_only_the_sampled_columns(
-        small_draw_blocks, monkeypatch, unit_basis, unit_weight, with_basis,
-        columns):
-    # 256-id blocks: m = 1200 is five blocks, so the draw forks
+        small_draw_blocks, monkeypatch, unit_basis, with_basis, columns):
+    # 256-id blocks: m = 1200 is five blocks, so the draw forks; each pair
+    # of points shares X_n's two columns and f_n's one
     sizes = []
     beside_child = harness._beside_child
 
@@ -1031,14 +1047,13 @@ def test_covariance_check_shares_only_the_sampled_columns(
 
     monkeypatch.setattr(harness, "_beside_child", spy)
     for n in (20, 80):
-        covariance_check(unit_weight, n, n_pairs=7, m=1200,
-                         basis_pair=unit_basis if with_basis else None)
+        covariance_check(unit_basis, n, n_pairs=7, m=1200)
     assert sizes == [8 * 1200 * columns * 7] * 2
 
 
 @pytest.mark.parametrize("n_pairs", [0, -1, 2.5, float("nan"), float("inf"),
                                      "3"])
-def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_weight,
+def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_basis,
                                               n_pairs):
     def draw(*args, **kwargs):
         raise AssertionError("drew before refusing n_pairs")
@@ -1047,11 +1062,11 @@ def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_weight,
     with pytest.raises(PreconditionError,
                        match="^n_pairs must be a positive integer, got %s$"
                        % re.escape(repr(n_pairs))):
-        covariance_check(unit_weight, 5, n_pairs=n_pairs, m=1000)
+        covariance_check(unit_basis, 5, n_pairs=n_pairs, m=1000)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), float("inf")])
-def test_covariance_check_refuses_bad_orders(monkeypatch, unit_weight, n):
+def test_covariance_check_refuses_bad_orders(monkeypatch, unit_basis, n):
     # the rows are built before any draw, and process_rows checks n first
     def draw(*args, **kwargs):
         raise AssertionError("drew before refusing n")
@@ -1060,11 +1075,11 @@ def test_covariance_check_refuses_bad_orders(monkeypatch, unit_weight, n):
     with pytest.raises(DomainError,
                        match="^order n must be a positive integer, got %s$"
                        % re.escape(repr(n))):
-        covariance_check(unit_weight, n, m=1000)
+        covariance_check(unit_basis, n, m=1000)
 
 
 @pytest.mark.parametrize("m", [1000.5, float("nan"), float("inf"), "2000"])
-def test_covariance_check_refuses_bad_m(monkeypatch, unit_weight, m):
+def test_covariance_check_refuses_bad_m(monkeypatch, unit_basis, m):
     def draw(*args, **kwargs):
         raise AssertionError("drew before refusing m")
 
@@ -1072,13 +1087,38 @@ def test_covariance_check_refuses_bad_m(monkeypatch, unit_weight, m):
     with pytest.raises(PreconditionError,
                        match=r"^m must be a positive integer, got %s$"
                        % re.escape(repr(m))):
-        covariance_check(unit_weight, 4, m=m)
+        covariance_check(unit_basis, 4, m=m)
 
 
-def test_covariance_check_takes_integral_float_m(unit_weight):
+@pytest.mark.parametrize("master_seed, match", [
+    (-1, "master_seed must be non-negative, got -1"),
+    (2.5, "master_seed must be an integer, got 2.5"),
+    ("7", "master_seed must be an integer, got '7'")])
+def test_covariance_check_refuses_bad_master_seed(monkeypatch, unit_basis,
+                                                  master_seed, match):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before refusing master_seed")
+
+    monkeypatch.setattr(harness, "sample_coefficient_block", draw)
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(match)):
+        covariance_check(unit_basis, 4, m=1000, master_seed=master_seed)
+
+
+def test_covariance_check_tabulates_omega_on_the_pairs_grid(sine2_weight):
+    # a pair solved on 1025 points: the kernel's Omega is that grid's, not
+    # the default grid's
+    grid = Grid(1025)
+    pair = build_basis_pair(sine2_weight, 20, grid)
+    out = covariance_check(pair, 20, n_pairs=5, m=1000)
+    want = [covariance_X(20, pair[0].weight, x, y, grid)
+            for x, y in out["x_pairs"]]
+    assert out["cov_exact"].tobytes() == np.array(want).tobytes()
+
+
+def test_covariance_check_takes_integral_float_m(unit_basis):
     assert check_covariance_draws(2000.0) == 2000
-    whole = covariance_check(unit_weight, 4, m=2000)
-    out = covariance_check(unit_weight, 4, m=2000.0)
+    whole = covariance_check(unit_basis, 4, m=2000)
+    out = covariance_check(unit_basis, 4, m=2000.0)
     assert type(out["draws"]) is int and out["draws"] == 2000
     np.testing.assert_array_equal(out["cov_empirical"], whole["cov_empirical"])
 
@@ -1223,28 +1263,29 @@ def test_contiguity_diagnostic_pinned():
     assert summarize(_tn_records(4, [1, 2])).per_n[4].contiguity is None
 
 
-def test_sup_eps_diagnostic_flat_series_has_zero_slope():
+def test_sup_eps_slope_flat_series_has_zero_slope():
     recs = []
     for n in (10, 100):
         sup = math.log(n) / math.sqrt(n)
         recs += [ReplicateRecord(n=n, replicate_id=i, seed=i, n_fn=1, n_xn=1,
                                  sup_eps=sup) for i in range(3)]
-    out = sup_eps_diagnostic(recs)
-    np.testing.assert_allclose(out["quantiles"][10]["median"], 1.0)
-    np.testing.assert_allclose(out["quantiles"][100]["p99"], 1.0)
-    assert abs(out["median_loglog_slope"]) < 1e-12
-    with pytest.raises(PreconditionError):
-        sup_eps_diagnostic(_tn_records(4, [1, 2]))
-    # log(1) = 0: summarize leaves n = 1 unscaled, the diagnostic refuses it
-    at_1 = [ReplicateRecord(n=1, replicate_id=i, seed=i, n_fn=1, n_xn=1,
-                            sup_eps=0.1) for i in range(2)]
-    assert summarize(at_1).per_n[1].sup_eps_median_scaled is None
-    with pytest.raises(PreconditionError, match="n < 2"):
-        sup_eps_diagnostic(at_1)
+    report = summarize(recs)
+    np.testing.assert_allclose(report.per_n[10].sup_eps_median_scaled, 1.0)
+    np.testing.assert_allclose(report.per_n[100].sup_eps_p99_scaled, 1.0)
+    assert abs(sup_eps_slope(report)) < 1e-12
+    with pytest.raises(PreconditionError, match="n=4"):
+        sup_eps_slope(summarize(_tn_records(4, [1, 2])))
+    # log(1) = 0: summarize leaves n = 1 unscaled, the slope refuses it
+    at_1 = summarize([ReplicateRecord(n=1, replicate_id=i, seed=i, n_fn=1,
+                                      n_xn=1, sup_eps=0.1) for i in range(2)])
+    assert at_1.per_n[1].sup_eps_median_scaled is None
+    with pytest.raises(PreconditionError,
+                       match="n=1: none recorded, or n < 2"):
+        sup_eps_slope(at_1)
 
 
-def test_gap_diagnostics_unit_weight_vanishes(unit_basis, unit_weight):
-    diag, = gap_diagnostics(unit_basis, unit_weight, (50,))
+def test_gap_diagnostics_unit_weight_vanishes(unit_basis):
+    diag, = gap_diagnostics(unit_basis, (50,))
     assert diag.n == 50
     assert diag.x_grid.shape == (257,)
     assert diag.var_f.shape == (257,)
@@ -1254,24 +1295,24 @@ def test_gap_diagnostics_unit_weight_vanishes(unit_basis, unit_weight):
     assert diag.beta_sup < 1e-6
 
 
-def test_gap_diagnostics_sine2_bounded(sine2_basis, sine2_weight):
-    diag, = gap_diagnostics(sine2_basis, sine2_weight, (50,))
+def test_gap_diagnostics_sine2_bounded(sine2_basis):
+    diag, = gap_diagnostics(sine2_basis, (50,))
     assert 0.0 < diag.var_dev_sup < 0.05
     assert 0.0 < diag.alpha_sup < 1.0
     assert 0.0 < diag.delta_sup < 0.1
     assert 0.0 < diag.beta_sup < 0.1
 
 
-def test_gap_diagnostics_needs_basis(unit_basis, unit_weight):
+def test_gap_diagnostics_needs_basis(unit_basis):
     with pytest.raises(PreconditionError):
-        gap_diagnostics(unit_basis, unit_weight, (200,))
+        gap_diagnostics(unit_basis, (200,))
 
 
 @pytest.mark.parametrize("n_list", [(10, 0), (10, -1), (10, 2.5),
                                     (10, float("nan")), (10, float("inf")),
                                     ()], ids=repr)
 def test_gap_diagnostics_refuses_bad_orders(monkeypatch, unit_basis,
-                                            unit_weight, n_list):
+                                            n_list):
     def rows(*args, **kwargs):
         raise AssertionError("built rows before refusing n_list")
 
@@ -1282,7 +1323,7 @@ def test_gap_diagnostics_refuses_bad_orders(monkeypatch, unit_basis,
     else:
         match = r"^n_list must hold at least one order n, got \(\)$"
     with pytest.raises(DomainError, match=match):
-        gap_diagnostics(unit_basis, unit_weight, n_list)
+        gap_diagnostics(unit_basis, n_list)
 
 
 def _gap_reference(basis_pair, weight, n, x_ref):
@@ -1322,7 +1363,7 @@ GAP_TOLERANCE = {"var_f": 6.7e-15, "alpha": 1.3e-14, "delta": 3.8e-14,
 def test_gap_diagnostics_match_eigenbasis_sums(name, x_ref, request):
     weight = builtin_weights(name)
     basis_pair = request.getfixturevalue(name + "_basis")
-    for diag in gap_diagnostics(basis_pair, weight, (50, 400), x_ref=x_ref):
+    for diag in gap_diagnostics(basis_pair, (50, 400), x_ref=x_ref):
         want = _gap_reference(basis_pair, weight, diag.n, x_ref)
         for key, tol in GAP_TOLERANCE.items():
             np.testing.assert_allclose(getattr(diag, key), want[key],
@@ -1332,18 +1373,16 @@ def test_gap_diagnostics_match_eigenbasis_sums(name, x_ref, request):
 @pytest.mark.parametrize("name", ["sine2", "expcos"])
 def test_gap_diagnostics_cut_is_bit_equal(name, request):
     # n = 50 read from the rows of n = 400 has the bits of its own build
-    weight = builtin_weights(name)
     basis_pair = request.getfixturevalue(name + "_basis")
-    cut = gap_diagnostics(basis_pair, weight, (50, 400))[0]
-    alone, = gap_diagnostics(basis_pair, weight, (50,))
+    cut = gap_diagnostics(basis_pair, (50, 400))[0]
+    alone, = gap_diagnostics(basis_pair, (50,))
     for f in fields(alone):
         np.testing.assert_array_equal(getattr(cut, f.name),
                                       getattr(alone, f.name), err_msg=f.name)
 
 
-def test_covariance_check_small(unit_basis, unit_weight):
-    out = covariance_check(unit_weight, 20, basis_pair=unit_basis,
-                           n_pairs=10, m=1500)
+def test_covariance_check_small(unit_basis):
+    out = covariance_check(unit_basis, 20, n_pairs=10, m=1500)
     _no_child_left()
     assert out["draws"] == 1500
     assert out["x_pairs"].shape == (10, 2)
@@ -1352,4 +1391,4 @@ def test_covariance_check_small(unit_basis, unit_weight):
     assert out["cov_max_error"] < 4.0 / math.sqrt(1500)
     assert out["var_f_max_error"] < 0.12
     with pytest.raises(PreconditionError):
-        covariance_check(unit_weight, 20, m=10)
+        covariance_check(unit_basis, 20, m=10)
