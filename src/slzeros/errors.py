@@ -6,8 +6,7 @@ UsageError, PreconditionError) versus the library failing to deliver
 exit code 2 and the second to exit code 3.  Integer arguments are
 tested two ways: non_negative_int() (2.0 refused) for seeds, replicate
 ids and ExperimentConfig's counts, positive_integral() (2000.0
-accepted) for orders n (check_order), k_max, the covariance draws m and
-n_pairs.
+accepted) for orders n (check_order), k_max and the covariance draws m.
 """
 
 import operator

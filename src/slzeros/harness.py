@@ -6,17 +6,16 @@ arrays through an anonymous shared mapping, with the bits of a solo
 eigen_solve call for each family.  covariance_check() streams its
 draws the same way, in fixed blocks of ids, the lower half of the
 blocks here (the larger half, for an odd count) and the rest in the
-child (a single block runs here alone), each at one OpenBLAS thread;
-only the values at its sampled points are shared, and their bits do
-not depend on the number of cores or on the split.  Both fork through
-_beside_child, the package's one fork of a single child.
+child, each at one OpenBLAS thread; only the values at its sampled
+points are shared, and their bits do not depend on the number of cores
+or on the split.  Both fork through _beside_child, the package's one
+fork of a single child and the one layout of a shared mapping.
 
 run_experiment() builds each configured kind's rows once, at
 max(n_list), on ExperimentConfig.grid, the run's one storage grid, on
-which its basis pair must be solved, for a weight with the config's
-values there; each n takes the first n rows
-(n + 1 for perturbed, whose cos/sin table of frequencies
-1..max(n_list)+1 holds T_n's rows too when a run has both).
+which it solves f_n's basis pair for the config's weight; each n takes
+the first n rows (n + 1 for perturbed, whose cos/sin table of
+frequencies 1..max(n_list)+1 holds T_n's rows too when a run has both).
 Each large table is filled in two threads whatever SLZEROS_THREADS is,
 joined before its build returns, so the pool forks from one thread.  A
 task is one n and a fixed-size chunk of replicate ids: one
@@ -71,6 +70,7 @@ import pickle
 import signal
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,7 +82,7 @@ from .ensembles import (ID_LIMIT, combine, process_rows,
 # looks it up in this module by name
 from .ensembles import sample_coefficients  # noqa: F401
 from .errors import (DomainError, PreconditionError, check_order,
-                     is_integral, non_negative_int, positive_integral)
+                     non_negative_int, positive_integral)
 from .kernels import covariance_X, r_n_closed
 from .weights import (TWO_PI, builtin_weights, check_resolution, default_grid,
                       omega_map)
@@ -98,6 +98,8 @@ CHUNK = 64  # replicates per batch; fixed so results never depend on workers
 # covariance_check's ids per draw block, a multiple of the ids whose keys
 # sample_coefficient_block derives at once; fixed, so the bits are too
 _DRAW_BLOCK = 2048
+# covariance_check's random point pairs
+_COV_PAIRS = 20
 
 _COUNT_FIELD = {"f_n": "n_fn", "X_n": "n_xn", "T_n": "n_tn",
                 "perturbed": "n_pert"}
@@ -364,12 +366,13 @@ def _set_blas_threads(count):
     return None
 
 
-def _beside_child(nbytes, child, parent):
+def _beside_child(shapes, child, parent):
     """Run child(shared) in a forked child process while this process
     runs parent(shared); returns (shared, what parent returned).
 
-    shared is a float64 array over an anonymous shared mapping of nbytes
-    made before the fork, so what the child writes there is read here
+    shared is a list of float64 arrays, one of each shape of shapes,
+    laid end to end in that order over one anonymous shared mapping made
+    before the fork, so what the child writes there is read here
     without a copy.  The child leaves only through os._exit.  A child
     that fails sends its exception back pickled, and it is raised here
     with its type and message; one that exits non-zero and sends nothing
@@ -377,7 +380,10 @@ def _beside_child(nbytes, child, parent):
     first if parent raises.  Without os.fork, parent and then child run
     here, one after the other.
     """
-    shared = np.frombuffer(mmap.mmap(-1, nbytes))
+    ends = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    flat = np.frombuffer(mmap.mmap(-1, 8 * ends[-1]))
+    shared = [flat[lo:hi].reshape(shape)
+              for lo, hi, shape in zip(ends, ends[1:], shapes)]
     if not hasattr(os, "fork"):
         result = parent(shared)
         child(shared)
@@ -425,34 +431,28 @@ def build_basis_pair(weight, k_max, grid):
     """Solve both boundary families once; shared by every n.
 
     Neither solve reads the other, so _beside_child solves D in a forked
-    child while this process solves C.  The child writes D's
-    eigenvalues, funcs and dfuncs into the shared mapping, and the D
-    basis is built over that mapping without a copy.  The omega map is
-    built before the fork, so the child inherits it.  Each family has
-    the bits that eigen_solve gives it alone, and both solves go through
-    this module's name eigen_solve.
+    child while this process solves C.  The child writes D's funcs,
+    dfuncs and eigenvalues into the arrays _beside_child shares, and the
+    D basis is built over them without a copy.  The omega map is built
+    before the fork, so the child inherits it.  Each family has the bits
+    that eigen_solve gives it alone, and both solves go through this
+    module's name eigen_solve.
     """
     k_max = check_k_max(k_max, weight, grid)
     omega_map(weight, grid)
-    size = k_max * grid.count
-
-    def d_arrays(shared):
-        """D's eigenvalues, funcs and dfuncs in the shared mapping."""
-        return (shared[2 * size:], shared[:size].reshape(k_max, grid.count),
-                shared[size:2 * size].reshape(k_max, grid.count))
 
     def solve_d(shared):
         basis = eigen_solve(weight, BoundaryCondition.D, k_max, grid=grid)
-        for dst, src in zip(d_arrays(shared), (basis.eigenvalues, basis.funcs,
-                                               basis.dfuncs)):
+        for dst, src in zip(shared, (basis.funcs, basis.dfuncs,
+                                     basis.eigenvalues)):
             dst[...] = src
 
-    shared, basis_c = _beside_child(
-        8 * (2 * size + k_max), solve_d,
+    (funcs, dfuncs, eigenvalues), basis_c = _beside_child(
+        [(k_max, grid.count)] * 2 + [(k_max,)], solve_d,
         lambda shared: eigen_solve(weight, BoundaryCondition.C, k_max,
                                    grid=grid))
     return basis_c, EigenBasis(BoundaryCondition.D, weight, grid,
-                               *d_arrays(shared))
+                               eigenvalues, funcs, dfuncs)
 
 
 def _pickled_exception(exc):
@@ -466,13 +466,13 @@ def _pickled_exception(exc):
         return pickle.dumps(RuntimeError("%s: %s" % (type(exc).__name__, exc)))
 
 
-def run_experiment(config, basis_pair=None):
+def run_experiment(config):
     """Run the configured experiment; returns all records, and streams
     them to <output_path>/records.csv as chunks complete when an output
-    path is set.  Every refusal comes before records.csv exists: of a
-    basis_pair solved off config.grid or for a weight whose values there
-    are not the config's, misordered or too small, and,
-    before the basis solve, of a SLZEROS_THREADS that is not an integer.
+    path is set.  When f_n runs, its basis pair is solved here
+    (build_basis_pair) for the config's weight, k_max and grid.  A
+    SLZEROS_THREADS that is not an integer is refused before the basis
+    solve, and every refusal comes before records.csv exists.
     A pool worker that dies without a result (killed, or os._exit)
     raises ChildProcessError, as _beside_child's child does, and the
     pool's other tasks are dropped."""
@@ -483,21 +483,8 @@ def run_experiment(config, basis_pair=None):
     workers = _worker_count(len(tasks))
     fork = workers > 1 and hasattr(os, "fork")
     weight = builtin_weights(config.weight_name)
-    grid = config.grid
-    if config.needs_basis:
-        if basis_pair is None:
-            basis_pair = build_basis_pair(weight, config.basis_k_max, grid)
-        omega = weight.eval(grid.points)
-        for basis in basis_pair:
-            if basis.grid != grid:
-                raise PreconditionError(
-                    "basis_pair's %s family was solved on %d points, not on "
-                    "the run's %d-point storage grid"
-                    % (basis.bc.value, basis.grid.count, grid.count))
-            if not np.array_equal(basis.weight.eval(grid.points), omega):
-                raise PreconditionError(
-                    "basis_pair's %s family was solved for another weight "
-                    "than the run's %r" % (basis.bc.value, config.weight_name))
+    basis_pair = (build_basis_pair(weight, config.basis_k_max, config.grid)
+                  if config.needs_basis else None)
     ctx = _RunContext(config, weight, basis_pair)
 
     rec_fh = None
@@ -758,9 +745,7 @@ def check_covariance_draws(m):
     """covariance_check's precondition on its number of draws m: an
     integer (2000.0 counts as 2000), at least 1000, and at most one per
     32-bit replicate id.  Returns m as an int."""
-    if not is_integral(m):
-        raise PreconditionError("m must be a positive integer, got %r" % (m,))
-    m = int(m)
+    m = positive_integral("m", m)
     if m < 1000:
         raise PreconditionError("need at least 1000 draws, got %d" % m)
     if m > ID_LIMIT:
@@ -777,31 +762,24 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
     The ids go in blocks of _DRAW_BLOCK, aligned at multiples of it from
     id 0.  _beside_child runs the first ceil(k/2) of the k blocks here
     and the rest in a forked child, which also pays the fork's first-use
-    costs, each at one OpenBLAS thread (this process gets its count back
-    after); a single block runs here, at one thread, without a fork.  A
-    block is one sample_coefficient_block call into buffers the half
-    reuses, then one combine per row set into the block's rows of that
-    set's table; only the tables are shared.  A row's draw depends on its
-    own key alone and, at one thread, its values on its block alone, so
-    the bits are the same for any split and any number of cores.
+    costs (for a single block, the child draws none), each at one
+    OpenBLAS thread (this process gets its count back after).  A block
+    is one sample_coefficient_block call into buffers the half reuses,
+    then one combine per row set into the block's rows of that set's
+    table; only the tables are shared.  A row's draw depends on its own
+    key alone and, at one thread, its values on its block alone, so the
+    bits are the same for any split and any number of cores.
     """
-    widths = [rows.ra.shape[1] for rows in row_sets]
-    ends = np.cumsum([0] + widths) * m
     starts = range(0, m, _DRAW_BLOCK)
     size = min(m, _DRAW_BLOCK)
     root = math.sqrt(n)
 
-    def tables(shared):
-        return [shared[lo:hi].reshape(m, width)
-                for lo, hi, width in zip(ends, ends[1:], widths)]
-
     def half(block_starts):
-        def fill(shared):
+        def fill(tables):
             threads = _set_blas_threads(1)
             try:
                 A, B = np.empty((2, size, n))
                 seeds = np.empty(size, dtype=np.uint64)
-                out = tables(shared)
                 for lo in block_starts:
                     hi = min(lo + _DRAW_BLOCK, m)
                     a, b = A[:hi - lo], B[:hi - lo]
@@ -809,59 +787,52 @@ def _sampled_in_halves(master_seed, n, m, row_sets):
                                              out=(a, b, seeds[:hi - lo]))
                     a /= root
                     b /= root
-                    for rows, table in zip(row_sets, out):
+                    for rows, table in zip(row_sets, tables):
                         combine(rows, a, b, deriv=False, out=table[lo:hi])
             finally:
                 if threads is not None:
                     _set_blas_threads(threads)
         return fill
 
-    if len(starts) == 1:
-        shared = np.empty(int(ends[-1]))
-        half(starts)(shared)
-    else:
-        split = (len(starts) + 1) // 2
-        shared, _ = _beside_child(8 * int(ends[-1]), half(starts[split:]),
-                                  half(starts[:split]))
-    return tables(shared)
+    split = (len(starts) + 1) // 2
+    tables, _ = _beside_child([(m, rows.ra.shape[1]) for rows in row_sets],
+                              half(starts[split:]), half(starts[:split]))
+    return tables
 
 
-def covariance_check(basis_pair, n, n_pairs=20, m=5000, master_seed=20260819):
+def covariance_check(basis_pair, n, m=5000, master_seed=20260819):
     """Empirical spot check of the closed-form covariances, for the
     weight and on the grid of the basis pair.
 
-    Draws m coefficient vectors, evaluates X_n at n_pairs random point
-    pairs, and compares the sample covariance with
+    Draws m coefficient vectors, evaluates X_n at _COV_PAIRS (20) random
+    point pairs, and compares the sample covariance with
     r_n((Omega(x) - Omega(y))/2), Omega tabulated on the pair's grid; and
-    checks the empirical variance of f_n against 1 at the first n_pairs
-    of those points.  The draws are those of ids 0..m-1, streamed in
+    checks the empirical variance of f_n against 1 at the first 20 of
+    those points.  The draws are those of ids 0..m-1, streamed in
     blocks by _sampled_in_halves, the larger, lower half of the blocks
-    here and the rest in a forked child (one process for a single block)
-    whatever SLZEROS_THREADS is, and only the values at the sampled
-    points are kept: m rows of 3 * n_pairs, whatever n is.  Each half
-    runs at one OpenBLAS thread, so the bits do not depend on the host's
-    core count.  Refuses a master_seed that is not a non-negative
-    integer, an n_pairs that is not a positive integer and m as
-    check_covariance_draws does, in that order before the points are
-    drawn, then n and the pair as f_n's rows do (process_rows), all
-    before any draw or fork.  Returns a dict with the max absolute
-    errors and the raw tables.
+    here and the rest in a forked child whatever SLZEROS_THREADS is, and
+    only the values at the sampled points are kept: m rows of 60,
+    whatever n is.  Each half runs at one OpenBLAS thread, so the bits
+    do not depend on the host's core count.  Refuses a master_seed that
+    is not a non-negative integer and m as check_covariance_draws does,
+    in that order before the points are drawn, then n and the pair as
+    f_n's rows do (process_rows), all before any draw or fork.  Returns
+    a dict with the max absolute errors and the raw tables.
     """
     master_seed = non_negative_int("master_seed", master_seed)
-    n_pairs = positive_integral("n_pairs", n_pairs)
     m = check_covariance_draws(m)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(97,))))
-    xs = rng.uniform(0.0, TWO_PI, size=2 * n_pairs)
-    pts = xs[:n_pairs]
+    xs = rng.uniform(0.0, TWO_PI, size=2 * _COV_PAIRS)
+    pts = xs[:_COV_PAIRS]
     f_rows = process_rows("f_n", n, pts, basis_pair=basis_pair)
     weight, grid = basis_pair[0].weight, basis_pair[0].grid
     vals_x, vals_f = _sampled_in_halves(
         master_seed, n, m,
         [process_rows("X_n", n, xs, weight=weight, grid=grid), f_rows])
-    pairs = xs.reshape(n_pairs, 2)
+    pairs = xs.reshape(_COV_PAIRS, 2)
     cov_emp = np.array([np.cov(vals_x[:, 2 * i], vals_x[:, 2 * i + 1],
-                               ddof=1)[0, 1] for i in range(n_pairs)])
+                               ddof=1)[0, 1] for i in range(_COV_PAIRS)])
     cov_exact = np.array([covariance_X(n, weight, x, y, grid)
                           for x, y in pairs])
     var_emp = np.var(vals_f, axis=0, ddof=1)

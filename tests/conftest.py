@@ -13,9 +13,36 @@ import pytest
 
 import slzeros
 from slzeros import (ExperimentConfig, build_basis_pair, builtin_weights,
-                     default_grid, run_experiment)
+                     default_grid, harness, run_experiment)
 
 MASTER_SEED = 20260819
+
+
+def _solved(pair):
+    """A stand-in for harness.build_basis_pair that returns pair, one a
+    session fixture has solved already, after checking that the run
+    asks for its weight and grid and for at most its modes."""
+    def build_basis_pair(weight, k_max, grid):
+        assert weight.name == pair[0].weight.name
+        assert grid == pair[0].grid
+        assert k_max <= pair[0].k_max
+        return pair
+    return build_basis_pair
+
+
+def _run_on(pair, config):
+    """run_experiment(config), reading pair as the run's basis pair."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "build_basis_pair", _solved(pair))
+        return run_experiment(config)
+
+
+@pytest.fixture()
+def reuse_pair(monkeypatch):
+    """pair -> None: this test's runs read pair as their basis pair in
+    place of solving their own (see _solved)."""
+    return lambda pair: monkeypatch.setattr(harness, "build_basis_pair",
+                                            _solved(pair))
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +99,7 @@ def main_records(sine2_basis, tmp_path_factory):
         weight_name="sine2", n_list=(50, 100, 200, 400), replicates=2000,
         master_seed=MASTER_SEED, process_kinds=("f_n", "X_n"),
         output_path=str(out), k_max=400)
-    records = run_experiment(config, basis_pair=sine2_basis)
+    records = _run_on(sine2_basis, config)
     return config, records
 
 
@@ -98,7 +125,7 @@ def unit_couple_records(unit_basis, tmp_path_factory):
         weight_name="unit", n_list=(50, 100), replicates=500,
         master_seed=MASTER_SEED, process_kinds=("f_n", "X_n"),
         output_path=str(out), k_max=100)
-    records = run_experiment(config, basis_pair=unit_basis)
+    records = _run_on(unit_basis, config)
     return config, records
 
 

@@ -171,7 +171,7 @@ def test_criterion_09_coupling_error_scale(main_summary):
 def test_criterion_10_covariance_kernels(sine2_basis):
     """Empirical covariances match the closed-form kernel at random point
     pairs, and var(f_n(x)) is within 0.05 of 1 at n = 400."""
-    check = covariance_check(sine2_basis, 400, n_pairs=20, m=5000,
+    check = covariance_check(sine2_basis, 400, m=5000,
                              master_seed=MASTER_SEED)
     tol = 4.0 / math.sqrt(check["draws"])
     ok = check["cov_max_error"] <= tol and check["var_f_max_error"] <= 0.05

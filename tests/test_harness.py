@@ -33,7 +33,7 @@ from slzeros.harness import (RECORD_COLUMNS, SIMULATED_KINDS, _fmt,
                              _RunContext, _worker_count,
                              check_covariance_draws, record_row)
 from slzeros.kernels import covariance_X, r_n_closed
-from slzeros.weights import Grid, make_expcos, omega_map
+from slzeros.weights import Grid, omega_map
 
 SEED = 20260819
 
@@ -233,11 +233,12 @@ def test_run_experiment_deterministic_with_output(tmp_path):
     assert streamed == want
 
 
-def test_run_experiment_coupled_kinds(unit_basis, tmp_path):
+def test_run_experiment_coupled_kinds(unit_basis, reuse_pair, tmp_path):
+    reuse_pair(unit_basis)
     cfg = ExperimentConfig(
         weight_name="unit", n_list=(10,), replicates=4, master_seed=SEED,
         process_kinds=("f_n", "X_n"))
-    recs = run_experiment(cfg, basis_pair=unit_basis)
+    recs = run_experiment(cfg)
     assert len(recs) == 4
     for r in recs:
         assert r.n_fn is not None and r.n_xn is not None
@@ -245,14 +246,6 @@ def test_run_experiment_coupled_kinds(unit_basis, tmp_path):
         assert r.sup_eps is not None and r.sup_eps < 1e-6  # unit: f_n == X_n
         assert r.n_fn == r.n_xn
         assert r.n_tn is None and r.n_pert is None
-
-
-def test_run_experiment_rejects_small_basis(unit_basis):
-    cfg = ExperimentConfig(
-        weight_name="unit", n_list=(200,), replicates=4, master_seed=SEED,
-        process_kinds=("f_n",))
-    with pytest.raises(PreconditionError):
-        run_experiment(cfg, basis_pair=unit_basis)
 
 
 def _plain_perturbed_samples(n, x, A, B):
@@ -489,11 +482,13 @@ def test_context_build_holds_no_full_size_temporaries(kind, sine2_weight):
 
 
 def test_run_records_independent_of_n_list_and_workers(monkeypatch,
-                                                       unit_basis):
+                                                       unit_basis,
+                                                       reuse_pair):
     # each n of a run gets the records of a run of that n alone, for one
     # worker and for two; 130 replicates leave each n a short last chunk.
     # A run builds each kind's rows once and forks at most one pool;
     # T_n's rows are views of perturbed's table, which has one row more.
+    reuse_pair(unit_basis)
     calls, pools = [], []
     real_rows = harness.process_rows
 
@@ -517,8 +512,7 @@ def test_run_records_independent_of_n_list_and_workers(monkeypatch,
                                replicates=130, master_seed=SEED,
                                process_kinds=SIMULATED_KINDS)
         del calls[:], pools[:]
-        rows = [record_row(r) for r in run_experiment(cfg,
-                                                      basis_pair=unit_basis)]
+        rows = [record_row(r) for r in run_experiment(cfg)]
         top = max(n_list)
         assert calls == [("f_n", top), ("X_n", top), ("perturbed", top)]
         assert pools == ([] if threads == "1" else [2])
@@ -579,16 +573,19 @@ def test_run_experiment_worker_invariance(monkeypatch):
     assert len(serial) == 130
 
 
-def test_counts_at_n400_independent_of_workers(monkeypatch, sine2_basis):
+def test_counts_at_n400_independent_of_workers(monkeypatch, sine2_basis,
+                                               reuse_pair):
     # 128 replicates are two tasks, so two workers both fork.  A forked
     # worker sets OpenBLAS to one thread and a one-worker run keeps the
     # library's default, so sup_eps may move in its last bits at n = 400;
     # no count or flag may move
+    reuse_pair(sine2_basis)
+
     def run(threads):
         monkeypatch.setenv("SLZEROS_THREADS", threads)
         return run_experiment(ExperimentConfig(
             weight_name="sine2", n_list=(400,), replicates=128,
-            master_seed=SEED), basis_pair=sine2_basis)
+            master_seed=SEED))
 
     one, two = run("1"), run("2")
     assert len(one) == 128
@@ -608,62 +605,15 @@ def split_pair(sine2_weight):
                                    (BoundaryCondition.D, 2049)))
 
 
-@pytest.mark.parametrize("use", ["build_process", "gap_diagnostics",
-                                 "run_experiment"])
-def test_pair_on_two_grids_refused(use, split_pair, sine2_weight):
+@pytest.mark.parametrize("use", ["build_process", "gap_diagnostics"])
+def test_pair_on_two_grids_refused(use, split_pair):
     n = 20
     with pytest.raises(PreconditionError):
         if use == "build_process":
             build_process("f_n", n, sample_coefficients(SEED, n, 0),
                           basis_pair=split_pair)
-        elif use == "gap_diagnostics":
-            gap_diagnostics(split_pair, (n,))
         else:
-            run_experiment(ExperimentConfig(
-                weight_name="sine2", n_list=(n,), replicates=2,
-                master_seed=SEED), basis_pair=split_pair)
-
-
-def test_basis_off_the_run_grid_refused_before_records(sine2_weight,
-                                                       tmp_path):
-    # 70 modes on 1025 points: n = 70 would leave T_n 14.6 points per
-    # wavelength there, but the run samples on config.grid alone
-    pair = build_basis_pair(sine2_weight, 70, Grid(1025))
-    out = tmp_path / "o"
-    cfg = ExperimentConfig(weight_name="sine2", n_list=(70,), replicates=2,
-                           master_seed=SEED, process_kinds=("f_n", "T_n"),
-                           output_path=str(out))
-    with pytest.raises(PreconditionError,
-                       match="C family was solved on 1025 points"):
-        run_experiment(cfg, basis_pair=pair)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("name, solved_for", [
-    ("sine2", lambda: builtin_weights("unit")),
-    ("expcos", lambda: make_expcos(2.0))])
-def test_basis_for_another_weight_refused_before_records(name, solved_for,
-                                                         tmp_path):
-    # compared by the values on the run's grid, not by name: make_expcos(2.0)
-    # is named expcos too
-    pair = build_basis_pair(solved_for(), 20, Grid(8192))
-    out = tmp_path / "o"
-    cfg = ExperimentConfig(weight_name=name, n_list=(20,), replicates=2,
-                           master_seed=SEED, output_path=str(out))
-    with pytest.raises(PreconditionError,
-                       match="^basis_pair's C family was solved for another "
-                             "weight than the run's '%s'$" % name):
-        run_experiment(cfg, basis_pair=pair)
-    assert not out.exists()
-
-
-def test_short_basis_refused_before_records(sine2_basis_200, tmp_path):
-    out = tmp_path / "o"
-    cfg = ExperimentConfig(weight_name="sine2", n_list=(300,), replicates=2,
-                           master_seed=SEED, output_path=str(out))
-    with pytest.raises(PreconditionError, match="eigenbasis too small"):
-        run_experiment(cfg, basis_pair=sine2_basis_200)
-    assert not out.exists()
+            gap_diagnostics(split_pair, (n,))
 
 
 # a fresh process builds a run's context at n = 400 for the given kinds,
@@ -967,18 +917,6 @@ def test_sampled_in_halves_without_fork_runs_in_turn(small_draw_blocks,
         assert np.array_equal(got, want)
 
 
-def test_sampled_in_halves_runs_one_block_here(monkeypatch):
-    # m = 1000 is one block at the default _DRAW_BLOCK: no fork
-    def no_fork():
-        raise AssertionError("forked for a one-block draw")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    row_sets = _sample_row_sets()
-    tables = harness._sampled_in_halves(SEED, 13, 1000, row_sets)
-    for got, want in zip(tables, _block_loop(13, 1000, row_sets)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 def _draw_halves_with(monkeypatch, lower, upper):
     """Route harness.sample_coefficient_block's calls for the lower half
     of the blocks (first id below 512, drawn here) and the upper half
@@ -1036,33 +974,20 @@ def test_covariance_check_bits_independent_of_blas_threads(sine2_basis):
 @pytest.mark.parametrize("with_basis, columns", [(True, 3)])
 def test_covariance_check_shares_only_the_sampled_columns(
         small_draw_blocks, monkeypatch, unit_basis, with_basis, columns):
-    # 256-id blocks: m = 1200 is five blocks, so the draw forks; each pair
-    # of points shares X_n's two columns and f_n's one
-    sizes = []
+    # 256-id blocks: m = 1200 is five blocks, so the draw forks; each of
+    # the 20 pairs of points shares X_n's two columns and f_n's one
+    shapes = []
     beside_child = harness._beside_child
 
-    def spy(nbytes, child, parent):
-        sizes.append(nbytes)
-        return beside_child(nbytes, child, parent)
+    def spy(table_shapes, child, parent):
+        shapes.append(table_shapes)
+        return beside_child(table_shapes, child, parent)
 
     monkeypatch.setattr(harness, "_beside_child", spy)
     for n in (20, 80):
-        covariance_check(unit_basis, n, n_pairs=7, m=1200)
-    assert sizes == [8 * 1200 * columns * 7] * 2
-
-
-@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, float("nan"), float("inf"),
-                                     "3"])
-def test_covariance_check_refuses_bad_n_pairs(monkeypatch, unit_basis,
-                                              n_pairs):
-    def draw(*args, **kwargs):
-        raise AssertionError("drew before refusing n_pairs")
-
-    monkeypatch.setattr(harness, "sample_coefficient_block", draw)
-    with pytest.raises(PreconditionError,
-                       match="^n_pairs must be a positive integer, got %s$"
-                       % re.escape(repr(n_pairs))):
-        covariance_check(unit_basis, 5, n_pairs=n_pairs, m=1000)
+        covariance_check(unit_basis, n, m=1200)
+    assert shapes == [[(1200, 40), (1200, 20)]] * 2
+    assert sum(width for _, width in shapes[0]) == columns * 20
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), float("inf")])
@@ -1078,7 +1003,8 @@ def test_covariance_check_refuses_bad_orders(monkeypatch, unit_basis, n):
         covariance_check(unit_basis, n, m=1000)
 
 
-@pytest.mark.parametrize("m", [1000.5, float("nan"), float("inf"), "2000"])
+@pytest.mark.parametrize("m", [1000.5, float("nan"), float("inf"), "2000",
+                               0])
 def test_covariance_check_refuses_bad_m(monkeypatch, unit_basis, m):
     def draw(*args, **kwargs):
         raise AssertionError("drew before refusing m")
@@ -1109,7 +1035,7 @@ def test_covariance_check_tabulates_omega_on_the_pairs_grid(sine2_weight):
     # the default grid's
     grid = Grid(1025)
     pair = build_basis_pair(sine2_weight, 20, grid)
-    out = covariance_check(pair, 20, n_pairs=5, m=1000)
+    out = covariance_check(pair, 20, m=1000)
     want = [covariance_X(20, pair[0].weight, x, y, grid)
             for x, y in out["x_pairs"]]
     assert out["cov_exact"].tobytes() == np.array(want).tobytes()
@@ -1382,11 +1308,11 @@ def test_gap_diagnostics_cut_is_bit_equal(name, request):
 
 
 def test_covariance_check_small(unit_basis):
-    out = covariance_check(unit_basis, 20, n_pairs=10, m=1500)
+    out = covariance_check(unit_basis, 20, m=1500)
     _no_child_left()
     assert out["draws"] == 1500
-    assert out["x_pairs"].shape == (10, 2)
-    assert out["cov_empirical"].shape == (10,)
+    assert out["x_pairs"].shape == (20, 2)
+    assert out["cov_empirical"].shape == (20,)
     # ~1/sqrt(m) Monte Carlo noise
     assert out["cov_max_error"] < 4.0 / math.sqrt(1500)
     assert out["var_f_max_error"] < 0.12
